@@ -17,7 +17,6 @@
 #include "harness/driver.hpp"
 #include "harness/table.hpp"
 #include "queues/ms_queue.hpp"
-#include "queues/ms_queue_dwcas.hpp"
 #include "queues/ms_queue_hp.hpp"
 
 namespace {

@@ -197,6 +197,18 @@ void write_json(const FigConfig& config,
 
 }  // namespace
 
+const char* extract_flag(int& argc, char** argv, const char* flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) != 0) continue;
+    if (i + 1 >= argc) return "";
+    const char* value = argv[i + 1];
+    for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
+    argc -= 2;
+    return value;
+  }
+  return nullptr;
+}
+
 bool parse_args(int argc, char** argv, FigConfig& config) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];

@@ -44,6 +44,12 @@ struct FigConfig {
 /// by the caller).  Returns false (after printing usage) on a bad flag.
 bool parse_args(int argc, char** argv, FigConfig& config);
 
+/// Take "FLAG VALUE" out of argv before parse_args runs (it rejects flags
+/// it does not know) and return VALUE.  Returns nullptr when FLAG is
+/// absent and "" when FLAG is the last argument; the caller checks the
+/// value and reports its own error.
+const char* extract_flag(int& argc, char** argv, const char* flag);
+
 /// Run the sweep and print the table(s) to stdout.
 void run_figure(const FigConfig& config);
 

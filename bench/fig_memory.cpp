@@ -59,13 +59,11 @@
 //   --stall-us D    consumer stall per sticky hit, microseconds
 //                   (default 2000; one hit in 128 stalls)
 //   --only NAME     run one family (msq/msq_hp/segq/ring/scq/valois/wfq);
-//                   `valois_memory` is exactly this bench with
-//                   --only valois injected (the retired A4 driver)
+//                   --only valois is the paper's A4 exhaustion run
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -346,43 +344,35 @@ std::vector<Family> make_families() {
   };
 }
 
-/// Parse "--only NAME" out of argv (and remove it) before the common
-/// parser runs; empty = all families.
+/// Parse "--only NAME" out of argv before the common parser runs; empty =
+/// all families.
 bool extract_only(int& argc, char** argv, std::string& out) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--only") != 0) continue;
-    if (i + 1 >= argc) {
-      std::cerr << "--only needs a family name "
-                   "(msq/msq_hp/segq/ring/scq/valois/wfq)\n";
-      return false;
-    }
-    out = argv[i + 1];
-    for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-    argc -= 2;
-    return true;
+  const char* value = extract_flag(argc, argv, "--only");
+  if (value == nullptr) return true;
+  if (*value == '\0') {
+    std::cerr << "--only needs a family name "
+                 "(msq/msq_hp/segq/ring/scq/valois/wfq)\n";
+    return false;
   }
+  out = value;
   return true;
 }
 
-/// Parse "--<flag> N" out of argv (and remove it); leaves `out` alone when
-/// the flag is absent.
+/// Parse "--<flag> N" out of argv; leaves `out` alone when the flag is
+/// absent.
 bool extract_u64(int& argc, char** argv, const char* flag,
                  std::uint64_t& out) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) != 0) continue;
-    if (i + 1 >= argc) {
-      std::cerr << flag << " needs a number\n";
-      return false;
-    }
-    char* end = nullptr;
-    out = std::strtoull(argv[i + 1], &end, 10);
-    if (end == argv[i + 1] || *end != '\0') {
-      std::cerr << flag << ": bad number '" << argv[i + 1] << "'\n";
-      return false;
-    }
-    for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-    argc -= 2;
-    return true;
+  const char* value = extract_flag(argc, argv, flag);
+  if (value == nullptr) return true;
+  if (*value == '\0') {
+    std::cerr << flag << " needs a number\n";
+    return false;
+  }
+  char* end = nullptr;
+  out = std::strtoull(value, &end, 10);
+  if (end == value || *end != '\0') {
+    std::cerr << flag << ": bad number '" << value << "'\n";
+    return false;
   }
   return true;
 }
@@ -517,7 +507,7 @@ int run(const FigConfig& config, const MemCfg& mc, const std::string& only) {
 }  // namespace
 }  // namespace msq::bench
 
-int fig_memory_main(int argc, char** argv) {
+int main(int argc, char** argv) {
   std::string only;
   std::uint64_t occupancy = 12;    // the paper's experiment
   std::uint64_t capacity = 64'000;  // the paper's free-list size
@@ -543,7 +533,3 @@ int fig_memory_main(int argc, char** argv) {
   mc.stall_us = stall_us;
   return msq::bench::run(config, mc, only);
 }
-
-#ifndef FIG_MEMORY_NO_MAIN
-int main(int argc, char** argv) { return fig_memory_main(argc, argv); }
-#endif

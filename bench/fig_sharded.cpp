@@ -21,7 +21,6 @@
 // EXPERIMENTS.md uses to diagnose a mis-sized shard count.
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -99,33 +98,29 @@ struct Variant {
   RunFn run;
 };
 
-/// Parse "--shards 1,2,4" out of argv (and remove it) before handing the
-/// rest to the common parser; fig_common knows nothing about this flag.
+/// Parse "--shards 1,2,4" out of argv before handing the rest to the
+/// common parser; fig_common knows nothing about this flag.
 bool extract_shards(int& argc, char** argv, std::vector<std::uint32_t>& out) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--shards") != 0) continue;
-    if (i + 1 >= argc) {
-      std::cerr << "--shards needs a comma-separated list (e.g. 1,2,4)\n";
-      return false;
-    }
-    const char* p = argv[i + 1];
-    while (*p != '\0') {
-      char* end = nullptr;
-      const unsigned long k = std::strtoul(p, &end, 10);
-      if (end == p || sharded_run_fn(static_cast<std::uint32_t>(k)) == nullptr) {
-        std::cerr << "--shards: unsupported count in '" << argv[i + 1]
-                  << "' (supported: 1, 2, 4, 8, 16)\n";
-        return false;
-      }
-      out.push_back(static_cast<std::uint32_t>(k));
-      p = (*end == ',') ? end + 1 : end;
-    }
-    // Shift the two consumed argv slots out so parse_args never sees them.
-    for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-    argc -= 2;
+  const char* value = extract_flag(argc, argv, "--shards");
+  if (value == nullptr) {
+    out = {1, 2, 4};
     return true;
   }
-  out = {1, 2, 4};
+  if (*value == '\0') {
+    std::cerr << "--shards needs a comma-separated list (e.g. 1,2,4)\n";
+    return false;
+  }
+  for (const char* p = value; *p != '\0';) {
+    char* end = nullptr;
+    const unsigned long k = std::strtoul(p, &end, 10);
+    if (end == p || sharded_run_fn(static_cast<std::uint32_t>(k)) == nullptr) {
+      std::cerr << "--shards: unsupported count in '" << value
+                << "' (supported: 1, 2, 4, 8, 16)\n";
+      return false;
+    }
+    out.push_back(static_cast<std::uint32_t>(k));
+    p = (*end == ',') ? end + 1 : end;
+  }
   return true;
 }
 

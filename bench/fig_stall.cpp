@@ -57,7 +57,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -161,49 +160,42 @@ std::vector<Variant> make_variants() {
   };
 }
 
-/// Parse "--only NAME" out of argv (and remove it) before the common
-/// parser runs; empty = all variants.
+/// Parse "--only NAME" out of argv before the common parser runs; empty =
+/// all variants.
 bool extract_only(int& argc, char** argv, std::string& out) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--only") != 0) continue;
-    if (i + 1 >= argc) {
-      std::cerr << "--only needs a variant name (msq/segq/shard4/wfq)\n";
-      return false;
-    }
-    out = argv[i + 1];
-    for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-    argc -= 2;
-    return true;
+  const char* value = extract_flag(argc, argv, "--only");
+  if (value == nullptr) return true;
+  if (*value == '\0') {
+    std::cerr << "--only needs a variant name (msq/segq/shard4/wfq)\n";
+    return false;
   }
+  out = value;
   return true;
 }
 
-/// Parse "--stalls 0,1000" out of argv (and remove it) before the common
-/// parser runs; durations are microseconds.
+/// Parse "--stalls 0,1000" out of argv before the common parser runs;
+/// durations are microseconds.
 bool extract_stalls(int& argc, char** argv, std::vector<std::uint64_t>& out) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--stalls") != 0) continue;
-    if (i + 1 >= argc) {
-      std::cerr << "--stalls needs a comma-separated us list (e.g. 0,1000)\n";
-      return false;
-    }
-    const char* p = argv[i + 1];
-    while (*p != '\0') {
-      char* end = nullptr;
-      const unsigned long us = std::strtoul(p, &end, 10);
-      if (end == p || us > kMaxStallUs) {
-        std::cerr << "--stalls: bad duration in '" << argv[i + 1]
-                  << "' (0.." << kMaxStallUs << " us)\n";
-        return false;
-      }
-      out.push_back(us);
-      p = (*end == ',') ? end + 1 : end;
-    }
-    for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-    argc -= 2;
+  const char* value = extract_flag(argc, argv, "--stalls");
+  if (value == nullptr) {
+    out = {0, 1000};
     return true;
   }
-  out = {0, 1000};
+  if (*value == '\0') {
+    std::cerr << "--stalls needs a comma-separated us list (e.g. 0,1000)\n";
+    return false;
+  }
+  for (const char* p = value; *p != '\0';) {
+    char* end = nullptr;
+    const unsigned long us = std::strtoul(p, &end, 10);
+    if (end == p || us > kMaxStallUs) {
+      std::cerr << "--stalls: bad duration in '" << value << "' (0.."
+                << kMaxStallUs << " us)\n";
+      return false;
+    }
+    out.push_back(us);
+    p = (*end == ',') ? end + 1 : end;
+  }
   return true;
 }
 

@@ -12,10 +12,11 @@
 //         single-lock LOCK_HELD; mc MC_LINK MC_SWING;
 //         plj PLJ_LINK PLJ_SWING; valois V_LINK V_SWING.
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "sim/engine.hpp"
 #include "sim/queue_iface.hpp"
@@ -50,13 +51,20 @@ Task<void> pairs_forever(Proc& p, SimQueue& queue, std::uint32_t id,
   }
 }
 
-Algo parse_algo(const std::string& name) {
-  if (name == "single-lock") return Algo::kSingleLock;
-  if (name == "mc") return Algo::kMc;
-  if (name == "valois") return Algo::kValois;
-  if (name == "two-lock") return Algo::kTwoLock;
-  if (name == "plj") return Algo::kPlj;
-  return Algo::kMs;
+constexpr std::pair<const char*, Algo> kAlgos[] = {
+    {"ms", Algo::kMs},
+    {"two-lock", Algo::kTwoLock},
+    {"single-lock", Algo::kSingleLock},
+    {"mc", Algo::kMc},
+    {"plj", Algo::kPlj},
+    {"valois", Algo::kValois},
+};
+
+std::optional<Algo> parse_algo(const std::string& name) {
+  for (const auto& [known, algo] : kAlgos) {
+    if (name == known) return algo;
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -64,7 +72,14 @@ Algo parse_algo(const std::string& name) {
 int main(int argc, char** argv) {
   const std::string algo_arg = argc > 1 ? argv[1] : "ms";
   const std::string label = argc > 2 ? argv[2] : "E13";
-  const Algo algo = parse_algo(algo_arg);
+  const std::optional<Algo> parsed = parse_algo(algo_arg);
+  if (!parsed) {
+    std::cerr << "unknown algorithm '" << algo_arg << "'; valid names:";
+    for (const auto& [known, algo] : kAlgos) std::cerr << ' ' << known;
+    std::cerr << '\n';
+    return 2;
+  }
+  const Algo algo = *parsed;
 
   msq::sim::EngineConfig config;
   config.seed = 2026;

@@ -5,75 +5,90 @@
 //
 // The stack links nodes through the same `next` field the queue uses (a
 // node is either in the queue or in the free list, never both), and the
-// counted top pointer defends against ABA exactly as Head/Tail do.
+// counted top pointer defends against ABA exactly as Head/Tail do.  This is
+// the library's one free list: every pool-backed structure allocates here.
 //
-// Node requirements: a member `next` of type tagged::AtomicTagged.
+// Node requirements: a member `next` whose type is a counted-link cell,
+// tagged::IndexLink's (entries are pool indices) or tagged::PointerLink's
+// (entries are node pointers).  The top uses the same representation.
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 #include "mem/node_pool.hpp"
 #include "obs/counters.hpp"
 #include "port/cpu.hpp"
 #include "tagged/atomic_tagged.hpp"
-#include "tagged/tagged_index.hpp"
 
 namespace msq::mem {
 
 template <typename Node>
 class FreeList {
+  using Cell = decltype(Node::next);
+  using Link = typename Cell::value_type;
+
  public:
+  /// A free-list entry: std::uint32_t pool index, or Node* for pointer
+  /// links.  kNull is the pool-exhausted answer (kNullIndex / nullptr).
+  using Target = typename Link::target_type;
+  static constexpr Target kNull = Link{}.target();
+
   /// Builds a free list containing every node of `pool`.
   explicit FreeList(NodePool<Node>& pool) : pool_(pool) {
     for (std::uint32_t i = 0; i < pool.capacity(); ++i) {
-      push(i);
+      if constexpr (std::is_pointer_v<Target>) {
+        push(&pool[i]);
+      } else {
+        push(i);
+      }
     }
   }
 
   FreeList(const FreeList&) = delete;
   FreeList& operator=(const FreeList&) = delete;
 
-  /// Pop a node index, or kNullIndex if the pool is exhausted.
+  /// Pop a node, or kNull if the pool is exhausted.
   /// Lock-free: fails or succeeds in a bounded number of *uncontended*
   /// steps; a retry implies another thread completed a push or pop.
-  [[nodiscard]] std::uint32_t try_allocate() noexcept {
+  [[nodiscard]] Target try_allocate() noexcept {
     for (;;) {
-      const tagged::TaggedIndex top = top_.load(std::memory_order_acquire);
+      const Link top = top_.load(std::memory_order_acquire);
       if (top.is_null()) {
         MSQ_COUNT(kPoolRefuse);
-        return tagged::kNullIndex;
+        return kNull;
       }
-      const tagged::TaggedIndex next = pool_[top.index()].next.load(std::memory_order_acquire);
-      if (top_.compare_and_swap(top, top.successor(next.index()), std::memory_order_acq_rel)) {
+      const Link next = pool_[top.target()].next.load(std::memory_order_acquire);
+      if (top_.compare_and_swap(top, top.successor(next.target()), std::memory_order_acq_rel)) {
         MSQ_COUNT(kPoolGet);
         MSQ_POOL_GAUGE(1);
-        return top.index();
+        return top.target();
       }
       MSQ_COUNT(kPoolCasRetry);
     }
   }
 
-  /// Pop up to `max` node indices with ONE successful CAS on the shared top
+  /// Pop up to `max` nodes with ONE successful CAS on the shared top
   /// (the magazine refill path).  Returns the number written into `out`.
   ///
   /// Safety of the prefix walk: nodes deeper in the stack can only be popped
   /// after the top node is, and every pop or push moves `top_` -- so if the
   /// final counted CAS succeeds, the prefix we walked was never touched.
-  [[nodiscard]] std::uint32_t try_allocate_batch(std::uint32_t* out,
+  [[nodiscard]] std::uint32_t try_allocate_batch(Target* out,
                                                 std::uint32_t max) noexcept {
     for (;;) {
-      const tagged::TaggedIndex top = top_.load(std::memory_order_acquire);
+      const Link top = top_.load(std::memory_order_acquire);
       if (top.is_null()) {
         MSQ_COUNT(kPoolRefuse);
         return 0;
       }
       std::uint32_t n = 0;
-      tagged::TaggedIndex it = top;
+      Link it = top;
       while (n < max && !it.is_null()) {
-        out[n++] = it.index();
-        it = pool_[it.index()].next.load(std::memory_order_acquire);
+        out[n++] = it.target();
+        it = pool_[it.target()].next.load(std::memory_order_acquire);
       }
-      if (top_.compare_and_swap(top, top.successor(it.index()), std::memory_order_acq_rel)) {
+      if (top_.compare_and_swap(top, top.successor(it.target()), std::memory_order_acq_rel)) {
         MSQ_COUNT_N(kPoolGet, n);
         MSQ_POOL_GAUGE(n);
         return n;
@@ -84,21 +99,21 @@ class FreeList {
 
   /// Push a node back.  The node must have come from this pool and must not
   /// be reachable from any shared structure.
-  void free(std::uint32_t index) noexcept {
+  void free(Target node) noexcept {
     MSQ_POOL_GAUGE(-1);
-    push(index);
+    push(node);
   }
 
   /// Push a pre-linked chain (head -> ... -> tail through the nodes' `next`
   /// fields, tail's next ignored) with ONE successful CAS -- the magazine
   /// flush path.  The chain must be private to the caller.
-  void free_chain(std::uint32_t head, std::uint32_t tail) noexcept {
+  void free_chain(Target head, Target tail) noexcept {
     if (obs::armed()) {
       // Chain length for the pool gauge: the chain is still private to the
       // caller, so the walk is race-free.  Armed-only, like the gauge.
       std::int64_t len = 1;
-      for (std::uint32_t it = head; it != tail;
-           it = pool_[it].next.load(std::memory_order_relaxed).index()) {  // relaxed: private chain; see free_chain comment below (proof: mo-sweep:fl.push_link)
+      for (Target it = head; it != tail;
+           it = pool_[it].next.load(std::memory_order_relaxed).target()) {  // relaxed: private chain; see free_chain comment below (proof: mo-sweep:fl.push_link)
         ++len;
       }
       obs::pool_gauge_add(-len);
@@ -106,12 +121,10 @@ class FreeList {
     // Tag monotonicity (see push): bump the tail's own count; the inner
     // chain links are the caller's writes and must bump likewise.
     // relaxed: the chain is private to the caller until the CAS publishes it (proof: mo-sweep:fl.push_link)
-    const std::uint32_t count =
-        pool_[tail].next.load(std::memory_order_relaxed).count() + 1;
+    const auto count = pool_[tail].next.load(std::memory_order_relaxed).count() + 1;
     for (;;) {
-      const tagged::TaggedIndex top = top_.load(std::memory_order_acquire);
-      pool_[tail].next.store(tagged::TaggedIndex(top.index(), count),
-                             std::memory_order_release);
+      const Link top = top_.load(std::memory_order_acquire);
+      pool_[tail].next.store(Link(top.target(), count), std::memory_order_release);
       if (top_.compare_and_swap(top, top.successor(head), std::memory_order_acq_rel)) return;
       MSQ_COUNT(kPoolCasRetry);
     }
@@ -121,15 +134,15 @@ class FreeList {
   /// memory-exhaustion experiment only -- the count is naturally racy.
   [[nodiscard]] std::size_t unsafe_size() const noexcept {
     std::size_t n = 0;
-    for (tagged::TaggedIndex it = top_.load(std::memory_order_acquire); !it.is_null();
-         it = pool_[it.index()].next.load(std::memory_order_acquire)) {
+    for (Link it = top_.load(std::memory_order_acquire); !it.is_null();
+         it = pool_[it.target()].next.load(std::memory_order_acquire)) {
       ++n;
     }
     return n;
   }
 
  private:
-  void push(std::uint32_t index) noexcept {
+  void push(Target node) noexcept {
     // A node's link tag must stay MONOTONE across its whole lifetime, not
     // just while it sits in one structure: a queue's link CAS validates
     // `next` against a counted value read earlier, and a reset here would
@@ -137,15 +150,13 @@ class FreeList {
     // stale link CAS succeed (the fig_stall wedge: a thread that slept
     // between reading tail->next and CASing it linked a freed node).
     // relaxed: the node is private to the caller until the CAS publishes it (proof: mo-sweep:fl.push_link)
-    const std::uint32_t count =
-        pool_[index].next.load(std::memory_order_relaxed).count() + 1;
+    const auto count = pool_[node].next.load(std::memory_order_relaxed).count() + 1;
     for (;;) {
-      const tagged::TaggedIndex top = top_.load(std::memory_order_acquire);
+      const Link top = top_.load(std::memory_order_acquire);
       // Link the node above the current top.  The node is private to us
       // here, so a plain store is enough.
-      pool_[index].next.store(tagged::TaggedIndex(top.index(), count),
-                              std::memory_order_release);
-      if (top_.compare_and_swap(top, top.successor(index), std::memory_order_acq_rel)) return;
+      pool_[node].next.store(Link(top.target(), count), std::memory_order_release);
+      if (top_.compare_and_swap(top, top.successor(node), std::memory_order_acq_rel)) return;
       MSQ_COUNT(kPoolCasRetry);
     }
   }
@@ -153,7 +164,7 @@ class FreeList {
   NodePool<Node>& pool_;
   // The hottest word of every pool-backed queue; on its own cache line so
   // allocator traffic never false-shares with the pool reference above.
-  alignas(port::kCacheLine) tagged::AtomicTagged top_;
+  alignas(port::kCacheLine) Cell top_;
 };
 
 namespace detail {

@@ -54,7 +54,7 @@ inline std::uint32_t thread_hint() noexcept {
 
 /// `kCap` is the magazine size: refills pop kCap/2 indices with one shared
 /// CAS, flushes push kCap/2 back with one shared CAS.  Node needs a `next`
-/// member of type tagged::AtomicTagged (same contract as FreeList).
+/// member of type tagged::AtomicTagged (FreeList's contract, index links only).
 template <typename Node, std::uint32_t kCap = 32>
 class MagazineAllocator {
   static_assert(kCap >= 2 && kCap % 2 == 0, "kCap must be even");

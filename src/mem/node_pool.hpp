@@ -7,7 +7,8 @@
 // (tagged/tagged_index.hpp).
 //
 // The pool itself is just stable storage: allocation policy lives in the
-// free lists layered on top (FreeList, RefCountPool).
+// free list layered on top (FreeList; RefCountPool wraps one).  Nodes may
+// be named by index or, under tagged::PointerLink, by address.
 #pragma once
 
 #include <cassert>
@@ -37,6 +38,10 @@ class NodePool {
     assert(index < capacity_);
     return nodes_[index];
   }
+
+  /// A pointer link's target (tagged::PointerLink) already is the node;
+  /// this lets code written over link targets address nodes either way.
+  [[nodiscard]] Node& operator[](Node* node) const noexcept { return *node; }
 
   [[nodiscard]] std::uint32_t capacity() const noexcept { return capacity_; }
 

@@ -32,6 +32,7 @@
 #include <cassert>
 #include <cstdint>
 
+#include "mem/freelist.hpp"
 #include "mem/node_pool.hpp"
 #include "obs/counters.hpp"
 #include "tagged/atomic_tagged.hpp"
@@ -39,23 +40,24 @@
 
 namespace msq::mem {
 
-/// A node managed by RefCountPool.  Queues embed their payload next to it.
-/// `next` doubles as the free-list link, exactly as in the MS queues.
+/// A node managed by RefCountPool: queue nodes derive from it and add their
+/// payload.  `next` doubles as the free-list link, exactly as in the MS
+/// queues.
 struct RcHeader {
   tagged::AtomicTagged next;
   // share-ok: link+refcount packed per node by design (one node, one line)
   std::atomic<std::uint32_t> refct_claim{0};  // (count << 1) | claim
 };
 
-template <typename Node>  // Node must derive from or contain RcHeader as `rc`
+template <typename Node>  // Node must derive from RcHeader
 class RefCountPool {
  public:
-  explicit RefCountPool(std::uint32_t capacity) : pool_(capacity) {
-    // Build the free list privately; freed/claimed nodes have refct 0|claim.
+  explicit RefCountPool(std::uint32_t capacity)
+      : pool_(capacity), freelist_(pool_) {
+    // Free nodes have refct 0|claim.
     for (std::uint32_t i = 0; i < capacity; ++i) {
       // relaxed: construction is single-threaded (proof: test:tests/refcount_pool_test.cpp)
-      pool_[i].rc.refct_claim.store(1, std::memory_order_relaxed);  // claimed
-      push_free(i);
+      pool_[i].refct_claim.store(1, std::memory_order_relaxed);  // claimed
     }
   }
 
@@ -65,26 +67,16 @@ class RefCountPool {
   /// Allocate a node with reference count 1 (the caller's reference) or
   /// return kNullIndex if the pool is exhausted.
   [[nodiscard]] std::uint32_t try_allocate() noexcept {
-    for (;;) {
-      const tagged::TaggedIndex top = free_top_.load(std::memory_order_acquire);
-      if (top.is_null()) {
-        MSQ_COUNT(kPoolRefuse);
-        return tagged::kNullIndex;
-      }
-      const tagged::TaggedIndex next = pool_[top.index()].rc.next.load(std::memory_order_acquire);
-      if (free_top_.compare_and_swap(top, top.successor(next.index()), std::memory_order_acq_rel)) {
-        Node& n = pool_[top.index()];
-        n.rc.next.store(tagged::TaggedIndex{}, std::memory_order_release);  // NULL
-        // Clear the claim bit and take the allocator's reference in one
-        // atomic add (+2 for the reference, -1 for the claim bit).  A plain
-        // store would erase increments from concurrent stale SafeReads,
-        // which is one of the races TR 599 fixes.
-        n.rc.refct_claim.fetch_add(1, std::memory_order_acq_rel);
-        MSQ_COUNT(kPoolGet);
-        MSQ_POOL_GAUGE(1);
-        return top.index();
-      }
-    }
+    const std::uint32_t index = freelist_.try_allocate();
+    if (index == tagged::kNullIndex) return index;
+    Node& n = pool_[index];
+    n.next.store(tagged::TaggedIndex{}, std::memory_order_release);  // NULL
+    // Clear the claim bit and take the allocator's reference in one atomic
+    // add (+2 for the reference, -1 for the claim bit).  A plain store
+    // would erase increments from concurrent stale SafeReads, which is one
+    // of the races TR 599 fixes.
+    n.refct_claim.fetch_add(1, std::memory_order_acq_rel);
+    return index;
   }
 
   /// Valois SafeRead: dereference the shared cell `loc` acquiring a counted
@@ -107,25 +99,20 @@ class RefCountPool {
 
   /// Add a reference for a link about to be installed (CopyRef).
   void add_reference(std::uint32_t index) noexcept {
-    pool_[index].rc.refct_claim.fetch_add(2, std::memory_order_acq_rel);
+    pool_[index].refct_claim.fetch_add(2, std::memory_order_acq_rel);
   }
 
   /// Drop one reference; reclaim the node if we held the last one.
   void release(std::uint32_t index) noexcept {
     if (index == tagged::kNullIndex) return;
-    if (decrement_and_test_and_set(pool_[index].rc.refct_claim)) {
+    if (decrement_and_test_and_set(pool_[index].refct_claim)) {
       reclaim(index);
     }
   }
 
   /// Free-list occupancy (racy; for tests and the exhaustion experiment).
   [[nodiscard]] std::size_t unsafe_free_count() const noexcept {
-    std::size_t n = 0;
-    for (tagged::TaggedIndex it = free_top_.load(std::memory_order_acquire); !it.is_null();
-         it = pool_[it.index()].rc.next.load(std::memory_order_acquire)) {
-      ++n;
-    }
-    return n;
+    return freelist_.unsafe_size();
   }
 
  private:
@@ -151,23 +138,13 @@ class RefCountPool {
   /// This is where the pinning cascade comes from -- a node that is never
   /// reclaimed never releases its successor.
   void reclaim(std::uint32_t index) noexcept {
-    MSQ_POOL_GAUGE(-1);
-    Node& n = pool_[index];
-    const tagged::TaggedIndex next = n.rc.next.load(std::memory_order_acquire);
+    const tagged::TaggedIndex next = pool_[index].next.load(std::memory_order_acquire);
     if (!next.is_null()) release(next.index());
-    push_free(index);
-  }
-
-  void push_free(std::uint32_t index) noexcept {
-    for (;;) {
-      const tagged::TaggedIndex top = free_top_.load(std::memory_order_acquire);
-      pool_[index].rc.next.store(tagged::TaggedIndex(top.index(), 0), std::memory_order_release);
-      if (free_top_.compare_and_swap(top, top.successor(index), std::memory_order_acq_rel)) return;
-    }
+    freelist_.free(index);
   }
 
   NodePool<Node> pool_;
-  tagged::AtomicTagged free_top_;
+  FreeList<Node> freelist_;
 };
 
 }  // namespace msq::mem

@@ -1,7 +1,16 @@
 // The non-blocking concurrent queue of Michael & Scott -- the paper's
-// primary contribution (Figure 1), in the single-word counted-pointer
-// formulation (32-bit pool index + 32-bit modification counter packed into
-// one 64-bit word; the paper's suggested alternative to double-word CAS).
+// primary contribution (Figure 1), written once over both counted-pointer
+// formulations the paper names: "one must either employ a double-word
+// compare_and_swap, or else use array indices instead of pointers, so that
+// they may share a single word with a counter".
+//
+//   MsQueue<T>    -- tagged::IndexLink: 32-bit pool index + 32-bit counter
+//                    in one 64-bit CAS word (16-byte nodes).
+//   MsQueueDw<T>  -- tagged::PointerLink: node pointer + 64-bit counter,
+//                    CASed with cmpxchg16b.
+//
+// Either way the nodes live in a mem::NodePool and recycle through the one
+// mem::FreeList, so both share its tag rule, gauge and counters.
 //
 // Structure: a singly-linked list with Head and Tail counted pointers.
 // Head always points to a dummy node (the first node in the list); Tail
@@ -24,8 +33,7 @@
 #include "port/cpu.hpp"
 #include "queues/queue_concept.hpp"
 #include "sync/backoff.hpp"
-#include "tagged/atomic_tagged.hpp"
-#include "tagged/tagged_index.hpp"
+#include "tagged/counted_ptr.hpp"
 
 namespace msq::queues {
 
@@ -35,8 +43,11 @@ namespace msq::queues {
 /// selects the node allocator: the paper's plain Treiber free list by
 /// default, or mem::MagazineAllocator for the magazine ablation
 /// (bench/ablate_magazine.cpp) -- same pool, batched refills/flushes.
+/// `Links` is the counted-link representation (tagged::IndexLink or
+/// tagged::PointerLink; the magazine allocator takes index links only).
 template <typename T, typename BackoffPolicy = sync::Backoff,
-          template <typename> class Alloc = mem::FreeList>
+          template <typename> class Alloc = mem::FreeList,
+          typename Links = tagged::IndexLink>
 class MsQueue {
  public:
   using value_type = T;
@@ -53,10 +64,10 @@ class MsQueue {
       : pool_(capacity + 1), freelist_(pool_) {
     // initialize(Q): node = new_node(); node->next.ptr = NULL;
     //                Q->Head = Q->Tail = node
-    const std::uint32_t dummy = freelist_.try_allocate();
-    pool_[dummy].next.store(tagged::TaggedIndex{}, std::memory_order_release);
-    head_.value.store(tagged::TaggedIndex(dummy, 0), std::memory_order_release);
-    tail_.value.store(tagged::TaggedIndex(dummy, 0), std::memory_order_release);
+    const Target dummy = freelist_.try_allocate();
+    pool_[dummy].next.store(Link{}, std::memory_order_release);
+    head_.value.store(Link(dummy, 0), std::memory_order_release);
+    tail_.value.store(Link(dummy, 0), std::memory_order_release);
   }
 
   MsQueue(const MsQueue&) = delete;
@@ -65,8 +76,8 @@ class MsQueue {
   /// enqueue(Q, value).  Returns false iff the node pool is exhausted.
   bool try_enqueue(T value) noexcept {
     // E1: node = new_node()
-    const std::uint32_t node = freelist_.try_allocate();
-    if (node == tagged::kNullIndex) return false;
+    const Target node = freelist_.try_allocate();
+    if (node == kNull) return false;
     // E2: node->value = value;  E3: node->next.ptr = NULL
     // The null is COUNTED: preserving and bumping the node's tag keeps its
     // link count monotone across recycles (FreeList::push has the full
@@ -74,21 +85,18 @@ class MsQueue {
     // can never succeed.  The paper's E3 resets the count; with a shared
     // free list that re-exposes old counts and voids the E7/E9 guard.
     pool_[node].value.put(value);
-    const tagged::TaggedIndex stale =
-        pool_[node].next.load(std::memory_order_acquire);
-    pool_[node].next.store(
-        tagged::TaggedIndex(tagged::kNullIndex, stale.count() + 1),
-        std::memory_order_release);
+    const Link stale = pool_[node].next.load(std::memory_order_acquire);
+    pool_[node].next.store(Link(kNull, stale.count() + 1), std::memory_order_release);
 
     BackoffPolicy backoff;
     for (;;) {  // E4: repeat
-      const tagged::TaggedIndex tail = tail_.value.load(std::memory_order_acquire);       // E5
-      const tagged::TaggedIndex next = pool_[tail.index()].next.load(std::memory_order_acquire);  // E6
+      const Link tail = tail_.value.load(std::memory_order_acquire);       // E5
+      const Link next = pool_[tail.target()].next.load(std::memory_order_acquire);  // E6
       if (tail == tail_.value.load(std::memory_order_acquire)) {  // E7: are tail and next consistent?
         if (next.is_null()) {            // E8: was Tail pointing to the last node?
           // E9: try to link node at the end of the linked list
           MSQ_PROBE_COUNT("ms.E9", kCasAttempt);
-          if (pool_[tail.index()].next.compare_and_swap(
+          if (pool_[tail.target()].next.compare_and_swap(
                   next, next.successor(node), std::memory_order_acq_rel)) {
             // E10: break -- enqueue is done.
             // E13: try to swing Tail to the inserted node.  A thread halted
@@ -103,7 +111,7 @@ class MsQueue {
           backoff.pause();
         } else {
           // E12: Tail was not pointing to the last node; try to swing it
-          tail_.value.compare_and_swap(tail, tail.successor(next.index()), std::memory_order_acq_rel);
+          tail_.value.compare_and_swap(tail, tail.successor(next.target()), std::memory_order_acq_rel);
         }
       }
     }
@@ -113,26 +121,26 @@ class MsQueue {
   bool try_dequeue(T& out) noexcept {
     BackoffPolicy backoff;
     for (;;) {  // D1: repeat
-      const tagged::TaggedIndex head = head_.value.load(std::memory_order_acquire);  // D2
-      const tagged::TaggedIndex tail = tail_.value.load(std::memory_order_acquire);  // D3
-      const tagged::TaggedIndex next = pool_[head.index()].next.load(std::memory_order_acquire);  // D4
+      const Link head = head_.value.load(std::memory_order_acquire);  // D2
+      const Link tail = tail_.value.load(std::memory_order_acquire);  // D3
+      const Link next = pool_[head.target()].next.load(std::memory_order_acquire);  // D4
       if (head == head_.value.load(std::memory_order_acquire)) {      // D5: consistent?
-        if (head.index() == tail.index()) {  // D6: empty or Tail falling behind?
-          if (next.is_null()) {              // D7: is queue empty?
+        if (head.target() == tail.target()) {  // D6: empty or Tail falling behind?
+          if (next.is_null()) {                  // D7: is queue empty?
             MSQ_COUNT(kDequeueEmpty);
             return false;                    // D8
           }
           // D9: Tail is falling behind; try to advance it
-          tail_.value.compare_and_swap(tail, tail.successor(next.index()), std::memory_order_acq_rel);
+          tail_.value.compare_and_swap(tail, tail.successor(next.target()), std::memory_order_acq_rel);
         } else {
           // D11: read value before CAS; otherwise another dequeue might
           // free the next node
-          const T value = pool_[next.index()].value.get();
+          const T value = pool_[next.target()].value.get();
           // D12: try to swing Head to the next node
           MSQ_PROBE_COUNT("ms.D12", kCasAttempt);
-          if (head_.value.compare_and_swap(head, head.successor(next.index()), std::memory_order_acq_rel)) {
+          if (head_.value.compare_and_swap(head, head.successor(next.target()), std::memory_order_acq_rel)) {
             out = value;                     // (D11's *pvalue assignment)
-            freelist_.free(head.index());    // D14: free the old dummy node
+            freelist_.free(head.target());   // D14: free the old dummy node
             MSQ_COUNT(kDequeue);
             return true;                     // D13 break; D15 return TRUE
           }
@@ -163,15 +171,23 @@ class MsQueue {
  private:
   struct Node {
     mem::ValueCell<T> value;
-    tagged::AtomicTagged next;
+    typename Links::template cell<Node> next;
   };
+  using Link = typename decltype(Node::next)::value_type;  // counted link value
+  using Target = typename Link::target_type;  // pool index or Node*
+  static constexpr Target kNull = Link{}.target();
 
   mem::NodePool<Node> pool_;
   Alloc<Node> freelist_;
   // Head and Tail on separate cache lines: dequeuers and enqueuers must not
   // false-share (the two-lock queue's design rationale applies here too).
-  port::CacheAligned<tagged::AtomicTagged> head_;
-  port::CacheAligned<tagged::AtomicTagged> tail_;
+  port::CacheAligned<decltype(Node::next)> head_;
+  port::CacheAligned<decltype(Node::next)> tail_;
 };
+
+/// Figure 1 over 128-bit counted pointers (cmpxchg16b): the paper's
+/// double-word-CAS option, otherwise the same queue, pool and free list.
+template <typename T, typename BackoffPolicy = sync::Backoff>
+using MsQueueDw = MsQueue<T, BackoffPolicy, mem::FreeList, tagged::PointerLink>;
 
 }  // namespace msq::queues

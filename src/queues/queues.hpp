@@ -1,8 +1,9 @@
 // Umbrella header: every queue and stack in the library.
 //
 //   Core contributions (Michael & Scott, PODC'96):
-//     MsQueue       -- non-blocking queue, counted pool indices (Figure 1)
-//     MsQueueDw     -- same algorithm, 128-bit counted pointers (cmpxchg16b)
+//     MsQueue       -- non-blocking queue (Figure 1), counted pool indices
+//     MsQueueDw     -- alias: the same MsQueue over 128-bit counted
+//                      pointers (cmpxchg16b); same pool and free list
 //     TwoLockQueue  -- two-lock queue with dummy node (Figure 2)
 //   Evaluation baselines (paper section 4):
 //     SingleLockQueue     -- one lock around a plain list
@@ -23,7 +24,6 @@
 
 #include "queues/mellor_crummey_queue.hpp"
 #include "queues/ms_queue.hpp"
-#include "queues/ms_queue_dwcas.hpp"
 #include "queues/ms_queue_hp.hpp"
 #include "queues/function_shipping_queue.hpp"
 #include "queues/plj_queue.hpp"

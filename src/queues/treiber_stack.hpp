@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 
+#include "mem/freelist.hpp"
 #include "mem/node_pool.hpp"
 #include "mem/value_cell.hpp"
 #include "obs/probe.hpp"
@@ -33,17 +34,17 @@ class TreiberStack {
       .linearizable = true,
   };
 
-  explicit TreiberStack(std::uint32_t capacity) : pool_(capacity) {
-    // Private free list threaded through the same next fields.
-    for (std::uint32_t i = 0; i < capacity; ++i) free_push(i);
-  }
+  /// Nodes recycle through a free list threaded through the same `next`
+  /// fields -- a second Treiber stack, exactly as in the queues.
+  explicit TreiberStack(std::uint32_t capacity)
+      : pool_(capacity), freelist_(pool_) {}
 
   TreiberStack(const TreiberStack&) = delete;
   TreiberStack& operator=(const TreiberStack&) = delete;
 
   /// Push; false iff out of nodes.
   bool try_push(T value) noexcept {
-    const std::uint32_t node = free_pop();
+    const std::uint32_t node = freelist_.try_allocate();
     if (node == tagged::kNullIndex) return false;
     pool_[node].value.put(value);
     BackoffPolicy backoff;
@@ -74,7 +75,7 @@ class TreiberStack {
       MSQ_PROBE_COUNT("treiber.pop_cas", kCasAttempt);
       if (top_.value.compare_and_swap(top, top.successor(next.index()), std::memory_order_acq_rel)) {
         out = value;
-        free_push(top.index());
+        freelist_.free(top.index());
         MSQ_COUNT(kDequeue);
         return true;
       }
@@ -95,31 +96,9 @@ class TreiberStack {
     tagged::AtomicTagged next;
   };
 
-  void free_push(std::uint32_t node) noexcept {
-    for (;;) {
-      const tagged::TaggedIndex top = free_top_.value.load(std::memory_order_acquire);
-      pool_[node].next.store(tagged::TaggedIndex(top.index(), 0), std::memory_order_release);
-      if (free_top_.value.compare_and_swap(top, top.successor(node), std::memory_order_acq_rel)) return;
-    }
-  }
-  std::uint32_t free_pop() noexcept {
-    for (;;) {
-      const tagged::TaggedIndex top = free_top_.value.load(std::memory_order_acquire);
-      if (top.is_null()) {
-        MSQ_COUNT(kPoolRefuse);
-        return tagged::kNullIndex;
-      }
-      const tagged::TaggedIndex next = pool_[top.index()].next.load(std::memory_order_acquire);
-      if (free_top_.value.compare_and_swap(top, top.successor(next.index()), std::memory_order_acq_rel)) {
-        MSQ_COUNT(kPoolGet);
-        return top.index();
-      }
-    }
-  }
-
   mem::NodePool<Node> pool_;
+  mem::FreeList<Node> freelist_;
   port::CacheAligned<tagged::AtomicTagged> top_;
-  port::CacheAligned<tagged::AtomicTagged> free_top_;
 };
 
 }  // namespace msq::queues

@@ -13,7 +13,7 @@
 //     Nodes are freed only when no link or process references them -- which
 //     prevents ABA, but lets one delayed process pin an unbounded suffix of
 //     dequeued nodes (each unreclaimed node's outgoing link keeps its
-//     successor alive).  bench/valois_memory reproduces the paper's
+//     successor alive).  bench/fig_memory --only valois reproduces the paper's
 //     exhaustion experiment ("we ran out of memory several times ... using a
 //     free list initialized with 64,000 nodes" with a <= 12-item queue).
 //
@@ -82,10 +82,10 @@ class ValoisQueue {
     BackoffPolicy backoff;
     for (;;) {
       const tagged::TaggedIndex tail = pool_.safe_read(tail_.value);
-      const tagged::TaggedIndex next = pool_.node(tail.index()).rc.next.load(std::memory_order_acquire);
+      const tagged::TaggedIndex next = pool_.node(tail.index()).next.load(std::memory_order_acquire);
       if (next.is_null()) {
         MSQ_COUNT(kCasAttempt);
-        if (rc_cas(pool_.node(tail.index()).rc.next, next, node)) {
+        if (rc_cas(pool_.node(tail.index()).next, next, node)) {
           // Linked.  Single attempt to swing Tail (may fail: Tail lags).
           MSQ_PROBE("valois.link");
           rc_cas(tail_.value, tail, node);
@@ -111,7 +111,7 @@ class ValoisQueue {
     for (;;) {
       const tagged::TaggedIndex head = pool_.safe_read(head_.value);
       const tagged::TaggedIndex first =
-          pool_.safe_read(pool_.node(head.index()).rc.next);
+          pool_.safe_read(pool_.node(head.index()).next);
       if (first.is_null()) {
         pool_.release(head.index());
         MSQ_COUNT(kDequeueEmpty);
@@ -140,9 +140,8 @@ class ValoisQueue {
     return std::nullopt;
   }
 
-  struct Node {
+  struct Node : mem::RcHeader {
     mem::ValueCell<T> value;
-    mem::RcHeader rc;
   };
 
   /// Nodes currently in the free list (racy; exhaustion experiment).

@@ -12,7 +12,7 @@
 //   * A global monotone phase counter hands each operation a priority.
 //   * The operation is announced in a fixed array of descriptor slots:
 //     one 16-byte cell holding {phase | state | payload}, CASed with
-//     cmpxchg16b (tagged/counted_ptr.hpp idiom).
+//     cmpxchg16b (tagged::AtomicDoubleWord, the PointerLink cell).
 //   * Every thread, before and while running its own operation, helps all
 //     announced operations with phase <= its own to completion.  A thread
 //     that stalls mid-operation therefore has its operation finished by any
@@ -63,6 +63,7 @@
 #include "port/cpu.hpp"
 #include "queues/queue_concept.hpp"
 #include "tagged/atomic_tagged.hpp"
+#include "tagged/counted_ptr.hpp"
 #include "tagged/tagged_index.hpp"
 
 namespace msq::queues {
@@ -97,59 +98,6 @@ constexpr State state_of(std::uint64_t seq) noexcept {
 constexpr std::uint64_t phase_of(std::uint64_t seq) noexcept {
   return seq >> 3;
 }
-
-/// 16-byte-aligned atomic cell for SeqVal, driven by cmpxchg16b exactly as
-/// tagged::AtomicCountedPtr (see that header for why the __sync builtins
-/// and not std::atomic<struct>).  The memory_order parameters document the
-/// weakest ordering each call site needs; the builtins are full barriers.
-class alignas(16) AtomicSeqVal {
- public:
-  AtomicSeqVal() noexcept = default;
-  AtomicSeqVal(const AtomicSeqVal&) = delete;
-  AtomicSeqVal& operator=(const AtomicSeqVal&) = delete;
-
-  [[nodiscard]] SeqVal load(std::memory_order order) const noexcept {
-    static_cast<void>(order);  // full barrier regardless (see header cmt)
-    const unsigned __int128 v = __sync_val_compare_and_swap(&bits_, 0, 0);
-    return unpack(v);
-  }
-
-  void store(SeqVal value, std::memory_order order) noexcept {
-    static_cast<void>(order);  // full barrier regardless (see header cmt)
-    // Unlike AtomicCountedPtr::store (only ever called single-threaded),
-    // announcement stores race with helper CASes, so the seed read must
-    // itself be atomic (CAS(0, 0)) -- also keeps TSAN builds clean.
-    unsigned __int128 expected = __sync_val_compare_and_swap(&bits_, 0, 0);
-    const unsigned __int128 desired = pack(value);
-    for (;;) {
-      const unsigned __int128 prev =
-          __sync_val_compare_and_swap(&bits_, expected, desired);
-      if (prev == expected) return;
-      expected = prev;
-    }
-  }
-
-  bool compare_and_swap(SeqVal expected, SeqVal desired,
-                        std::memory_order order) noexcept {
-    static_cast<void>(order);  // full barrier regardless (see header cmt)
-    return __sync_bool_compare_and_swap(&bits_, pack(expected),
-                                        pack(desired));
-  }
-
- private:
-  static unsigned __int128 pack(SeqVal v) noexcept {
-    return static_cast<unsigned __int128>(v.seq) |
-           (static_cast<unsigned __int128>(v.bits) << 64);
-  }
-  static SeqVal unpack(unsigned __int128 v) noexcept {
-    return SeqVal{static_cast<std::uint64_t>(v),
-                  static_cast<std::uint64_t>(v >> 64)};
-  }
-
-  mutable unsigned __int128 bits_ = 0;
-};
-
-static_assert(sizeof(AtomicSeqVal) == 16);
 
 }  // namespace wf_detail
 
@@ -344,7 +292,7 @@ class WfQueue {
   /// binding and its busy flag are one operation's words and travel
   /// together by design; different slots never share a line.
   struct alignas(port::kCacheLine) Descriptor {
-    wf_detail::AtomicSeqVal result;
+    tagged::AtomicDoubleWord<wf_detail::SeqVal> result;
     // Which dummy ({index, head-tag}) the in-flight dequeue's deposit
     // consumed.  Storing the Head tag -- globally monotone, bumped by
     // every successful Head CAS -- makes the binding identify one dummy

@@ -31,6 +31,8 @@ namespace msq::tagged {
 
 class AtomicTagged {
  public:
+  using value_type = TaggedIndex;
+
   AtomicTagged() noexcept = default;
   explicit AtomicTagged(TaggedIndex initial) noexcept : bits_(initial.bits()) {}
   AtomicTagged(const AtomicTagged&) = delete;

@@ -23,6 +23,10 @@ inline constexpr std::uint32_t kNullIndex = std::numeric_limits<std::uint32_t>::
 
 class TaggedIndex {
  public:
+  /// What a link designates: a pool slot (tagged::CountedPtr's is a node
+  /// pointer; generic link code names either as target()).
+  using target_type = std::uint32_t;
+
   constexpr TaggedIndex() noexcept = default;
   constexpr TaggedIndex(std::uint32_t index, std::uint32_t count) noexcept
       : bits_(static_cast<std::uint64_t>(count) << 32 | index) {}
@@ -31,6 +35,7 @@ class TaggedIndex {
   [[nodiscard]] constexpr std::uint32_t index() const noexcept {
     return static_cast<std::uint32_t>(bits_);
   }
+  [[nodiscard]] constexpr std::uint32_t target() const noexcept { return index(); }
   /// The ABA modification counter.
   [[nodiscard]] constexpr std::uint32_t count() const noexcept {
     return static_cast<std::uint32_t>(bits_ >> 32);

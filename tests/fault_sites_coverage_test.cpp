@@ -60,15 +60,15 @@ TEST(FaultSiteCoverage, MsHeadSwingWindowIsReachable) {
 TEST(FaultSiteCoverage, MsDwcasLinkAndHeadSwingWindowsAreReachable) {
   queues::MsQueueDw<std::uint64_t> queue(8);
   fault::FaultPlan plan;
-  plan.delay_at("msdw.E9", /*yields=*/1);
-  plan.delay_at("msdw.D12", /*yields=*/1);
+  plan.delay_at("ms.E9", /*yields=*/1);
+  plan.delay_at("ms.D12", /*yields=*/1);
   plan.arm();
   EXPECT_TRUE(queue.try_enqueue(1));
   std::uint64_t out = 0;
   EXPECT_TRUE(queue.try_dequeue(out));
   plan.disarm();
-  EXPECT_GT(plan.hits("msdw.E9"), 0u);
-  EXPECT_GT(plan.hits("msdw.D12"), 0u);
+  EXPECT_GT(plan.hits("ms.E9"), 0u);
+  EXPECT_GT(plan.hits("ms.D12"), 0u);
 }
 
 TEST(FaultSiteCoverage, McSwapToLinkWindowIsReachable) {

@@ -460,7 +460,7 @@ TEST(RealThreadFaults, MsQueueDwSurvivorsCompleteWhileVictimHaltedAtE13) {
   queues::MsQueueDw<std::uint64_t> queue(256);
 
   fault::FaultPlan plan;
-  plan.halt_at("msdw.E13");
+  plan.halt_at("ms.E13");  // MsQueueDw is MsQueue: same sites
   plan.arm();
 
   std::thread victim([&] { EXPECT_TRUE(queue.try_enqueue(7)); });
@@ -490,6 +490,44 @@ TEST(RealThreadFaults, MsQueueDwSurvivorsCompleteWhileVictimHaltedAtE13) {
   while (queue.try_dequeue(out)) ++drained;
   EXPECT_EQ(dequeued.load() + drained, enqueued.load() + 1);
   plan.disarm();
+}
+
+// A halted enqueuer's stale E9 link must never land on a recycled node.
+// The victim reads Tail = the dummy and its next = (null, c), then halts
+// before the E9 CAS.  One enqueue and one dequeue on the main thread free
+// that dummy; with capacity 2 the free list is then empty, so a free that
+// reset the link tag would rewrite exactly (null, c) and the victim's CAS
+// would link its node onto a free-list node -- a "successful" enqueue
+// whose item is gone.  The tag rule of mem::FreeList (one free list for
+// both link representations) makes the stale CAS fail and retry.
+template <typename Q>
+class StaleLinkTest : public ::testing::Test {};
+using MsLinkRepresentations =
+    ::testing::Types<queues::MsQueue<std::uint64_t>,
+                     queues::MsQueueDw<std::uint64_t>>;
+TYPED_TEST_SUITE(StaleLinkTest, MsLinkRepresentations);
+
+TYPED_TEST(StaleLinkTest, HaltedE9LinkNeverLandsOnARecycledNode) {
+  fault::Watchdog watchdog(60s, "stale E9 link onto a recycled node");
+  TypeParam queue(2);
+
+  fault::FaultPlan plan;
+  plan.halt_at("ms.E9");  // the victim parks between E8 and the E9 CAS
+  plan.arm();
+  std::thread victim([&] { EXPECT_TRUE(queue.try_enqueue(42)); });
+  plan.wait_for_halted(1);
+
+  std::uint64_t out = 0;
+  ASSERT_TRUE(queue.try_enqueue(7));
+  ASSERT_TRUE(queue.try_dequeue(out));
+  EXPECT_EQ(out, 7u);
+
+  plan.release_halted();
+  victim.join();
+  plan.disarm();
+  ASSERT_TRUE(queue.try_dequeue(out)) << "the halted enqueue's item was lost";
+  EXPECT_EQ(out, 42u);
+  EXPECT_FALSE(queue.try_dequeue(out));
 }
 
 TEST(RealThreadFaults, TreiberSurvivorsCompleteWhileVictimHaltedMidPop) {

@@ -11,7 +11,6 @@
 
 #include "check/invariants.hpp"
 #include "queues/ms_queue.hpp"
-#include "queues/ms_queue_dwcas.hpp"
 #include "queues/single_lock_queue.hpp"
 #include "queues/treiber_stack.hpp"
 #include "queues/two_lock_queue.hpp"

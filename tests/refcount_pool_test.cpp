@@ -14,9 +14,8 @@
 namespace msq::mem {
 namespace {
 
-struct RcNode {
+struct RcNode : RcHeader {
   std::uint64_t payload = 0;
-  RcHeader rc;
 };
 
 TEST(RefCountPool, AllocateHandsOutCountOne) {
@@ -24,7 +23,7 @@ TEST(RefCountPool, AllocateHandsOutCountOne) {
   const std::uint32_t n = pool.try_allocate();
   ASSERT_NE(n, tagged::kNullIndex);
   // (count=1) << 1 | claim=0  ==  2
-  EXPECT_EQ(pool.node(n).rc.refct_claim.load(std::memory_order_acquire), 2u);
+  EXPECT_EQ(pool.node(n).refct_claim.load(std::memory_order_acquire), 2u);
 }
 
 TEST(RefCountPool, ExhaustionReturnsNull) {
@@ -41,7 +40,7 @@ TEST(RefCountPool, ReleaseLastReferenceRecycles) {
   pool.release(n);
   EXPECT_EQ(pool.unsafe_free_count(), free_before + 1);
   // Claim bit set while parked in the free list.
-  EXPECT_EQ(pool.node(n).rc.refct_claim.load(std::memory_order_acquire) & 1u, 1u);
+  EXPECT_EQ(pool.node(n).refct_claim.load(std::memory_order_acquire) & 1u, 1u);
 }
 
 TEST(RefCountPool, AddReferenceDefersReclamation) {
@@ -49,7 +48,7 @@ TEST(RefCountPool, AddReferenceDefersReclamation) {
   const std::uint32_t n = pool.try_allocate();
   pool.add_reference(n);  // second holder
   pool.release(n);
-  EXPECT_EQ(pool.node(n).rc.refct_claim.load(std::memory_order_acquire), 2u);  // still one ref
+  EXPECT_EQ(pool.node(n).refct_claim.load(std::memory_order_acquire), 2u);  // still one ref
   const std::size_t free_before = pool.unsafe_free_count();
   pool.release(n);
   EXPECT_EQ(pool.unsafe_free_count(), free_before + 1);
@@ -62,7 +61,7 @@ TEST(RefCountPool, SafeReadAcquiresReference) {
   cell.store(tagged::TaggedIndex(n, 0), std::memory_order_release);
   const std::uint32_t read = pool.safe_read(cell).index();
   EXPECT_EQ(read, n);
-  EXPECT_EQ(pool.node(n).rc.refct_claim.load(std::memory_order_acquire), 4u);  // two refs
+  EXPECT_EQ(pool.node(n).refct_claim.load(std::memory_order_acquire), 4u);  // two refs
   pool.release(n);
   pool.release(n);
 }
@@ -85,20 +84,20 @@ TEST(RefCountPool, SafeReadRetriesWhenCellMoves) {
   const std::uint32_t got = pool.safe_read(cell).index();
   EXPECT_EQ(got, a);
   pool.release(a);  // safe_read's reference
-  EXPECT_EQ(pool.node(a).rc.refct_claim.load(std::memory_order_acquire), 2u);
+  EXPECT_EQ(pool.node(a).refct_claim.load(std::memory_order_acquire), 2u);
   pool.release(a);  // allocation reference
 }
 
 TEST(RefCountPool, ReclaimReleasesOutgoingLinkCascade) {
-  // Build a -> b through rc.next; releasing a's last reference must also
+  // Build a -> b through next; releasing a's last reference must also
   // drop a's link reference to b, recycling both.
   RefCountPool<RcNode> pool(4);
   const std::uint32_t a = pool.try_allocate();
   const std::uint32_t b = pool.try_allocate();
   pool.add_reference(b);  // the link a->b
-  pool.node(a).rc.next.store(tagged::TaggedIndex(b, 0), std::memory_order_release);
+  pool.node(a).next.store(tagged::TaggedIndex(b, 0), std::memory_order_release);
   pool.release(b);  // drop our allocation ref; only the link keeps b alive
-  EXPECT_EQ(pool.node(b).rc.refct_claim.load(std::memory_order_acquire), 2u);
+  EXPECT_EQ(pool.node(b).refct_claim.load(std::memory_order_acquire), 2u);
 
   const std::size_t free_before = pool.unsafe_free_count();
   pool.release(a);  // a dies -> link to b released -> b dies too
@@ -114,7 +113,7 @@ TEST(RefCountPool, PinnedNodePinsWholeSuffix) {
   for (std::uint32_t i = 0; i < 4; ++i) chain.push_back(pool.try_allocate());
   for (std::uint32_t i = 0; i + 1 < chain.size(); ++i) {
     pool.add_reference(chain[i + 1]);
-    pool.node(chain[i]).rc.next.store(tagged::TaggedIndex(chain[i + 1], 0), std::memory_order_release);
+    pool.node(chain[i]).next.store(tagged::TaggedIndex(chain[i + 1], 0), std::memory_order_release);
   }
   // A "delayed process" holds chain[0]; drop all allocation references.
   pool.add_reference(chain[0]);

@@ -1,6 +1,7 @@
 // Unit tests for the counted-pointer substrate (tagged/).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -101,37 +102,48 @@ struct Dummy {
 
 TEST(CountedPtr, DefaultIsNull) {
   const CountedPtr<Dummy> p;
-  EXPECT_EQ(p.ptr, nullptr);
-  EXPECT_EQ(p.count, 0u);
+  EXPECT_TRUE(p.is_null());
+  EXPECT_EQ(p.target(), nullptr);
+  EXPECT_EQ(p.count(), 0u);
+}
+
+TEST(CountedPtr, NullKeepsItsCount) {
+  // The counted null a recycled node's E3 installs (same as TaggedIndex).
+  const CountedPtr<Dummy> p(nullptr, 5);
+  EXPECT_TRUE(p.is_null());
+  EXPECT_EQ(p.count(), 5u);
+  EXPECT_NE(p, CountedPtr<Dummy>{});
 }
 
 TEST(CountedPtr, SuccessorBumpsCount) {
   Dummy d{1};
   const CountedPtr<Dummy> p{&d, 41};
   const CountedPtr<Dummy> s = p.successor(nullptr);
-  EXPECT_EQ(s.ptr, nullptr);
-  EXPECT_EQ(s.count, 42u);
+  EXPECT_EQ(s.target(), nullptr);
+  EXPECT_EQ(s.count(), 42u);
 }
+
+using Cell = AtomicDoubleWord<CountedPtr<Dummy>>;
 
 TEST(AtomicCountedPtr, LoadStoreRoundTrip) {
   Dummy d{7};
-  AtomicCountedPtr<Dummy> cell;
-  EXPECT_EQ(cell.load(std::memory_order_acquire).ptr, nullptr);
+  Cell cell;
+  EXPECT_EQ(cell.load(std::memory_order_acquire).target(), nullptr);
   cell.store({&d, 3}, std::memory_order_release);
-  EXPECT_EQ(cell.load(std::memory_order_acquire).ptr, &d);
-  EXPECT_EQ(cell.load(std::memory_order_acquire).count, 3u);
+  EXPECT_EQ(cell.load(std::memory_order_acquire).target(), &d);
+  EXPECT_EQ(cell.load(std::memory_order_acquire).count(), 3u);
 }
 
 TEST(AtomicCountedPtr, CasIsCountSensitive) {
   Dummy a{0}, b{1};
-  AtomicCountedPtr<Dummy> cell{{&a, 10}};
+  Cell cell{{&a, 10}};
   EXPECT_FALSE(cell.compare_and_swap({&a, 9}, {&b, 10}, std::memory_order_acq_rel));   // stale count
   EXPECT_TRUE(cell.compare_and_swap({&a, 10}, {&b, 11}, std::memory_order_acq_rel));
-  EXPECT_EQ(cell.load(std::memory_order_acquire).ptr, &b);
+  EXPECT_EQ(cell.load(std::memory_order_acquire).target(), &b);
 }
 
 TEST(AtomicCountedPtr, ConcurrentCountMonotonicity) {
-  AtomicCountedPtr<Dummy> cell{{nullptr, 0}};
+  Cell cell{{nullptr, 0}};
   constexpr int kThreads = 4;
   constexpr int kIncrements = 10'000;
   std::vector<std::jthread> threads;
@@ -140,13 +152,43 @@ TEST(AtomicCountedPtr, ConcurrentCountMonotonicity) {
       for (int i = 0; i < kIncrements; ++i) {
         for (;;) {
           const CountedPtr<Dummy> cur = cell.load(std::memory_order_acquire);
-          if (cell.compare_and_swap(cur, cur.successor(cur.ptr), std::memory_order_acq_rel)) break;
+          if (cell.compare_and_swap(cur, cur.successor(cur.target()), std::memory_order_acq_rel)) break;
         }
       }
     });
   }
   threads.clear();
-  EXPECT_EQ(cell.load(std::memory_order_acquire).count, static_cast<std::uint64_t>(kThreads) * kIncrements);
+  EXPECT_EQ(cell.load(std::memory_order_acquire).count(), static_cast<std::uint64_t>(kThreads) * kIncrements);
+}
+
+// store() racing load(): load() is CAS(0, 0), which WRITES whenever the
+// cell holds the all-zero value, so store() must seed its CAS loop with an
+// atomic read too.  A plain seed read is a data race that a
+// -DMSQ_SANITIZE_THREAD=ON build reports here; in any build, every
+// snapshot must be a whole stored value, never a torn mix.
+TEST(AtomicCountedPtr, StoreRacingLoadIsAtomic) {
+  Dummy d{3};
+  Cell cell;
+  std::atomic<bool> done{false};
+  std::jthread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const CountedPtr<Dummy> seen = cell.load(std::memory_order_acquire);
+      if (seen.is_null()) {
+        EXPECT_EQ(seen.count(), 0u);
+      } else {
+        EXPECT_EQ(seen.target(), &d);
+        EXPECT_EQ(seen.count() % 2, 1u);
+      }
+    }
+  });
+  constexpr std::uint64_t kStores = 20'000;
+  for (std::uint64_t i = 1; i <= kStores; ++i) {
+    // Odd stores install {&d, i}; even stores the all-zero value the
+    // reader's CAS(0, 0) then overwrites with itself.
+    cell.store(i % 2 == 1 ? CountedPtr<Dummy>{&d, i} : CountedPtr<Dummy>{},
+               std::memory_order_release);
+  }
+  done.store(true, std::memory_order_release);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 //    can be freed.  It is therefore possible to run out of memory even if
 //    the number of items in the queue is bounded by a constant."
 //
-// bench/valois_memory reproduces the quantitative version (64,000-node pool,
+// bench/fig_memory --only valois reproduces the quantitative version (64,000-node pool,
 // <= 12-item queue); these tests prove the mechanism and the recovery.
 #include <gtest/gtest.h>
 

@@ -5,7 +5,7 @@ Weak-memory bugs are invisible to review unless every ordering decision is
 explicit and justified at the site.  Four rules, over .hpp/.cpp files:
 
 1. explicit-order: calls to atomic operations (std::atomic methods and the
-   repo wrappers AtomicTagged/AtomicCountedPtr: load, store, exchange,
+   repo wrappers AtomicTagged/AtomicDoubleWord: load, store, exchange,
    fetch_*, compare_exchange_*, compare_and_swap, test_and_set) must pass a
    memory order -- an argument mentioning `memory_order` or a forwarded
    parameter named `*order*`.  Implicit seq_cst is rejected: if seq_cst is
