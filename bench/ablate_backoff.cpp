@@ -19,12 +19,11 @@ int main(int argc, char** argv) {
   config.title = "Ablation A2a: bounded exponential backoff ON (max window 1024)";
   config.backoff_max = 1024;
   config.json_path = "BENCH_ablate_backoff_on.json";
-  msq::bench::run_figure(config);
+  if (const int status = msq::bench::run_figure(config)) return status;
 
   std::cout << '\n';
   config.title = "Ablation A2b: backoff OFF (immediate retry)";
   config.backoff_max = 0;
   config.json_path = "BENCH_ablate_backoff_off.json";
-  msq::bench::run_figure(config);
-  return 0;
+  return msq::bench::run_figure(config);
 }

@@ -15,6 +15,5 @@ int main(int argc, char** argv) {
   config.procs_per_processor = 1;
   config.json_path = "BENCH_fig3.json";
   if (!msq::bench::parse_args(argc, argv, config)) return 1;
-  msq::bench::run_figure(config);
-  return 0;
+  return msq::bench::run_figure(config);
 }

@@ -14,6 +14,5 @@ int main(int argc, char** argv) {
   config.procs_per_processor = 2;
   config.json_path = "BENCH_fig4.json";
   if (!msq::bench::parse_args(argc, argv, config)) return 1;
-  msq::bench::run_figure(config);
-  return 0;
+  return msq::bench::run_figure(config);
 }

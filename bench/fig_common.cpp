@@ -4,13 +4,10 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
-#include <vector>
+#include <thread>
 
 #include "harness/calibrate.hpp"
-#include "harness/driver.hpp"
 #include "harness/table.hpp"
-#include "obs/counters.hpp"
 #include "obs/report.hpp"
 #include "queues/queues.hpp"
 #include "sim/workload.hpp"
@@ -18,182 +15,72 @@
 namespace msq::bench {
 namespace {
 
-/// One sweep point with its observability-counter delta, kept for --json.
-struct SweepPoint {
-  std::uint32_t procs = 0;
-  double net_seconds_per_million = 0;
-  std::uint64_t ops = 0;  // operations attempted (completed + refused/empty)
-  std::uint64_t empty_dequeues = 0;
-  std::uint64_t enqueue_failures = 0;
-  obs::Snapshot counters;
+using Item = std::uint64_t;
+
+/// The real-thread series of Figures 3-5: every simulated algorithm PLUS
+/// the FAA-segment queue, which has no simulator model (its fetch_add
+/// ticket discipline is exactly what the real hardware benchmark exists to
+/// show).  On a host with fewer cores than threads the p > 1 runs are
+/// multiprogrammed; they are reported next to the simulator's
+/// dedicated-machine curves for completeness.
+const Variant kRealVariants[] = {
+    {"single-lock", &run_paired<queues::SingleLockQueue<Item>>, {}},
+    {"MC", &run_paired<queues::MellorCrummeyQueue<Item>>, {}},
+    {"Valois", &run_paired<queues::ValoisQueue<Item>>, {}},
+    {"two-lock", &run_paired<queues::TwoLockQueue<Item>>, {}},
+    {"PLJ", &run_paired<queues::PljQueue<Item>>, {}},
+    {"MS", &run_paired<queues::MsQueue<Item>>, {}},
+    {"segq", &run_paired<queues::SegmentQueue<Item>>, {}},
 };
 
-struct SweepSeries {
-  std::string algo;
-  const char* source = "sim";  // "sim" or "real"
-  std::vector<SweepPoint> points;
+/// Net time and throughput for `pairs` completed pairs in `net_seconds`;
+/// every point builder goes through this one scaling.
+SweepPoint timed_point(double net_seconds, std::uint64_t pairs) {
+  SweepPoint point;
+  if (pairs == 0) return point;
+  point.net_seconds_per_million =
+      net_seconds * 1e6 / static_cast<double>(pairs);
+  point.throughput_pairs_per_sec =
+      net_seconds > 0 ? static_cast<double>(pairs) / net_seconds : 0.0;
+  return point;
+}
+
+/// The simulated multiprocessor (the paper's testbed substitute): one
+/// simulated cost unit ~ 10ns, so net time converts to seconds like the
+/// paper's figures.
+std::vector<Variant> sim_variants() {
+  std::vector<Variant> variants;
+  for (const sim::Algo algo : sim::kAllAlgos) {
+    variants.push_back(
+        {sim::algo_name(algo),
+         [algo](std::uint32_t procs, const FigConfig& config) {
+           sim::SimRunConfig run;
+           run.algo = algo;
+           run.processors = procs;
+           run.procs_per_processor = config.procs_per_processor;
+           run.total_pairs = config.pairs;
+           run.seed = config.seed;
+           run.backoff_max = config.backoff_max;
+           const sim::SimRunResult result = sim::run_sim_workload(run);
+           SweepPoint point = timed_point(result.net * 1e-8, config.pairs);
+           point.ops = 2 * config.pairs + result.empty_dequeues +
+                       result.enqueue_failures;
+           point.empty_dequeues = result.empty_dequeues;
+           point.enqueue_failures = result.enqueue_failures;
+           return point;
+         },
+         {}});
+  }
+  return variants;
+}
+
+/// The counters the paper's analysis talks about, per operation
+/// (contention made visible).
+constexpr CounterTable kContentionTables[] = {
+    {obs::Counter::kCasFail, "CAS failures per operation (contention)"},
+    {obs::Counter::kLockSpin, "lock spins per operation (lock waiting)"},
+    {obs::Counter::kBackoffWait, "backoff wait units per operation"},
 };
-
-/// The real-thread sweep runs every simulated algorithm PLUS the
-/// FAA-segment queue, which has no simulator model (its fetch_add ticket
-/// discipline is exactly what the real hardware benchmark exists to show).
-constexpr std::size_t kRealExtraAlgos = 1;
-
-std::size_t real_algo_count() {
-  return std::size(sim::kAllAlgos) + kRealExtraAlgos;
-}
-
-std::string real_algo_name(std::size_t algo) {
-  if (algo < std::size(sim::kAllAlgos)) {
-    return sim::algo_name(sim::kAllAlgos[algo]);
-  }
-  return "segq";
-}
-
-/// Real-thread sweep point: run the paper's loop on the actual std::atomic
-/// implementations.  On this one-core host all p > 1 runs are inherently
-/// multiprogrammed; the numbers are reported for completeness next to the
-/// simulator's dedicated-machine curves.
-harness::WorkloadResult real_run(std::size_t algo, std::uint32_t threads,
-                                 std::uint64_t pairs, bool pin) {
-  harness::WorkloadConfig config;
-  config.threads = threads;
-  config.total_pairs = pairs;
-  config.pin_threads = pin;
-  config.other_work_iters = harness::spin_iters_for_us(6.0);  // paper: ~6us
-  const std::uint32_t capacity = threads * 4 + 64;
-  switch (algo) {
-    case 0: {
-      queues::SingleLockQueue<std::uint64_t> q(capacity);
-      return harness::run_workload(q, config);
-    }
-    case 1: {
-      queues::MellorCrummeyQueue<std::uint64_t> q(capacity);
-      return harness::run_workload(q, config);
-    }
-    case 2: {
-      queues::ValoisQueue<std::uint64_t> q(capacity);
-      return harness::run_workload(q, config);
-    }
-    case 3: {
-      queues::TwoLockQueue<std::uint64_t> q(capacity);
-      return harness::run_workload(q, config);
-    }
-    case 4: {
-      queues::PljQueue<std::uint64_t> q(capacity);
-      return harness::run_workload(q, config);
-    }
-    case 5: {
-      queues::MsQueue<std::uint64_t> q(capacity);
-      return harness::run_workload(q, config);
-    }
-    default: {
-      queues::SegmentQueue<std::uint64_t> q(capacity);
-      return harness::run_workload(q, config);
-    }
-  }
-}
-
-/// Companion tables for --json runs: the counters the paper's analysis
-/// talks about, normalised per operation (contention made visible).
-void print_counter_tables(const FigConfig& config,
-                          const std::vector<SweepSeries>& series,
-                          const char* source_label) {
-  const struct {
-    obs::Counter counter;
-    const char* title;
-  } kTables[] = {
-      {obs::Counter::kCasFail, "CAS failures per operation (contention)"},
-      {obs::Counter::kLockSpin, "lock spins per operation (lock waiting)"},
-      {obs::Counter::kBackoffWait, "backoff wait units per operation"},
-  };
-  for (const auto& spec : kTables) {
-    harness::SeriesTable table(
-        std::string(spec.title) + "  [" + source_label + "]", "procs");
-    std::vector<std::size_t> cols;
-    cols.reserve(series.size());
-    for (const SweepSeries& s : series) cols.push_back(table.add_series(s.algo));
-    const std::size_t rows = series.empty() ? 0 : series.front().points.size();
-    for (std::size_t r = 0; r < rows; ++r) {
-      table.add_row(series.front().points[r].procs);
-      for (std::size_t a = 0; a < series.size(); ++a) {
-        const SweepPoint& p = series[a].points[r];
-        table.set(cols[a], p.counters.per_op(spec.counter, p.ops));
-      }
-    }
-    if (config.csv) {
-      table.print_csv(std::cout);
-    } else {
-      table.print(std::cout);
-    }
-  }
-}
-
-void write_json(const FigConfig& config,
-                const std::vector<SweepSeries>& all_series) {
-  std::ofstream out(config.json_path);
-  if (!out) {
-    std::cerr << "cannot open " << config.json_path << " for writing\n";
-    return;
-  }
-  obs::JsonWriter w(out);
-  w.begin_object();
-  w.key("schema");
-  w.value("msq-bench-v1");
-  w.key("title");
-  w.value(config.title);
-  w.key("pairs");
-  w.value(config.pairs);
-  w.key("max_procs");
-  w.value(config.max_procs);
-  w.key("procs_per_processor");
-  w.value(config.procs_per_processor);
-  w.key("seed");
-  w.value(config.seed);
-  w.key("backoff_max");
-  w.value(config.backoff_max);
-  w.key("probes_enabled");
-  w.value(static_cast<bool>(MSQ_OBS));
-  w.key("series");
-  w.begin_array();
-  for (const SweepSeries& s : all_series) {
-    w.begin_object();
-    w.key("algo");
-    w.value(s.algo);
-    w.key("source");
-    w.value(s.source);
-    w.key("points");
-    w.begin_array();
-    for (const SweepPoint& p : s.points) {
-      w.begin_object();
-      w.key("procs");
-      w.value(static_cast<std::uint64_t>(p.procs));
-      w.key("net_seconds_per_million_pairs");
-      w.value(p.net_seconds_per_million);
-      // Throughput over the net time, scaled back to the actual pair count.
-      const double net_actual =
-          p.net_seconds_per_million * static_cast<double>(config.pairs) / 1e6;
-      w.key("throughput_pairs_per_sec");
-      w.value(net_actual > 0 ? static_cast<double>(config.pairs) / net_actual
-                             : 0.0);
-      w.key("ops");
-      w.value(p.ops);
-      w.key("empty_dequeues");
-      w.value(p.empty_dequeues);
-      w.key("enqueue_failures");
-      w.value(p.enqueue_failures);
-      w.key("counters");
-      obs::write_counters_json(w, p.counters, p.ops);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  out << '\n';
-  std::cout << "wrote " << config.json_path << '\n';
-}
 
 }  // namespace
 
@@ -242,53 +129,88 @@ bool parse_args(int argc, char** argv, FigConfig& config) {
   return true;
 }
 
-void run_figure(const FigConfig& config) {
-  // Arm the observability counters for the whole sweep; each run's counts
-  // are isolated by snapshot deltas, so one process-wide registry is fine.
-  obs::reset();
-  obs::arm();
+harness::WorkloadConfig paired_config(std::uint32_t procs,
+                                      const FigConfig& config) {
+  harness::WorkloadConfig workload;
+  workload.threads = procs * config.procs_per_processor;
+  workload.total_pairs = config.pairs;
+  workload.pin_threads = config.pin;
+  workload.other_work_iters = harness::spin_iters_for_us(6.0);  // paper: ~6us
+  return workload;
+}
 
-  // Simulated-multiprocessor sweep (the paper's testbed substitute).
-  // Time unit: one simulated cost unit ~ 10ns; we report "seconds for 10^6
-  // pairs" like the paper by scaling to the requested pair count.
-  harness::SeriesTable table(config.title + "  [simulated multiprocessor; "
-                             "net sim-seconds per 10^6 pairs]",
-                             "procs");
-  std::vector<std::size_t> cols;
-  cols.reserve(std::size(sim::kAllAlgos));
-  std::vector<SweepSeries> sim_series(std::size(sim::kAllAlgos));
-  for (std::size_t a = 0; a < std::size(sim::kAllAlgos); ++a) {
-    cols.push_back(table.add_series(sim::algo_name(sim::kAllAlgos[a])));
-    sim_series[a].algo = sim::algo_name(sim::kAllAlgos[a]);
-    sim_series[a].source = "sim";
-  }
+SweepPoint make_point(const harness::WorkloadResult& result) {
+  SweepPoint point = timed_point(result.net_seconds, result.enqueues);
+  point.ops = result.enqueues + result.dequeues + result.empty_dequeues +
+              result.enqueue_failures;
+  point.empty_dequeues = result.empty_dequeues;
+  point.enqueue_failures = result.enqueue_failures;
+  return point;
+}
 
-  const double to_seconds_per_million =
-      1e-8 * 1e6 / static_cast<double>(config.pairs);  // 10ns/unit, scaled
+scenario::StampedLoopConfig stamped_config(std::uint32_t procs,
+                                           const FigConfig& config) {
+  const harness::WorkloadConfig workload = paired_config(procs, config);
+  scenario::StampedLoopConfig loop;
+  loop.threads = workload.threads;
+  loop.pairs = workload.total_pairs;
+  loop.pin_threads = workload.pin_threads;
+  loop.think_iters = workload.other_work_iters;
+  return loop;
+}
 
+SweepPoint make_point(const scenario::StampedLoopResult& result,
+                      const scenario::StampedLoopConfig& loop) {
+  // The stamped loop spins think_iters twice per pair, matching the two
+  // spin iterations other_work_seconds measures.
+  const double net_seconds =
+      result.elapsed_seconds -
+      harness::other_work_seconds(loop.think_iters,
+                                  static_cast<double>(result.dequeues) /
+                                      static_cast<double>(loop.threads));
+  SweepPoint point = timed_point(net_seconds, result.dequeues);
+  point.ops = result.enqueues + result.dequeues + result.empty_dequeues +
+              result.enqueue_failures;
+  point.empty_dequeues = result.empty_dequeues;
+  point.enqueue_failures = result.enqueue_failures;
+  point.stamped = true;
+  point.p99_ns = result.sojourn_ns.percentile(99.0);
+  point.p999_ns = result.sojourn_ns.percentile(99.9);
+  point.injected_stall_ns = result.injected_stall_ns;
+  return point;
+}
+
+std::vector<SweepSeries> sweep(const FigConfig& config,
+                               std::span<const Variant> variants,
+                               Source source) {
+  std::vector<SweepSeries> series;
+  for (const Variant& v : variants) series.push_back({v.name, source, {}});
   for (std::uint32_t procs = 1; procs <= config.max_procs; ++procs) {
-    table.add_row(procs);
-    for (std::size_t a = 0; a < std::size(sim::kAllAlgos); ++a) {
-      sim::SimRunConfig run;
-      run.algo = sim::kAllAlgos[a];
-      run.processors = procs;
-      run.procs_per_processor = config.procs_per_processor;
-      run.total_pairs = config.pairs;
-      run.seed = config.seed;
-      run.backoff_max = config.backoff_max;
+    for (std::size_t a = 0; a < variants.size(); ++a) {
+      const Variant& v = variants[a];
+      if (source == Source::kReal) {
+        (void)(v.warmup ? v.warmup : v.run)(procs, config);
+      }
       const obs::Snapshot before = obs::snapshot();
-      const sim::SimRunResult result = sim::run_sim_workload(run);
-      table.set(cols[a], result.net * to_seconds_per_million);
-
-      SweepPoint point;
-      point.procs = procs;
-      point.net_seconds_per_million = result.net * to_seconds_per_million;
-      point.ops = 2 * config.pairs + result.empty_dequeues +
-                  result.enqueue_failures;
-      point.empty_dequeues = result.empty_dequeues;
-      point.enqueue_failures = result.enqueue_failures;
+      SweepPoint point = v.run(procs, config);
       point.counters = obs::snapshot() - before;
-      sim_series[a].points.push_back(point);
+      point.procs = procs;
+      series[a].points.push_back(point);
+    }
+  }
+  return series;
+}
+
+void print_table(const FigConfig& config, const std::string& title,
+                 const std::vector<SweepSeries>& series,
+                 const std::function<double(const SweepPoint&)>& cell) {
+  harness::SeriesTable table(title, "procs");
+  for (const SweepSeries& s : series) table.add_series(s.algo);
+  const std::size_t rows = series.empty() ? 0 : series.front().points.size();
+  for (std::size_t r = 0; r < rows; ++r) {
+    table.add_row(series.front().points[r].procs);
+    for (std::size_t a = 0; a < series.size(); ++a) {
+      table.set(a, cell(series[a].points[r]));
     }
   }
   if (config.csv) {
@@ -296,56 +218,123 @@ void run_figure(const FigConfig& config) {
   } else {
     table.print(std::cout);
   }
-  if (config.json) print_counter_tables(config, sim_series, "simulated");
+}
 
-  std::vector<SweepSeries> all_series = sim_series;
+void print_per_op_tables(const FigConfig& config,
+                         const std::vector<SweepSeries>& series,
+                         std::span<const CounterTable> tables,
+                         const char* source_label) {
+  for (const CounterTable& spec : tables) {
+    print_table(config,
+                std::string(spec.title) + "  [" + source_label + "]", series,
+                [&spec](const SweepPoint& p) {
+                  return p.counters.per_op(spec.counter, p.ops);
+                });
+  }
+}
 
-  if (config.also_real) {
-    harness::SeriesTable real_table(
-        config.title + "  [real threads on this host (" +
-            std::to_string(std::thread::hardware_concurrency()) +
-            " hardware core(s), oversubscribed => multiprogrammed" +
-            (config.pin ? "; pinned" : "") +
-            "); net seconds per 10^6 pairs]",
-        "threads");
-    std::vector<std::size_t> real_cols;
-    std::vector<SweepSeries> real_series(real_algo_count());
-    for (std::size_t a = 0; a < real_algo_count(); ++a) {
-      real_cols.push_back(real_table.add_series(real_algo_name(a)));
-      real_series[a].algo = real_algo_name(a);
-      real_series[a].source = "real";
-    }
-    const double scale = 1e6 / static_cast<double>(config.pairs);
-    for (std::uint32_t procs = 1; procs <= config.max_procs; ++procs) {
-      const std::uint32_t threads = procs * config.procs_per_processor;
-      real_table.add_row(procs);
-      for (std::size_t a = 0; a < real_algo_count(); ++a) {
-        const obs::Snapshot before = obs::snapshot();
-        const harness::WorkloadResult result =
-            real_run(a, threads, config.pairs, config.pin);
-        real_table.set(real_cols[a], result.net_seconds * scale);
-
-        SweepPoint point;
-        point.procs = procs;
-        point.net_seconds_per_million = result.net_seconds * scale;
-        point.ops = result.enqueues + result.dequeues + result.empty_dequeues +
-                    result.enqueue_failures;
-        point.empty_dequeues = result.empty_dequeues;
-        point.enqueue_failures = result.enqueue_failures;
-        point.counters = obs::snapshot() - before;
-        real_series[a].points.push_back(point);
+bool write_json(const FigConfig& config,
+                const std::vector<SweepSeries>& series) {
+  std::ofstream out(config.json_path);
+  if (!out) {
+    std::cerr << "cannot open " << config.json_path << " for writing\n";
+    return false;
+  }
+  obs::JsonWriter w(out);
+  w.begin_object();
+  w.key("schema");
+  w.value("msq-bench-v1");
+  w.key("title");
+  w.value(config.title);
+  w.key("pairs");
+  w.value(config.pairs);
+  w.key("max_procs");
+  w.value(config.max_procs);
+  w.key("procs_per_processor");
+  w.value(config.procs_per_processor);
+  w.key("seed");
+  w.value(config.seed);
+  w.key("backoff_max");
+  w.value(config.backoff_max);
+  w.key("probes_enabled");
+  w.value(static_cast<bool>(MSQ_OBS));
+  w.key("series");
+  w.begin_array();
+  for (const SweepSeries& s : series) {
+    w.begin_object();
+    w.key("algo");
+    w.value(s.algo);
+    w.key("source");
+    w.value(s.source == Source::kSim ? "sim" : "real");
+    w.key("points");
+    w.begin_array();
+    for (const SweepPoint& p : s.points) {
+      w.begin_object();
+      w.key("procs");
+      w.value(static_cast<std::uint64_t>(p.procs));
+      w.key("net_seconds_per_million_pairs");
+      w.value(p.net_seconds_per_million);
+      w.key("throughput_pairs_per_sec");
+      w.value(p.throughput_pairs_per_sec);
+      w.key("ops");
+      w.value(p.ops);
+      w.key("empty_dequeues");
+      w.value(p.empty_dequeues);
+      w.key("enqueue_failures");
+      w.value(p.enqueue_failures);
+      if (p.stamped) {
+        w.key("p99_ns");
+        w.value(p.p99_ns);
+        w.key("p999_ns");
+        w.value(p.p999_ns);
+        w.key("injected_stall_ns");
+        w.value(p.injected_stall_ns);
       }
+      w.key("counters");
+      obs::write_counters_json(w, p.counters, p.ops);
+      w.end_object();
     }
-    if (config.csv) {
-      real_table.print_csv(std::cout);
-    } else {
-      real_table.print(std::cout);
-    }
-    if (config.json) print_counter_tables(config, real_series, "real");
-    all_series.insert(all_series.end(), real_series.begin(), real_series.end());
+    w.end_array();
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+  return finish_json_file(out, config.json_path);
+}
+
+int run_figure(const FigConfig& config) {
+  // Arm the observability counters for the whole sweep; each run's counts
+  // are isolated by snapshot deltas, so one process-wide registry is fine.
+  obs::reset();
+  obs::arm();
+
+  std::vector<SweepSeries> series =
+      sweep(config, sim_variants(), Source::kSim);
+  print_table(config,
+              config.title + "  [simulated multiprocessor; net sim-seconds "
+                             "per 10^6 pairs]",
+              series, net_time);
+  if (config.json) {
+    print_per_op_tables(config, series, kContentionTables, "simulated");
   }
 
-  if (config.json) write_json(config, all_series);
+  if (config.also_real) {
+    const std::vector<SweepSeries> real =
+        sweep(config, kRealVariants, Source::kReal);
+    print_table(config,
+                config.title + "  [real threads on this host (" +
+                    std::to_string(std::thread::hardware_concurrency()) +
+                    " hardware core(s), oversubscribed => multiprogrammed" +
+                    (config.pin ? "; pinned" : "") +
+                    "); net seconds per 10^6 pairs]",
+                real, net_time);
+    if (config.json) {
+      print_per_op_tables(config, real, kContentionTables, "real");
+    }
+    series.insert(series.end(), real.begin(), real.end());
+  }
+
+  return config.json && !write_json(config, series) ? 1 : 0;
 }
 
 }  // namespace msq::bench

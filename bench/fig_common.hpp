@@ -1,7 +1,10 @@
-// Shared driver for the figure-reproduction benches (Figures 3, 4, 5 and
-// the backoff ablation): sweeps processor counts, runs every algorithm on
-// the simulated multiprocessor (and optionally with real threads), and
-// prints the figure's series as a table.
+// Shared driver for the processor-count sweeps in bench/: the paper's
+// section 4 figures (3, 4, 5), the backoff and magazine ablations, the
+// shard-count sweep and the stall tail-latency sweep.  Every one of them is
+// the same shape -- one loop, swept over p processors, one curve per
+// variant -- so the sweep loop, the point/series types, the per-procs table
+// printer and the msq-bench-v1 JSON writer live here once, and each bench
+// is a variant list plus whatever is truly its own.
 //
 // Command line (all optional):
 //   --pairs N      total enqueue/dequeue pairs per run   (default 100000;
@@ -22,7 +25,15 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
+#include <vector>
+
+#include "harness/driver.hpp"
+#include "json_file.hpp"
+#include "obs/counters.hpp"
+#include "scenario/stamped_loop.hpp"
 
 namespace msq::bench {
 
@@ -50,7 +61,118 @@ bool parse_args(int argc, char** argv, FigConfig& config);
 /// value and reports its own error.
 const char* extract_flag(int& argc, char** argv, const char* flag);
 
-/// Run the sweep and print the table(s) to stdout.
-void run_figure(const FigConfig& config);
+/// One point of a sweep: a run's net time, its operation accounting and
+/// its observability-counter delta.  The sojourn fields are filled only by
+/// stamped runs (`stamped`), and only those emit them to JSON.
+struct SweepPoint {
+  std::uint32_t procs = 0;
+  double net_seconds_per_million = 0;
+  double throughput_pairs_per_sec = 0;  // completed pairs / net seconds
+  std::uint64_t ops = 0;  // operations attempted (completed + refused/empty)
+  std::uint64_t empty_dequeues = 0;
+  std::uint64_t enqueue_failures = 0;
+  bool stamped = false;
+  std::uint64_t p99_ns = 0;             // item sojourn (submit -> dequeue)
+  std::uint64_t p999_ns = 0;            // ^
+  std::uint64_t injected_stall_ns = 0;  // fault-layer sleep delivered
+  obs::Snapshot counters;
+};
+
+enum class Source { kSim, kReal };
+
+struct SweepSeries {
+  std::string algo;
+  Source source = Source::kReal;
+  std::vector<SweepPoint> points;
+};
+
+/// The paper's loop (harness::run_workload) at procs * procs_per_processor
+/// threads with ~6us of "other work" between operations.
+harness::WorkloadConfig paired_config(std::uint32_t procs,
+                                      const FigConfig& config);
+/// Net time as the harness computed it, scaled by the pairs the loop ran
+/// (each iteration's enqueue retries until it lands, so enqueues == pairs).
+SweepPoint make_point(const harness::WorkloadResult& result);
+
+/// The stamped pair loop (scenario::run_stamped_pairs), same thread count
+/// and other work as paired_config.
+scenario::StampedLoopConfig stamped_config(std::uint32_t procs,
+                                           const FigConfig& config);
+/// The stamped loop runs every thread until ALL reach quota, so it
+/// completes more pairs than requested: net time subtracts one thread's
+/// other work for the pairs it actually ran, and the scale is the
+/// completed pairs (`result.dequeues`), not config.pairs.
+SweepPoint make_point(const scenario::StampedLoopResult& result,
+                      const scenario::StampedLoopConfig& loop);
+
+/// Queue capacity for a sweep run: a few items in flight per thread.
+constexpr std::uint32_t queue_capacity(std::uint32_t threads) {
+  return threads * 4 + 64;
+}
+
+template <typename Q>
+SweepPoint run_paired(std::uint32_t procs, const FigConfig& config) {
+  const harness::WorkloadConfig workload = paired_config(procs, config);
+  Q queue(queue_capacity(workload.threads));
+  return make_point(harness::run_workload(queue, workload));
+}
+
+template <typename Q>
+SweepPoint run_stamped(std::uint32_t procs, const FigConfig& config) {
+  const scenario::StampedLoopConfig loop = stamped_config(procs, config);
+  Q queue(queue_capacity(loop.threads));
+  return make_point(scenario::run_stamped_pairs(queue, loop), loop);
+}
+
+using RunFn = std::function<SweepPoint(std::uint32_t procs,
+                                       const FigConfig& config)>;
+
+/// One curve of a sweep.  A real sweep runs `warmup` (default: `run`) once
+/// before each measured point and discards it: on a busy or
+/// frequency-scaling host the first run of a row absorbs cache/scheduler
+/// warmup, which otherwise biases the sweep against whichever variant runs
+/// first (a one-shard control run once "beat" its own inner queue).
+struct Variant {
+  std::string name;
+  RunFn run;
+  RunFn warmup;
+};
+
+/// Run procs 1..max_procs x `variants`, bracketing each measured run with
+/// obs::snapshot() for its counter delta.  Only kReal sweeps warm up (the
+/// simulator is deterministic).  Arm the counters first.
+std::vector<SweepSeries> sweep(const FigConfig& config,
+                               std::span<const Variant> variants,
+                               Source source);
+
+/// One table: a row per procs, a column per series, `cell` per point
+/// (CSV instead when --csv).
+void print_table(const FigConfig& config, const std::string& title,
+                 const std::vector<SweepSeries>& series,
+                 const std::function<double(const SweepPoint&)>& cell);
+
+inline double net_time(const SweepPoint& point) {
+  return point.net_seconds_per_million;
+}
+
+/// A per-operation counter table: `counter` / ops for every point.
+struct CounterTable {
+  obs::Counter counter;
+  const char* title;
+};
+
+void print_per_op_tables(const FigConfig& config,
+                         const std::vector<SweepSeries>& series,
+                         std::span<const CounterTable> tables,
+                         const char* source_label);
+
+/// Write `series` as an msq-bench-v1 document to config.json_path.  False
+/// (after printing why) when the file cannot be opened or written.
+bool write_json(const FigConfig& config,
+                const std::vector<SweepSeries>& series);
+
+/// Run the simulated sweep (and the real one with --real), print the
+/// figure's tables, and write --json.  Returns the process exit status.
+int run_figure(const FigConfig& config);
 
 }  // namespace msq::bench

@@ -410,12 +410,12 @@ void print_table(const std::vector<MemRun>& runs, bool csv) {
   }
 }
 
-void write_json(const FigConfig& config, const MemCfg& mc,
+bool write_json(const FigConfig& config, const MemCfg& mc,
                 const std::vector<MemRun>& runs) {
   std::ofstream out(config.json_path);
   if (!out) {
     std::cerr << "cannot open " << config.json_path << " for writing\n";
-    return;
+    return false;
   }
   obs::JsonWriter w(out);
   w.begin_object();
@@ -465,8 +465,7 @@ void write_json(const FigConfig& config, const MemCfg& mc,
   }
   w.end_array();
   w.end_object();
-  out << '\n';
-  std::cout << "wrote " << config.json_path << '\n';
+  return finish_json_file(out, config.json_path);
 }
 
 int run(const FigConfig& config, const MemCfg& mc, const std::string& only) {
@@ -500,8 +499,7 @@ int run(const FigConfig& config, const MemCfg& mc, const std::string& only) {
     }
   }
   print_table(runs, config.csv);
-  if (config.json) write_json(config, mc, runs);
-  return 0;
+  return config.json && !write_json(config, mc, runs) ? 1 : 0;
 }
 
 }  // namespace

@@ -41,12 +41,14 @@
 //          and its own sleep is unavoidable -- wait-freedom bounds steps,
 //          not naps).
 //
-// Series are named "<algo>+stall<D>us", one full procs sweep each (schema
-// msq-bench-v1; the per-point p99_ns/p999_ns fields are validated by
-// tools/check_bench_json.py).  The injected sleep itself is accounted via
-// fault::injected_stall_ns() and reported per point, so runs are
-// comparable and the victim's stall budget is visible next to the damage
-// it did (or failed to do).
+// Series are named "<algo>+stall<D>us", one full procs sweep each on the
+// shared sweep (fig_common.hpp; schema msq-bench-v1, the per-point
+// p99_ns/p999_ns fields are validated by tools/check_bench_json.py).  The
+// injected sleep itself is accounted via fault::injected_stall_ns() and
+// reported per point, so runs are comparable and the victim's stall budget
+// is visible next to the damage it did (or failed to do).  Each point's
+// discarded warmup runs unstalled: it exists for the memory system, not
+// the fault layer.
 //
 // Flags: the common fig set (--pairs/--max-procs/--seed/--pin/--csv/
 // --json) plus
@@ -57,7 +59,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -65,47 +66,25 @@
 #include "fault/fault_plan.hpp"
 #include "fault/watchdog.hpp"
 #include "fig_common.hpp"
-#include "harness/calibrate.hpp"
-#include "harness/table.hpp"
 #include "obs/counters.hpp"
-#include "obs/histogram.hpp"
-#include "obs/report.hpp"
 #include "queues/queues.hpp"
-#include "scenario/stamped_loop.hpp"
 
 namespace msq::bench {
 namespace {
 
 constexpr std::uint64_t kMaxStallUs = 10'000;
 
-struct StallPoint {
-  std::uint32_t procs = 0;
-  double net_seconds_per_million = 0;
-  std::uint64_t ops = 0;
-  std::uint64_t empty_dequeues = 0;
-  std::uint64_t enqueue_failures = 0;
-  std::uint64_t p99_ns = 0;
-  std::uint64_t p999_ns = 0;
-  std::uint64_t injected_ns = 0;  // victim sleep actually delivered
-  obs::Snapshot counters;
-};
-
-struct StallSeries {
-  std::string algo;
-  std::vector<StallPoint> points;
-};
-
 /// One stalled point: arm the fault plan around the SHARED stamped pair
 /// loop (scenario::run_stamped_pairs -- the run-until-all-quota shape,
-/// stamping convention, and sojourn recording live there now, common to
+/// stamping convention, and sojourn recording live there, common to
 /// fig_stall, fig_sharded, and the open-loop driver's closed-loop
 /// companion).  This bench keeps only what is its own: the sticky-victim
 /// stall choreography and the generous watchdog budget it requires.
 template <typename Q>
-scenario::StampedLoopResult run_stall(const char* site, std::uint32_t threads,
-                                      std::uint64_t stall_us,
-                                      const FigConfig& config) {
-  Q queue(threads * 4 + 64);
+SweepPoint run_stall(const char* site, std::uint64_t stall_us,
+                     std::uint32_t procs, const FigConfig& config) {
+  const scenario::StampedLoopConfig loop = stamped_config(procs, config);
+  Q queue(queue_capacity(loop.threads));
 
   fault::FaultPlan plan;
   if (stall_us > 0) {
@@ -127,38 +106,30 @@ scenario::StampedLoopResult run_stall(const char* site, std::uint32_t threads,
       std::chrono::milliseconds(60'000 + config.pairs * stall_us / 250);
   fault::Watchdog watchdog(deadline, "fig_stall run");
 
-  scenario::StampedLoopConfig loop;
-  loop.threads = threads;
-  loop.pairs = config.pairs;
-  loop.think_iters = harness::spin_iters_for_us(6.0);  // paper's ~6us
-  loop.pin_threads = config.pin;
-  scenario::StampedLoopResult result =
-      scenario::run_stamped_pairs(queue, loop);
+  const SweepPoint point =
+      make_point(scenario::run_stamped_pairs(queue, loop), loop);
   plan.disarm();
-  return result;
+  return point;
 }
 
-using RunFn = scenario::StampedLoopResult (*)(const char*, std::uint32_t,
-                                              std::uint64_t,
-                                              const FigConfig&);
+using StallFn = SweepPoint (*)(const char*, std::uint64_t, std::uint32_t,
+                               const FigConfig&);
 
-struct Variant {
-  std::string name;
+struct StallCase {
+  const char* name;
   const char* site;  // the CAS window the sticky victim sleeps in
-  RunFn run;
+  StallFn run;
 };
 
-std::vector<Variant> make_variants() {
-  return {
-      {"msq", "ms.E9", &run_stall<queues::MsQueue<std::uint64_t>>},
-      // segq.fill would livelock under a sticky stall (see header); the
-      // pre-reservation window measures the same item-invisibility effect.
-      {"segq", "segq.faa_enq", &run_stall<queues::SegmentQueue<std::uint64_t>>},
-      {"shard4", "ms.E9",
-       &run_stall<queues::ShardedQueue<queues::MsQueue<std::uint64_t>, 4>>},
-      {"wfq", "wfq.link", &run_stall<queues::WfQueue<std::uint64_t>>},
-  };
-}
+constexpr StallCase kCases[] = {
+    {"msq", "ms.E9", &run_stall<queues::MsQueue<std::uint64_t>>},
+    // segq.fill would livelock under a sticky stall (see header); the
+    // pre-reservation window measures the same item-invisibility effect.
+    {"segq", "segq.faa_enq", &run_stall<queues::SegmentQueue<std::uint64_t>>},
+    {"shard4", "ms.E9",
+     &run_stall<queues::ShardedQueue<queues::MsQueue<std::uint64_t>, 4>>},
+    {"wfq", "wfq.link", &run_stall<queues::WfQueue<std::uint64_t>>},
+};
 
 /// Parse "--only NAME" out of argv before the common parser runs; empty =
 /// all variants.
@@ -199,112 +170,16 @@ bool extract_stalls(int& argc, char** argv, std::vector<std::uint64_t>& out) {
   return true;
 }
 
-void print_tables(const FigConfig& config,
-                  const std::vector<StallSeries>& all_series) {
-  const struct {
-    const char* title;
-    std::uint64_t StallPoint::* field;
-  } kTables[] = {
-      {"p99 item sojourn, ns (submit -> dequeue)", &StallPoint::p99_ns},
-      {"p99.9 item sojourn, ns (the stall-victim's items live here)",
-       &StallPoint::p999_ns},
-      {"injected victim sleep, ns (stall budget actually delivered)",
-       &StallPoint::injected_ns},
-  };
-  for (const auto& spec : kTables) {
-    harness::SeriesTable table(std::string(spec.title) + "  [real]", "procs");
-    std::vector<std::size_t> cols;
-    cols.reserve(all_series.size());
-    for (const StallSeries& s : all_series) {
-      cols.push_back(table.add_series(s.algo));
-    }
-    const std::size_t rows =
-        all_series.empty() ? 0 : all_series.front().points.size();
-    for (std::size_t r = 0; r < rows; ++r) {
-      table.add_row(all_series.front().points[r].procs);
-      for (std::size_t a = 0; a < all_series.size(); ++a) {
-        table.set(cols[a],
-                  static_cast<double>(all_series[a].points[r].*(spec.field)));
-      }
-    }
-    if (config.csv) {
-      table.print_csv(std::cout);
-    } else {
-      table.print(std::cout);
-    }
-  }
-}
-
-void write_json(const FigConfig& config,
-                const std::vector<StallSeries>& all_series) {
-  std::ofstream out(config.json_path);
-  if (!out) {
-    std::cerr << "cannot open " << config.json_path << " for writing\n";
-    return;
-  }
-  obs::JsonWriter w(out);
-  w.begin_object();
-  w.key("schema");
-  w.value("msq-bench-v1");
-  w.key("title");
-  w.value(config.title);
-  w.key("pairs");
-  w.value(config.pairs);
-  w.key("max_procs");
-  w.value(config.max_procs);
-  w.key("procs_per_processor");
-  w.value(config.procs_per_processor);
-  w.key("seed");
-  w.value(config.seed);
-  w.key("backoff_max");
-  w.value(config.backoff_max);
-  w.key("probes_enabled");
-  w.value(static_cast<bool>(MSQ_OBS));
-  w.key("series");
-  w.begin_array();
-  for (const StallSeries& s : all_series) {
-    w.begin_object();
-    w.key("algo");
-    w.value(s.algo);
-    w.key("source");
-    w.value("real");
-    w.key("points");
-    w.begin_array();
-    for (const StallPoint& p : s.points) {
-      w.begin_object();
-      w.key("procs");
-      w.value(static_cast<std::uint64_t>(p.procs));
-      w.key("net_seconds_per_million_pairs");
-      w.value(p.net_seconds_per_million);
-      const double net_actual =
-          p.net_seconds_per_million * static_cast<double>(config.pairs) / 1e6;
-      w.key("throughput_pairs_per_sec");
-      w.value(net_actual > 0 ? static_cast<double>(config.pairs) / net_actual
-                             : 0.0);
-      w.key("ops");
-      w.value(p.ops);
-      w.key("empty_dequeues");
-      w.value(p.empty_dequeues);
-      w.key("enqueue_failures");
-      w.value(p.enqueue_failures);
-      w.key("p99_ns");
-      w.value(p.p99_ns);
-      w.key("p999_ns");
-      w.value(p.p999_ns);
-      w.key("injected_stall_ns");
-      w.value(p.injected_ns);
-      w.key("counters");
-      obs::write_counters_json(w, p.counters, p.ops);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  out << '\n';
-  std::cout << "wrote " << config.json_path << '\n';
-}
+constexpr struct {
+  const char* title;
+  std::uint64_t SweepPoint::* field;
+} kTables[] = {
+    {"p99 item sojourn, ns (submit -> dequeue)", &SweepPoint::p99_ns},
+    {"p99.9 item sojourn, ns (the stall-victim's items live here)",
+     &SweepPoint::p999_ns},
+    {"injected victim sleep, ns (stall budget actually delivered)",
+     &SweepPoint::injected_stall_ns},
+};
 
 int run(const FigConfig& config, const std::vector<std::uint64_t>& stalls,
         const std::string& only) {
@@ -315,60 +190,41 @@ int run(const FigConfig& config, const std::vector<std::uint64_t>& stalls,
                "compiled out, every stall duration degenerates to 0\n";
 #endif
 
-  std::vector<Variant> variants = make_variants();
-  if (!only.empty()) {
-    std::erase_if(variants,
-                  [&](const Variant& v) { return v.name != only; });
-    if (variants.empty()) {
-      std::cerr << "--only: unknown variant '" << only << "'\n";
-      return 1;
-    }
-  }
-  std::vector<StallSeries> all_series;
-  all_series.reserve(variants.size() * stalls.size());
-  for (const Variant& v : variants) {
+  std::vector<Variant> variants;
+  for (const StallCase& c : kCases) {
+    if (!only.empty() && only != c.name) continue;
     for (const std::uint64_t us : stalls) {
-      all_series.push_back(
-          {v.name + "+stall" + std::to_string(us) + "us", {}});
+      const std::string name =
+          std::string(c.name) + "+stall" + std::to_string(us) + "us";
+      variants.push_back(
+          {name,
+           [c, us, name](std::uint32_t procs, const FigConfig& cfg) {
+             // Progress to stderr BEFORE each run: a watchdog abort then
+             // names the run it fired in (breadcrumbs alone accumulate
+             // across runs).
+             std::cerr << "[fig_stall] " << name << " procs=" << procs
+                       << "\n";
+             return c.run(c.site, us, procs, cfg);
+           },
+           [c](std::uint32_t procs, const FigConfig& cfg) {
+             return c.run(c.site, 0, procs, cfg);
+           }});
     }
   }
-
-  const double scale = 1e6 / static_cast<double>(config.pairs);
-  for (std::uint32_t threads = 1; threads <= config.max_procs; ++threads) {
-    std::size_t series_idx = 0;
-    for (const Variant& v : variants) {
-      for (const std::uint64_t us : stalls) {
-        // Progress to stderr BEFORE each run: a watchdog abort then names
-        // the run it fired in (breadcrumbs alone accumulate across runs).
-        std::cerr << "[fig_stall] " << v.name << " stall=" << us
-                  << "us procs=" << threads << "\n";
-        // Discarded warmup (same rationale as fig_sharded: first run of a
-        // row absorbs cache/scheduler warmup).  Warm up unstalled -- the
-        // warmup exists for the memory system, not the fault layer.
-        (void)v.run(v.site, threads, 0, config);
-        const obs::Snapshot before = obs::snapshot();
-        const scenario::StampedLoopResult r =
-            v.run(v.site, threads, us, config);
-
-        StallPoint point;
-        point.procs = threads;
-        point.net_seconds_per_million = r.elapsed_seconds * scale;
-        point.ops = r.enqueues + r.dequeues + r.empty_dequeues +
-                    r.enqueue_failures;
-        point.empty_dequeues = r.empty_dequeues;
-        point.enqueue_failures = r.enqueue_failures;
-        point.p99_ns = r.sojourn_ns.percentile(99.0);
-        point.p999_ns = r.sojourn_ns.percentile(99.9);
-        point.injected_ns = r.injected_stall_ns;
-        point.counters = obs::snapshot() - before;
-        all_series[series_idx++].points.push_back(point);
-      }
-    }
-    std::cout << "swept procs=" << threads << "\n";
+  if (variants.empty()) {
+    std::cerr << "--only: unknown variant '" << only << "'\n";
+    return 1;
   }
-  print_tables(config, all_series);
-  if (config.json) write_json(config, all_series);
-  return 0;
+
+  const std::vector<SweepSeries> series =
+      sweep(config, variants, Source::kReal);
+  for (const auto& spec : kTables) {
+    print_table(config, std::string(spec.title) + "  [real]", series,
+                [&spec](const SweepPoint& p) {
+                  return static_cast<double>(p.*(spec.field));
+                });
+  }
+  return config.json && !write_json(config, series) ? 1 : 0;
 }
 
 }  // namespace

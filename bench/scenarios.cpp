@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "harness/calibrate.hpp"
+#include "json_file.hpp"
 #include "obs/counters.hpp"
 #include "obs/report.hpp"
 #include "queues/queues.hpp"
@@ -199,12 +200,12 @@ void print_table(const std::vector<ScenarioOutcome>& outcomes) {
   std::cout << std::defaultfloat;
 }
 
-void write_json(const Config& config,
+bool write_json(const Config& config,
                 const std::vector<ScenarioOutcome>& outcomes) {
   std::ofstream out(config.json_path);
   if (!out) {
     std::cerr << "cannot open " << config.json_path << " for writing\n";
-    return;
+    return false;
   }
   obs::JsonWriter w(out);
   w.begin_object();
@@ -284,8 +285,7 @@ void write_json(const Config& config,
   }
   w.end_array();
   w.end_object();
-  out << '\n';
-  std::cout << "wrote " << config.json_path << '\n';
+  return finish_json_file(out, config.json_path);
 }
 
 int run(const Config& config) {
@@ -333,8 +333,7 @@ int run(const Config& config) {
     return 1;
   }
   print_table(outcomes);
-  if (config.json) write_json(config, outcomes);
-  return 0;
+  return config.json && !write_json(config, outcomes) ? 1 : 0;
 }
 
 }  // namespace

@@ -47,7 +47,8 @@ class SimSingleLockQueue final : public SimQueue {
       co_await lock_.unlock(p);
       co_return false;
     }
-    co_await p.write(free_top_, co_await p.read(next_addr(node)));
+    const std::uint64_t next_free = co_await p.read(next_addr(node));
+    co_await p.write(free_top_, next_free);
     co_await p.write(value_addr(node), value);
     co_await p.write(next_addr(node), tagged::kNullIndex);
     const std::uint64_t tail = co_await p.read(tail_);
@@ -69,7 +70,8 @@ class SimSingleLockQueue final : public SimQueue {
     const std::uint64_t value = co_await p.read(value_addr(first));
     co_await p.write(head_, first);
     // free the dummy onto the plain free list (still under the lock)
-    co_await p.write(next_addr(dummy), co_await p.read(free_top_));
+    const std::uint64_t free_top = co_await p.read(free_top_);
+    co_await p.write(next_addr(dummy), free_top);
     co_await p.write(free_top_, dummy);
     co_await lock_.unlock(p);
     co_return value;

@@ -166,7 +166,8 @@ Task<void> naive_dequeue(Proc& p, MiniQueue& q, std::uint64_t& out) {
     out = kNone;  // "safely" aborted -- but ticket t is burned
     co_return;
   }
-  if (t >= co_await p.read(q.enq)) {
+  const std::uint64_t enq = co_await p.read(q.enq);
+  if (t >= enq) {
     out = kNone;
     co_return;
   }
@@ -187,7 +188,8 @@ Task<void> guarded_dequeue(Proc& p, MiniQueue& q, Addr hazard,
     h = h2;  // retarget and re-validate against the current head
   }
   const std::uint64_t t = co_await p.faa(q.deq, 1);
-  if (t >= co_await p.read(q.enq)) {
+  const std::uint64_t enq = co_await p.read(q.enq);
+  if (t >= enq) {
     out = kNone;
     co_return;
   }

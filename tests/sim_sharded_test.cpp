@@ -48,7 +48,8 @@ Task<std::uint64_t> take_item(Proc& p, Addr shard) {
     const std::uint64_t item = shard_item(s);
     if (item == 0) co_return 0;
     co_await p.at("SHARD_TAKE");
-    if (co_await p.cas(shard, s, s - item) == s) co_return item;
+    const std::uint64_t seen = co_await p.cas(shard, s, s - item);
+    if (seen == s) co_return item;
   }
 }
 

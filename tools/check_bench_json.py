@@ -3,7 +3,9 @@
 
 Three schemas share the counter tables and finiteness rules:
 
-Schema "msq-bench-v1" (bench/fig_common.cpp:write_json and friends):
+Schema "msq-bench-v1" (bench/fig_common.cpp:write_json, the one writer of
+the shared processor sweep behind fig3/fig4/fig5, ablate_backoff,
+ablate_magazine, fig_sharded and fig_stall):
 
     {
       "schema": "msq-bench-v1",
@@ -16,8 +18,8 @@ Schema "msq-bench-v1" (bench/fig_common.cpp:write_json and friends):
            {"procs": int, "net_seconds_per_million_pairs": num,
             "throughput_pairs_per_sec": num, "ops": int,
             "empty_dequeues": int, "enqueue_failures": int,
-            # latency benches (fig_stall, fig_sharded) also emit, per point:
-            #   "p99_ns": int, "p999_ns": int, "injected_stall_ns": int
+            # stamped-loop series (fig_stall, fig_sharded) also emit, per
+            # point: "p99_ns": int, "p999_ns": int, "injected_stall_ns": int
             "counters": {<name>: {"total": int, "per_op": num}, ...}}]}]
     }
 
@@ -106,7 +108,7 @@ POINT_KEYS = {
     "counters": dict,
 }
 
-# Emitted only by the latency benches (fig_stall, fig_sharded); when present
+# Emitted only by stamped-loop series (fig_stall, fig_sharded); when present
 # they must be well-formed non-negative integers (nanoseconds).
 OPTIONAL_POINT_KEYS = {
     "p99_ns": int,

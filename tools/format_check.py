@@ -14,6 +14,9 @@ into review diffs:
   * CRLF line endings
   * missing newline at end of file
   * more than one blank line at end of file
+  * a C++ line holding two `co_await`s, or a `co_await` inside an
+    `if (` / `while (` condition (src/sim/task.hpp: every co_await sits
+    in its own statement, because GCC 12 miscompiles some nested forms)
 
 Deliberately NOT enforced: line length, brace placement, indent width --
 those are .clang-format's job and a human reviewer's eye; half-enforcing
@@ -28,6 +31,7 @@ Exit status: 0 clean, 1 violations found (or fixed with --fix).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -40,6 +44,11 @@ CHECKED_NAMES = {"CMakeLists.txt"}
 # repo style is unambiguous (C++ and Python).
 TAB_SUFFIXES = {".cpp", ".hpp", ".cc", ".h", ".py"}
 DEFAULT_ROOTS = ["src", "tests", "bench", "examples", "tools", "docs"]
+CPP_SUFFIXES = {".cpp", ".hpp", ".cc", ".h"}
+# String/char literals and // comments are blanked before the co_await scan
+# so prose about the rule (task.hpp's header) does not trip it.
+LITERAL_OR_COMMENT = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'|//.*')
+CONDITION_OPEN = re.compile(r"\b(?:if|while)\s*\(")
 
 
 def discover(paths: list[str]) -> list[Path]:
@@ -55,6 +64,30 @@ def discover(paths: list[str]) -> list[Path]:
             if f.suffix in CHECKED_SUFFIXES or f.name in CHECKED_NAMES:
                 files.append(f)
     return files
+
+
+def condition_spans(code: str) -> list[str]:
+    """The parenthesised conditions of the if/while statements on `code`
+    (to the end of the line when the condition continues past it)."""
+    spans = []
+    for match in CONDITION_OPEN.finditer(code):
+        depth, start = 1, match.end()
+        end = start
+        while end < len(code) and depth:
+            depth += {"(": 1, ")": -1}.get(code[end], 0)
+            end += 1
+        spans.append(code[start:end])
+    return spans
+
+
+def co_await_problem(line: str) -> str | None:
+    """Why `line` breaks the one-co_await-per-statement rule, or None."""
+    code = LITERAL_OR_COMMENT.sub("", line)
+    if len(re.findall(r"\bco_await\b", code)) > 1:
+        return "two co_awaits on one line (hoist one into a named local)"
+    if any(re.search(r"\bco_await\b", c) for c in condition_spans(code)):
+        return "co_await inside an if/while condition (hoist it)"
+    return None
 
 
 def check_file(path: Path, fix: bool) -> list[str]:
@@ -74,11 +107,15 @@ def check_file(path: Path, fix: bool) -> list[str]:
 
     lines = text.split("\n")
     flag_tabs = path.suffix in TAB_SUFFIXES
+    is_cpp = path.suffix in CPP_SUFFIXES
     for i, line in enumerate(lines, start=1):
         if line != line.rstrip():
             problems.append(f"{path}:{i}: trailing whitespace")
         if flag_tabs and "\t" in line:
             problems.append(f"{path}:{i}: hard tab")
+        why = co_await_problem(line) if is_cpp else None
+        if why:
+            problems.append(f"{path}:{i}: {why}")
     lines = [ln.rstrip() for ln in lines]
 
     body = "\n".join(lines)
