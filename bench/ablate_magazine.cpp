@@ -11,7 +11,7 @@
 //
 // Series (all real threads; sweep 1..max_procs):
 //   msq        MsQueue + shared FreeList            (the paper's layout)
-//   msq+mag    MsQueue + MagazineAllocator<_, 32>
+//   msq+mag    MsQueue + MagazineAllocator<_, 32>   (MsQueue's default)
 //   segq-nomag SegmentQueue + shared FreeList
 //   segq       SegmentQueue + its default magazines
 //
@@ -23,7 +23,6 @@
 
 #include "fig_common.hpp"
 #include "mem/freelist.hpp"
-#include "mem/magazine.hpp"
 #include "obs/counters.hpp"
 #include "queues/queues.hpp"
 #include "sync/backoff.hpp"
@@ -31,11 +30,8 @@
 namespace msq::bench {
 namespace {
 
-template <typename Node>
-using Mag32 = mem::MagazineAllocator<Node, 32>;
-
-using MsqPlain = queues::MsQueue<std::uint64_t>;
-using MsqMag = queues::MsQueue<std::uint64_t, sync::Backoff, Mag32>;
+using MsqPlain = queues::MsQueue<std::uint64_t, sync::Backoff, mem::FreeList>;
+using MsqMag = queues::MsQueue<std::uint64_t>;
 using SegPlain = queues::SegmentQueue<std::uint64_t, mem::FreeList>;
 using SegMag = queues::SegmentQueue<std::uint64_t>;
 

@@ -1,7 +1,8 @@
 // Ablation A3: memory-reclamation strategy for the MS queue.
 //
-//   counted+freelist -- the paper's scheme (MsQueue): pool indices with
-//                       modification counters, Treiber free list.
+//   counted+freelist -- the paper's scheme (MsQueue over mem::FreeList):
+//                       pool indices with modification counters, Treiber
+//                       free list.
 //   dwcas+freelist   -- same algorithm with 128-bit counted pointers
 //                       (MsQueueDw): the paper's other stated option.
 //   hazard           -- hazard pointers + new/delete (MsQueueHp): the
@@ -16,8 +17,10 @@
 #include "harness/calibrate.hpp"
 #include "harness/driver.hpp"
 #include "harness/table.hpp"
+#include "mem/freelist.hpp"
 #include "queues/ms_queue.hpp"
 #include "queues/ms_queue_hp.hpp"
+#include "sync/backoff.hpp"
 
 namespace {
 
@@ -52,7 +55,9 @@ int main(int argc, char** argv) {
   for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
     table.add_row(threads);
     {
-      msq::queues::MsQueue<std::uint64_t> q(threads * 4 + 64);
+      msq::queues::MsQueue<std::uint64_t, msq::sync::Backoff,
+                           msq::mem::FreeList>
+          q(threads * 4 + 64);
       table.set(counted, pairs_per_second(q, threads, pairs));
     }
     {

@@ -8,9 +8,11 @@
 
 #include "harness/calibrate.hpp"
 #include "harness/table.hpp"
+#include "mem/freelist.hpp"
 #include "obs/report.hpp"
 #include "queues/queues.hpp"
 #include "sim/workload.hpp"
+#include "sync/backoff.hpp"
 
 namespace msq::bench {
 namespace {
@@ -22,14 +24,15 @@ using Item = std::uint64_t;
 /// ticket discipline is exactly what the real hardware benchmark exists to
 /// show).  On a host with fewer cores than threads the p > 1 runs are
 /// multiprogrammed; they are reported next to the simulator's
-/// dedicated-machine curves for completeness.
+/// dedicated-machine curves for completeness.  MS names mem::FreeList:
+/// the paper's layout, not MsQueue's default magazines.
 const Variant kRealVariants[] = {
     {"single-lock", &run_paired<queues::SingleLockQueue<Item>>, {}},
     {"MC", &run_paired<queues::MellorCrummeyQueue<Item>>, {}},
     {"Valois", &run_paired<queues::ValoisQueue<Item>>, {}},
     {"two-lock", &run_paired<queues::TwoLockQueue<Item>>, {}},
     {"PLJ", &run_paired<queues::PljQueue<Item>>, {}},
-    {"MS", &run_paired<queues::MsQueue<Item>>, {}},
+    {"MS", &run_paired<queues::MsQueue<Item, sync::Backoff, mem::FreeList>>, {}},
     {"segq", &run_paired<queues::SegmentQueue<Item>>, {}},
 };
 

@@ -3,10 +3,13 @@
 //
 // Every queue in the library makes a different memory promise:
 //
-//   msq     pool-backed free list: nodes outstanding == queue occupancy
-//           (+1 dummy).  Bounded by the POOL, not the queue -- a slow
-//           consumer lets producers push occupancy (and thus node usage)
-//           all the way to pool exhaustion.
+//   msq     pool-backed free list behind per-thread magazines: nodes
+//           outstanding == queue occupancy (+1 dummy) + nodes cached in
+//           magazines, at most 16 slots x 32 (the gauge counts a node as
+//           outstanding from the batch refill that takes it off the shared
+//           list until the flush that returns it).  Bounded by the POOL,
+//           not the queue -- a slow consumer lets producers push occupancy
+//           (and thus node usage) all the way to pool exhaustion.
 //   msq_hp  heap + hazard pointers: no pool, no refusal.  Outstanding
 //           nodes = occupancy + the retired-but-unreclaimed limbo
 //           population; a slow consumer grows it without bound.

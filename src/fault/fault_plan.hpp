@@ -46,6 +46,8 @@
 #include <thread>
 #include <vector>
 
+#include "port/cpu.hpp"
+
 // Shared probe gate (see src/obs/counters.hpp and the MSQ_PROBES CMake
 // option): when 0, point() is a constexpr no-op and the FaultPlan class
 // stays compilable but inert -- Release figure runs pay nothing at all.
@@ -60,17 +62,6 @@ class FaultPlan;
 namespace detail {
 // share-ok: armed/disarmed a handful of times per test; never contended
 inline std::atomic<FaultPlan*> g_active_plan{nullptr};
-
-/// Small process-wide thread ordinal (same idiom as mem::detail::
-/// thread_hint, duplicated so src/fault does not depend on src/mem).
-inline std::uint32_t thread_id() noexcept {
-  // share-ok: touched once per thread lifetime (ordinal assignment)
-  static std::atomic<std::uint32_t> next{0};
-  thread_local const std::uint32_t id =
-      // relaxed: a pure ordinal draw; nothing is published through it
-      next.fetch_add(1, std::memory_order_relaxed);
-  return id;
-}
 
 /// Timed-stall nanoseconds injected into the calling thread so far.
 inline std::uint64_t& injected_ns_ref() noexcept {
@@ -108,10 +99,10 @@ inline std::array<Breadcrumb, kBreadcrumbSlots>& breadcrumbs() noexcept {
 }
 
 inline void leave_breadcrumb(const char* site) noexcept {
-  Breadcrumb& b = breadcrumbs()[thread_id() % kBreadcrumbSlots];
+  Breadcrumb& b = breadcrumbs()[port::thread_ordinal() % kBreadcrumbSlots];
   // relaxed: diagnostic of record only, read after the fact by the
   // watchdog; no data is published through it
-  b.tid.store(thread_id(), std::memory_order_relaxed);
+  b.tid.store(port::thread_ordinal(), std::memory_order_relaxed);
   // relaxed: same argument as the tid store above
   b.site.store(site, std::memory_order_relaxed);
 }
@@ -279,12 +270,12 @@ class FaultPlan {
           std::uint32_t bound = victim.load(std::memory_order_acquire);
           if (bound == kUnbound) {
             std::uint32_t expected = kUnbound;
-            victim.compare_exchange_strong(expected, detail::thread_id(),
+            victim.compare_exchange_strong(expected, port::thread_ordinal(),
                                            std::memory_order_acq_rel,
                                            std::memory_order_acquire);
             bound = victim.load(std::memory_order_acquire);
           }
-          if (bound == detail::thread_id()) {
+          if (bound == port::thread_ordinal()) {
             // Only the bound victim ever touches its hit counter, so the
             // atomic_ref is for formal data-race freedom, not contention.
             std::atomic_ref<std::uint64_t> hits(rule.victim_hits);

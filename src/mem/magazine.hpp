@@ -10,8 +10,8 @@
 // quantify the saving; see EXPERIMENTS.md, magazine ablation).
 //
 // Ownership discipline: magazines live in a small fixed array of slots,
-// each claimed per *call* with a CAS on its busy flag (probe starts at a
-// per-thread hint, so the common case is an uncontended re-claim of "your"
+// each claimed per *call* with a CAS on its busy flag (probe starts at the
+// thread's ordinal, so the common case is an uncontended re-claim of "your"
 // slot).  Claim-per-call instead of claim-per-thread sidesteps thread-exit
 // reclamation entirely: a slot is never orphaned, its contents never leak.
 //
@@ -36,21 +36,6 @@
 #include "tagged/tagged_index.hpp"
 
 namespace msq::mem {
-
-namespace detail {
-/// Per-thread probe hint: threads spread over claimable slots (magazines
-/// here, hazard cells in queues/segment_queue.hpp) the same way counter
-/// shards are assigned.  Collisions are harmless (the claim CAS
-/// arbitrates); distinctness is only a fast-path optimisation.
-inline std::uint32_t thread_hint() noexcept {
-  // share-ok: touched once per thread lifetime (hint assignment)
-  static std::atomic<std::uint32_t> next{0};
-  thread_local const std::uint32_t hint =
-      // relaxed: a pure ordinal draw; nothing is published through it (proof: test:tests/mem_test.cpp)
-      next.fetch_add(1, std::memory_order_relaxed);
-  return hint;
-}
-}  // namespace detail
 
 /// `kCap` is the magazine size: refills pop kCap/2 indices with one shared
 /// CAS, flushes push kCap/2 back with one shared CAS.  Node needs a `next`
@@ -154,10 +139,10 @@ class MagazineAllocator {
 
   static constexpr std::uint32_t kMagazines = 16;  // power of two (probe mask)
 
-  /// Probe from the per-thread hint; first successful busy-CAS wins the
+  /// Probe from the thread's ordinal; first successful busy-CAS wins the
   /// slot exclusively until release().  nullptr when all are mid-flight.
   [[nodiscard]] Slot* try_claim() noexcept {
-    const std::uint32_t start = detail::thread_hint();
+    const std::uint32_t start = port::thread_ordinal();
     for (std::uint32_t i = 0; i < kMagazines; ++i) {
       Slot& s = slots_[(start + i) & (kMagazines - 1)];
       std::uint32_t expected = 0;

@@ -1,11 +1,14 @@
-// Low-level CPU portability helpers: cache-line geometry, spin-wait hinting.
+// Low-level CPU portability helpers: cache-line geometry, spin-wait hinting,
+// and the per-thread ordinal that spreads threads over claimable slots.
 //
 // The paper's testbed was a 12-node SGI Challenge (MIPS R4000, LL/SC).  We
 // target x86-64 (lock cmpxchg / cmpxchg16b); everything architecture-specific
 // in the library funnels through this header.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <new>
 
 namespace msq::port {
@@ -28,6 +31,21 @@ inline void cpu_relax() noexcept {
 #else
   asm volatile("" ::: "memory");
 #endif
+}
+
+/// Small process-wide thread ordinal: 0, 1, 2, ... in order of each
+/// thread's first call.  Threads spread over claimable slots with it
+/// (magazines, hazard cells, wait-free announcement slots, shard hints,
+/// fault-plan breadcrumbs), taken modulo the slot count; two threads on
+/// one slot are harmless, since the slot's claim CAS arbitrates.  Backoff
+/// jitter is seeded from it too (sync/backoff.hpp).
+inline std::uint32_t thread_ordinal() noexcept {
+  // share-ok: touched once per thread lifetime (ordinal assignment)
+  static std::atomic<std::uint32_t> next{0};
+  thread_local const std::uint32_t ordinal =
+      // relaxed: a pure ordinal draw; nothing is published through it (proof: test:tests/backoff_test.cpp)
+      next.fetch_add(1, std::memory_order_relaxed);
+  return ordinal;
 }
 
 /// Wrapper that places T alone on its own cache line.

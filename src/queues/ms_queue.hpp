@@ -12,11 +12,21 @@
 // Either way the nodes live in a mem::NodePool and recycle through the one
 // mem::FreeList, so both share its tag rule, gauge and counters.
 //
+// Node allocation.  The paper recycles nodes through a Treiber-stack free
+// list, which makes its top a second contended word next to Head and Tail:
+// every enqueue pops it and every dequeue pushes it.  MsQueue<T> puts
+// per-thread magazines (mem::MagazineAllocator<_, 32>) in front of that
+// list by default, so a dequeue's freed dummy lands in the caller's
+// magazine and comes back out on its next enqueue, and the shared top is
+// touched once per 16 allocations.  The paper's layout -- every node
+// through the shared top -- is MsQueue<T, sync::Backoff, mem::FreeList>;
+// MsQueueDw keeps it too (magazines take index links only).
+//
 // Structure: a singly-linked list with Head and Tail counted pointers.
 // Head always points to a dummy node (the first node in the list); Tail
-// points to the last or second-to-last node.  Nodes are recycled through a
-// Treiber-stack free list.  Dequeue ensures Tail never points at (or before)
-// a dequeued node, which is what makes immediate reuse safe.
+// points to the last or second-to-last node.  Dequeue ensures Tail never
+// points at (or before) a dequeued node, which is what makes immediate
+// reuse safe.
 //
 // Line numbering in comments follows Figure 1 (E1..E13, D1..D15) so the
 // implementation can be audited against the paper, and so the liveness
@@ -27,6 +37,7 @@
 #include <optional>
 
 #include "mem/freelist.hpp"
+#include "mem/magazine.hpp"
 #include "mem/node_pool.hpp"
 #include "mem/value_cell.hpp"
 #include "obs/probe.hpp"
@@ -37,16 +48,21 @@
 
 namespace msq::queues {
 
+/// Default node allocator: 32-index magazines over the shared free list
+/// (refills and flushes move 16 indices per shared CAS).
+template <typename Node>
+using MsMagazine = mem::MagazineAllocator<Node, 32>;
+
 /// Lock-free MPMC FIFO queue.  `T` must be trivially copyable and at most
 /// 8 bytes (see mem/value_cell.hpp).  `BackoffPolicy` is applied after a
 /// failed CAS (sync::NullBackoff disables it for the ablation).  `Alloc`
-/// selects the node allocator: the paper's plain Treiber free list by
-/// default, or mem::MagazineAllocator for the magazine ablation
-/// (bench/ablate_magazine.cpp) -- same pool, batched refills/flushes.
-/// `Links` is the counted-link representation (tagged::IndexLink or
-/// tagged::PointerLink; the magazine allocator takes index links only).
+/// selects the node allocator over one pool: per-thread magazines by
+/// default, or mem::FreeList for the paper's layout (the spelling every
+/// bench that reproduces the paper names).  `Links` is the counted-link
+/// representation (tagged::IndexLink or tagged::PointerLink; the magazine
+/// allocator takes index links only, so MsQueueDw names mem::FreeList).
 template <typename T, typename BackoffPolicy = sync::Backoff,
-          template <typename> class Alloc = mem::FreeList,
+          template <typename> class Alloc = MsMagazine,
           typename Links = tagged::IndexLink>
 class MsQueue {
  public:
@@ -61,10 +77,10 @@ class MsQueue {
   /// `capacity` is the maximum number of queued items; one extra node is
   /// reserved for the dummy.
   explicit MsQueue(std::uint32_t capacity)
-      : pool_(capacity + 1), freelist_(pool_) {
+      : pool_(capacity + 1), alloc_(pool_) {
     // initialize(Q): node = new_node(); node->next.ptr = NULL;
     //                Q->Head = Q->Tail = node
-    const Target dummy = freelist_.try_allocate();
+    const Target dummy = alloc_.try_allocate();
     pool_[dummy].next.store(Link{}, std::memory_order_release);
     head_.value.store(Link(dummy, 0), std::memory_order_release);
     tail_.value.store(Link(dummy, 0), std::memory_order_release);
@@ -73,10 +89,15 @@ class MsQueue {
   MsQueue(const MsQueue&) = delete;
   MsQueue& operator=(const MsQueue&) = delete;
 
-  /// enqueue(Q, value).  Returns false iff the node pool is exhausted.
+  /// enqueue(Q, value).  Returns false iff no node is free: with
+  /// mem::FreeList, iff the pool is exhausted; with the magazines, iff
+  /// every node is queued or cached in the magazine of a call still in
+  /// progress (the allocator sweeps every idle magazine before refusing).
+  /// With no other call in progress, a refusal therefore means `capacity`
+  /// items are queued.
   bool try_enqueue(T value) noexcept {
     // E1: node = new_node()
-    const Target node = freelist_.try_allocate();
+    const Target node = alloc_.try_allocate();
     if (node == kNull) return false;
     // E2: node->value = value;  E3: node->next.ptr = NULL
     // The null is COUNTED: preserving and bumping the node's tag keeps its
@@ -140,7 +161,7 @@ class MsQueue {
           MSQ_PROBE_COUNT("ms.D12", kCasAttempt);
           if (head_.value.compare_and_swap(head, head.successor(next.target()), std::memory_order_acq_rel)) {
             out = value;                     // (D11's *pvalue assignment)
-            freelist_.free(head.target());   // D14: free the old dummy node
+            alloc_.free(head.target());      // D14: free the old dummy node
             MSQ_COUNT(kDequeue);
             return true;                     // D13 break; D15 return TRUE
           }
@@ -158,9 +179,11 @@ class MsQueue {
     return std::nullopt;
   }
 
-  /// Items the pool can still hold (racy snapshot; tests/metrics only).
-  [[nodiscard]] std::size_t unsafe_free_nodes() const noexcept {
-    return freelist_.unsafe_size();
+  /// Items the pool can still hold: free nodes in the shared list plus
+  /// those cached in magazines no call holds right now (racy snapshot;
+  /// tests/metrics only).  Non-const because counting a magazine claims it.
+  [[nodiscard]] std::size_t unsafe_free_nodes() noexcept {
+    return alloc_.unsafe_size();
   }
 
   /// Bytes of one pool node (bench/fig_memory: peak_nodes x node_bytes).
@@ -178,7 +201,7 @@ class MsQueue {
   static constexpr Target kNull = Link{}.target();
 
   mem::NodePool<Node> pool_;
-  Alloc<Node> freelist_;
+  Alloc<Node> alloc_;
   // Head and Tail on separate cache lines: dequeuers and enqueuers must not
   // false-share (the two-lock queue's design rationale applies here too).
   port::CacheAligned<decltype(Node::next)> head_;

@@ -360,7 +360,7 @@ class SegmentQueue {
 
    private:
     void claim(std::uint32_t idx) noexcept {
-      const std::uint32_t start = mem::detail::thread_hint();
+      const std::uint32_t start = port::thread_ordinal();
       for (std::uint32_t i = 0;; ++i) {
         HazardCell& c = q_.cells_[(start + i) % kCells];
         std::uint32_t expected = tagged::kNullIndex;

@@ -21,7 +21,7 @@
 //   * emptiness is a coherent snapshot (below), not a single-shard peek.
 //
 // Shard selection: a producer enqueues to its HOME shard, a per-thread
-// hint seeded round-robin by thread ordinal (mem::detail::thread_hint), so
+// hint seeded round-robin by thread ordinal (port::thread_ordinal), so
 // P <= N producers settle on distinct shards.  On a full home shard the
 // producer sweeps the other shards for space; after kRehomeAfter
 // consecutive home failures it RE-HOMES to the shard that accepted
@@ -67,7 +67,6 @@
 #include <memory>
 #include <optional>
 
-#include "mem/magazine.hpp"
 #include "obs/probe.hpp"
 #include "port/cpu.hpp"
 #include "queues/queue_concept.hpp"
@@ -261,7 +260,7 @@ class ShardedQueue {
   static constexpr std::uint32_t kHintSlots = 64;
 
   [[nodiscard]] HintSlot& hint_slot() noexcept {
-    return hints_[mem::detail::thread_hint() % kHintSlots];
+    return hints_[port::thread_ordinal() % kHintSlots];
   }
 
   // unique_ptr per shard keeps the (atomics-laden, non-movable) inner

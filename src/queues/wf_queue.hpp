@@ -45,7 +45,7 @@
 //
 // Wait-freedom caveat (documented, by design): the announcement array has
 // kSlots entries claimed per-operation via a busy flag probed from
-// mem::detail::thread_hint().  With more than kSlots threads inside the
+// port::thread_ordinal().  With more than kSlots threads inside the
 // queue at once, slot acquisition itself can wait; size kSlots to the
 // thread count (default 64, matching ShardedQueue's hint table).
 #pragma once
@@ -56,7 +56,6 @@
 #include <optional>
 
 #include "mem/freelist.hpp"
-#include "mem/magazine.hpp"  // mem::detail::thread_hint
 #include "mem/node_pool.hpp"
 #include "mem/value_cell.hpp"
 #include "obs/probe.hpp"
@@ -303,7 +302,7 @@ class WfQueue {
   };
 
   std::uint32_t acquire_slot() noexcept {
-    const std::uint32_t start = mem::detail::thread_hint();
+    const std::uint32_t start = port::thread_ordinal();
     for (std::uint32_t i = 0;; ++i) {
       const std::uint32_t s = (start + i) % kSlots;
       std::uint32_t expected = 0;

@@ -23,6 +23,10 @@ namespace msq::sync {
 /// Doubles the window on every pause() up to `max_spins`; spins a uniformly
 /// random number of cpu_relax() iterations within the current window
 /// (randomisation desynchronises competitors, per Anderson [1]).
+///
+/// The default constructor draws its jitter from a per-thread stream (the
+/// thread's ordinal mixed into kSeed), so competing threads do not pause in
+/// lockstep; the explicit-seed constructor is deterministic.
 class Backoff {
  public:
   struct Params {
@@ -30,12 +34,16 @@ class Backoff {
     std::uint32_t max_spins = 1024;
   };
 
-  Backoff() noexcept : Backoff(Params{}) {}
-  explicit Backoff(Params p, std::uint64_t seed = 0xb0ff5eed) noexcept
+  static constexpr std::uint64_t kSeed = 0xb0ff5eed;
+
+  Backoff() noexcept
+      : params_(), window_(params_.min_spins), rng_(thread_stream()) {}
+  explicit Backoff(Params p, std::uint64_t seed = kSeed) noexcept
       : params_(p), window_(p.min_spins), rng_(seed) {}
 
-  /// Wait one backoff episode and widen the window.
-  void pause() noexcept {
+  /// Wait one backoff episode and widen the window.  Returns the number of
+  /// cpu_relax() spins waited (callers ignore it; tests read the jitter).
+  std::uint64_t pause() noexcept {
     const std::uint64_t spins = 1 + rng_.below(window_);
     for (std::uint64_t i = 0; i < spins; ++i) port::cpu_relax();
     // One bump per episode, after the wait: the probe never sits inside
@@ -43,6 +51,7 @@ class Backoff {
     // counts cpu_relax() spins spent backing off, across all callers).
     MSQ_COUNT_N(kBackoffWait, spins);
     if (window_ < params_.max_spins) window_ *= 2;
+    return spins;
   }
 
   /// Forget accumulated contention history (call after success).
@@ -55,6 +64,13 @@ class Backoff {
   [[nodiscard]] const Params& params() const noexcept { return params_; }
 
  private:
+  /// This thread's generator, seeded on the thread's first Backoff.  Each
+  /// Backoff copies it: 32 bytes, not a seed expansion per queue call.
+  static const port::Xoshiro256& thread_stream() noexcept {
+    thread_local const port::Xoshiro256 rng(kSeed ^ port::thread_ordinal());
+    return rng;
+  }
+
   Params params_;
   std::uint32_t window_;
   port::Xoshiro256 rng_;

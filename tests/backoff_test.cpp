@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
+#include <vector>
 
 #include "sim/queue_iface.hpp"
 #include "sync/backoff.hpp"
@@ -65,6 +67,40 @@ TEST(Backoff, ResetOnFreshBackoffIsANoOp) {
   sync::Backoff backoff;
   backoff.reset();
   EXPECT_EQ(backoff.window(), backoff.params().min_spins);
+}
+
+/// The spin counts of `n` consecutive pauses.
+std::vector<std::uint64_t> spin_sequence(sync::Backoff& backoff, int n) {
+  std::vector<std::uint64_t> spins;
+  for (int i = 0; i < n; ++i) spins.push_back(backoff.pause());
+  return spins;
+}
+
+TEST(Backoff, DefaultJitterDiffersAcrossThreads) {
+  // Competing threads must not draw the same pauses, or the jitter would
+  // fail to desynchronise them.  12 draws from windows 4..1024: two
+  // independent streams coincide with probability far below 2^-60.
+  std::vector<std::uint64_t> a, b;
+  std::thread([&] {
+    sync::Backoff backoff;
+    a = spin_sequence(backoff, 12);
+  }).join();
+  std::thread([&] {
+    sync::Backoff backoff;
+    b = spin_sequence(backoff, 12);
+  }).join();
+  EXPECT_NE(a, b);
+}
+
+TEST(Backoff, ExplicitSeedIsDeterministic) {
+  std::vector<std::uint64_t> a, b;
+  std::thread([&] {
+    sync::Backoff backoff(sync::Backoff::Params{}, 42);
+    a = spin_sequence(backoff, 12);
+  }).join();
+  sync::Backoff backoff(sync::Backoff::Params{}, 42);
+  b = spin_sequence(backoff, 12);
+  EXPECT_EQ(a, b);
 }
 
 TEST(NullBackoff, PauseAndResetAreCallableNoOps) {

@@ -499,11 +499,16 @@ TEST(RealThreadFaults, MsQueueDwSurvivorsCompleteWhileVictimHaltedAtE13) {
 // reset the link tag would rewrite exactly (null, c) and the victim's CAS
 // would link its node onto a free-list node -- a "successful" enqueue
 // whose item is gone.  The tag rule of mem::FreeList (one free list for
-// both link representations) makes the stale CAS fail and retry.
+// both link representations) makes the stale CAS fail and retry.  The
+// mem::FreeList spellings are the instances that push the freed dummy
+// through that rule; MsQueue's default magazine caches it with its link
+// untouched, and the link's tag must stay monotone through that path too.
 template <typename Q>
 class StaleLinkTest : public ::testing::Test {};
 using MsLinkRepresentations =
     ::testing::Types<queues::MsQueue<std::uint64_t>,
+                     queues::MsQueue<std::uint64_t, sync::Backoff,
+                                     mem::FreeList>,
                      queues::MsQueueDw<std::uint64_t>>;
 TYPED_TEST_SUITE(StaleLinkTest, MsLinkRepresentations);
 
@@ -799,13 +804,18 @@ TEST(RealThreadFaults, ShardedVictimHaltedMidStealSweepBlocksNobody) {
   // its sweep was about to steal remain available to everyone else.
   fault::Watchdog watchdog(60s, "sharded halted mid-steal sweep");
   queues::ShardedQueue<queues::MsQueue<std::uint64_t>, 2> queue(64);
-  for (std::uint64_t i = 0; i < 16; ++i) ASSERT_TRUE(queue.try_enqueue(i));
 
   fault::FaultPlan plan;
   plan.halt_at("shardq.steal");
   plan.arm();
 
   std::thread victim([&] {
+    // The 16 items go to the shard that is NOT the victim's home, so its
+    // dequeue finds home empty and must sweep.  (Prefilled through the
+    // front end, they would land on the enqueuer's home shard, and whether
+    // that matched the victim's would hang on the two threads' ordinals.)
+    auto& away = queue.unsafe_shard(1 - queue.unsafe_home_shard());
+    for (std::uint64_t i = 0; i < 16; ++i) ASSERT_TRUE(away.try_enqueue(i));
     std::uint64_t out = 0;
     queue.try_dequeue(out);  // parks inside the stealing sweep
   });

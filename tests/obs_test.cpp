@@ -15,10 +15,12 @@
 #include <gtest/gtest.h>
 
 #include "harness/driver.hpp"
+#include "mem/freelist.hpp"
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
 #include "obs/report.hpp"
 #include "queues/ms_queue.hpp"
+#include "sync/backoff.hpp"
 
 namespace msq::obs {
 namespace {
@@ -114,9 +116,10 @@ TEST(Counters, SpinTallyPublishesOnceOnCommit) {
   EXPECT_EQ(snapshot()[Counter::kLockSpin], 15u);
 }
 
+// The paper's layout: every node comes off the shared free list.
 TEST(Counters, InstrumentedQueueAttributesOperations) {
   ArmedScope scope;
-  queues::MsQueue<std::uint64_t> queue(8);
+  queues::MsQueue<std::uint64_t, sync::Backoff, mem::FreeList> queue(8);
   const Snapshot before = snapshot();
   ASSERT_TRUE(queue.try_enqueue(1));
   ASSERT_TRUE(queue.try_enqueue(2));
@@ -132,6 +135,33 @@ TEST(Counters, InstrumentedQueueAttributesOperations) {
   EXPECT_EQ(d[Counter::kCasAttempt], 4u);
   EXPECT_EQ(d[Counter::kCasFail], 0u);
   EXPECT_EQ(d[Counter::kPoolGet], 2u);
+}
+
+// MsQueue's default magazines: constructing the queue refilled this
+// thread's magazine with the whole 9-node pool (one batch of up to 16), so
+// both enqueues are magazine hits and the shared list is never touched;
+// the two freed dummies go back into the magazine, which has room.
+TEST(Counters, InstrumentedMagazineQueueAttributesOperations) {
+  ArmedScope scope;
+  queues::MsQueue<std::uint64_t> queue(8);
+  const Snapshot before = snapshot();
+  ASSERT_TRUE(queue.try_enqueue(1));
+  ASSERT_TRUE(queue.try_enqueue(2));
+  std::uint64_t out = 0;
+  ASSERT_TRUE(queue.try_dequeue(out));
+  ASSERT_TRUE(queue.try_dequeue(out));
+  ASSERT_FALSE(queue.try_dequeue(out));
+  const Snapshot d = snapshot() - before;
+  EXPECT_EQ(d[Counter::kEnqueue], 2u);
+  EXPECT_EQ(d[Counter::kDequeue], 2u);
+  EXPECT_EQ(d[Counter::kDequeueEmpty], 1u);
+  EXPECT_EQ(d[Counter::kCasAttempt], 4u);
+  EXPECT_EQ(d[Counter::kCasFail], 0u);
+  EXPECT_EQ(d[Counter::kMagHit], 2u);
+  EXPECT_EQ(d[Counter::kMagRefill], 0u);
+  EXPECT_EQ(d[Counter::kMagFlush], 0u);
+  EXPECT_EQ(d[Counter::kPoolGet], 0u);
+  EXPECT_EQ(d[Counter::kPoolCasRetry], 0u);
 }
 
 TEST(Histogram, ExactBucketsBelowSubCount) {

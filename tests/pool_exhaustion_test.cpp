@@ -35,7 +35,9 @@ class PoolExhaustionTest : public ::testing::Test {
 };
 
 using PoolBackedTypes =
-    ::testing::Types<MsQueue<std::uint64_t>, MsQueueDw<std::uint64_t>,
+    ::testing::Types<MsQueue<std::uint64_t>,
+                     MsQueue<std::uint64_t, sync::Backoff, mem::FreeList>,
+                     MsQueueDw<std::uint64_t>,
                      TwoLockQueue<std::uint64_t>, SingleLockQueue<std::uint64_t>,
                      MellorCrummeyQueue<std::uint64_t>, RingQueue<std::uint64_t>,
                      ScqQueue<std::uint64_t>,
@@ -222,6 +224,44 @@ TEST(TreiberExhaustion, TryPushRefusesCleanlyAndCyclesWithoutLeak) {
     EXPECT_EQ(fill_counts[cycle], fill_counts[0]);
   }
   EXPECT_GT(fill_counts[0], 0u);
+}
+
+// MsQueue's default allocator across threads: nodes a consumer frees land
+// in ITS magazine, not the shared list, so a producer on another thread
+// must still refill to the same count (the exhaustion sweep recovers
+// them), and with no call in progress unsafe_free_nodes() counts the
+// magazines too: exactly capacity - queued at every quiescent point.
+TEST(MsQueueMagazine, CrossThreadDrainRefillsToTheSameCount) {
+  MsQueue<std::uint64_t> queue(kCapacity);
+  EXPECT_EQ(queue.unsafe_free_nodes(), kCapacity);
+
+  // Thread A is this thread; thread B drains in two halves.
+  const auto fill = [&queue] {
+    std::uint64_t filled = 0;
+    while (queue.try_enqueue(filled)) ++filled;
+    return filled;
+  };
+  const auto drain = [&queue](std::uint64_t from, std::uint64_t n) {
+    std::thread([&queue, from, n] {
+      std::uint64_t out = 0;
+      for (std::uint64_t i = from; i < from + n; ++i) {
+        ASSERT_TRUE(queue.try_dequeue(out)) << "lost item " << i;
+        EXPECT_EQ(out, i);
+      }
+    }).join();
+  };
+
+  const std::uint64_t first = fill();
+  EXPECT_EQ(first, kCapacity);
+  EXPECT_EQ(queue.unsafe_free_nodes(), 0u);
+  drain(0, first / 2);
+  EXPECT_EQ(queue.unsafe_free_nodes(), first / 2);
+  drain(first / 2, first - first / 2);
+  EXPECT_EQ(queue.unsafe_free_nodes(), kCapacity);
+
+  EXPECT_EQ(fill(), first) << "nodes cached in the consumer's magazine "
+                              "were lost to the producer";
+  EXPECT_EQ(queue.unsafe_free_nodes(), 0u);
 }
 
 // ---- stranded-limbo exhaustion (segment queue) ------------------------

@@ -31,7 +31,9 @@ class QueueBasicTest : public ::testing::Test {
 };
 
 using QueueTypes =
-    ::testing::Types<MsQueue<std::uint64_t>, MsQueueDw<std::uint64_t>,
+    ::testing::Types<MsQueue<std::uint64_t>,
+                     MsQueue<std::uint64_t, sync::Backoff, mem::FreeList>,
+                     MsQueueDw<std::uint64_t>,
                      MsQueueHp<std::uint64_t>, TwoLockQueue<std::uint64_t>,
                      SingleLockQueue<std::uint64_t>,
                      MellorCrummeyQueue<std::uint64_t>, RingQueue<std::uint64_t>,

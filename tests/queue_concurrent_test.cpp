@@ -16,8 +16,10 @@
 
 #include "check/invariants.hpp"
 #include "fault/watchdog.hpp"
+#include "mem/freelist.hpp"
 #include "obs/counters.hpp"
 #include "queues/queues.hpp"
+#include "sync/backoff.hpp"
 
 namespace msq::queues {
 namespace {
@@ -44,7 +46,9 @@ class QueueConcurrentTest : public ::testing::Test {
 };
 
 using QueueTypes =
-    ::testing::Types<MsQueue<std::uint64_t>, MsQueueDw<std::uint64_t>,
+    ::testing::Types<MsQueue<std::uint64_t>,
+                     MsQueue<std::uint64_t, sync::Backoff, mem::FreeList>,
+                     MsQueueDw<std::uint64_t>,
                      MsQueueHp<std::uint64_t>, TwoLockQueue<std::uint64_t>,
                      SingleLockQueue<std::uint64_t>,
                      MellorCrummeyQueue<std::uint64_t>, RingQueue<std::uint64_t>,
@@ -247,6 +251,69 @@ TYPED_TEST(QueueConcurrentTest, ExhaustionUnderContentionRecoversCleanly) {
     ASSERT_TRUE(this->queue_.try_dequeue(out));
     EXPECT_EQ(out, 99u);
   }
+}
+
+// MsQueue's default allocator under maximal recycling pressure: a 4-item
+// queue shared by 4 threads running the paper's loop, so every node cycles
+// through the per-thread magazines, their batch flushes and the exhaustion
+// sweep hundreds of thousands of times.  An enqueue refused here is
+// transient (the free node sits in the magazine of a call in progress), so
+// producers retry.  A dequeue is never legitimately empty: the queue holds
+// one item per thread between its enqueue and its dequeue, the caller
+// included.
+TEST(MsQueueMagazine, TinyPoolRecycleStressConservesAndKeepsProducerFifo) {
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::uint64_t kPairs = 200'000;
+  fault::Watchdog watchdog(std::chrono::seconds(240),
+                           "tiny-pool magazine recycle stress");
+  MsQueue<std::uint64_t> queue(4);
+  // seen[p * kPairs + seq] counts deliveries of producer p's item seq:
+  // conservation is every count exactly 1.
+  std::vector<std::atomic<std::uint8_t>> seen(kThreads * kPairs);
+  std::atomic<std::uint64_t> fabricated{0}, out_of_order{0}, spurious_empty{0};
+  {
+    std::vector<std::jthread> threads;
+    for (std::uint32_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        std::vector<std::uint64_t> next_seq(kThreads, 0);  // per producer
+        for (std::uint64_t i = 0; i < kPairs; ++i) {
+          while (!queue.try_enqueue(check::encode_value(t, i))) {
+            std::this_thread::yield();
+          }
+          std::uint64_t out = 0;
+          while (!queue.try_dequeue(out)) {
+            spurious_empty.fetch_add(1, std::memory_order_relaxed);
+          }
+          const std::uint32_t p = check::value_producer(out);
+          const std::uint64_t seq = check::value_seq(out);
+          if (p >= kThreads || seq >= kPairs) {
+            fabricated.fetch_add(1, std::memory_order_relaxed);
+            continue;
+          }
+          if (seq < next_seq[p]) {
+            out_of_order.fetch_add(1, std::memory_order_relaxed);
+          }
+          next_seq[p] = seq + 1;
+          seen[p * kPairs + seq].fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+  }
+  EXPECT_EQ(fabricated.load(), 0u);
+  EXPECT_EQ(out_of_order.load(), 0u) << "a consumer saw a producer's items "
+                                        "out of FIFO order";
+  EXPECT_EQ(spurious_empty.load(), 0u);
+  std::uint64_t lost = 0, duplicated = 0;
+  for (const auto& count : seen) {
+    const std::uint8_t c = count.load(std::memory_order_relaxed);
+    lost += c == 0;
+    duplicated += c > 1;
+  }
+  EXPECT_EQ(lost, 0u);
+  EXPECT_EQ(duplicated, 0u);
+  std::uint64_t out = 0;
+  EXPECT_FALSE(queue.try_dequeue(out));
+  EXPECT_EQ(queue.unsafe_free_nodes(), 4u) << "a node leaked in recycling";
 }
 
 }  // namespace
