@@ -31,7 +31,7 @@ double pairs_per_second(Q& queue, std::uint32_t threads, std::uint64_t pairs) {
   config.total_pairs = pairs;
   config.other_work_iters = msq::harness::spin_iters_for_us(1.0);
   const auto result = msq::harness::run_workload(queue, config);
-  return static_cast<double>(pairs) / result.elapsed_seconds;
+  return static_cast<double>(result.dequeues) / result.elapsed_seconds;
 }
 
 }  // namespace

@@ -36,13 +36,16 @@ const Variant kRealVariants[] = {
     {"segq", &run_paired<queues::SegmentQueue<Item>>, {}},
 };
 
-/// Net time and throughput for `pairs` completed pairs in `net_seconds`;
-/// every point builder goes through this one scaling.
-SweepPoint timed_point(double net_seconds, std::uint64_t pairs) {
+/// Net and elapsed time per 10^6 pairs and throughput for `pairs` completed
+/// pairs; every point builder goes through this one scaling.
+SweepPoint timed_point(double net_seconds, double elapsed_seconds,
+                       std::uint64_t pairs) {
   SweepPoint point;
   if (pairs == 0) return point;
   point.net_seconds_per_million =
       net_seconds * 1e6 / static_cast<double>(pairs);
+  point.elapsed_seconds_per_million =
+      elapsed_seconds * 1e6 / static_cast<double>(pairs);
   point.throughput_pairs_per_sec =
       net_seconds > 0 ? static_cast<double>(pairs) / net_seconds : 0.0;
   return point;
@@ -65,7 +68,8 @@ std::vector<Variant> sim_variants() {
            run.seed = config.seed;
            run.backoff_max = config.backoff_max;
            const sim::SimRunResult result = sim::run_sim_workload(run);
-           SweepPoint point = timed_point(result.net * 1e-8, config.pairs);
+           SweepPoint point = timed_point(
+               result.net * 1e-8, result.elapsed * 1e-8, config.pairs);
            point.ops = 2 * config.pairs + result.empty_dequeues +
                        result.enqueue_failures;
            point.empty_dequeues = result.empty_dequeues;
@@ -143,40 +147,12 @@ harness::WorkloadConfig paired_config(std::uint32_t procs,
 }
 
 SweepPoint make_point(const harness::WorkloadResult& result) {
-  SweepPoint point = timed_point(result.net_seconds, result.enqueues);
+  SweepPoint point = timed_point(result.net_seconds, result.elapsed_seconds,
+                                 result.dequeues);
   point.ops = result.enqueues + result.dequeues + result.empty_dequeues +
               result.enqueue_failures;
   point.empty_dequeues = result.empty_dequeues;
   point.enqueue_failures = result.enqueue_failures;
-  return point;
-}
-
-scenario::StampedLoopConfig stamped_config(std::uint32_t procs,
-                                           const FigConfig& config) {
-  const harness::WorkloadConfig workload = paired_config(procs, config);
-  scenario::StampedLoopConfig loop;
-  loop.threads = workload.threads;
-  loop.pairs = workload.total_pairs;
-  loop.pin_threads = workload.pin_threads;
-  loop.think_iters = workload.other_work_iters;
-  return loop;
-}
-
-SweepPoint make_point(const scenario::StampedLoopResult& result,
-                      const scenario::StampedLoopConfig& loop) {
-  // The stamped loop spins think_iters twice per pair, matching the two
-  // spin iterations other_work_seconds measures.
-  const double net_seconds =
-      result.elapsed_seconds -
-      harness::other_work_seconds(loop.think_iters,
-                                  static_cast<double>(result.dequeues) /
-                                      static_cast<double>(loop.threads));
-  SweepPoint point = timed_point(net_seconds, result.dequeues);
-  point.ops = result.enqueues + result.dequeues + result.empty_dequeues +
-              result.enqueue_failures;
-  point.empty_dequeues = result.empty_dequeues;
-  point.enqueue_failures = result.enqueue_failures;
-  point.stamped = true;
   point.p99_ns = result.sojourn_ns.percentile(99.0);
   point.p999_ns = result.sojourn_ns.percentile(99.9);
   point.injected_stall_ns = result.injected_stall_ns;
@@ -277,6 +253,8 @@ bool write_json(const FigConfig& config,
       w.value(static_cast<std::uint64_t>(p.procs));
       w.key("net_seconds_per_million_pairs");
       w.value(p.net_seconds_per_million);
+      w.key("elapsed_seconds_per_million_pairs");
+      w.value(p.elapsed_seconds_per_million);
       w.key("throughput_pairs_per_sec");
       w.value(p.throughput_pairs_per_sec);
       w.key("ops");
@@ -285,7 +263,7 @@ bool write_json(const FigConfig& config,
       w.value(p.empty_dequeues);
       w.key("enqueue_failures");
       w.value(p.enqueue_failures);
-      if (p.stamped) {
+      if (s.source == Source::kReal) {
         w.key("p99_ns");
         w.value(p.p99_ns);
         w.key("p999_ns");
@@ -331,6 +309,15 @@ int run_figure(const FigConfig& config) {
                     (config.pin ? "; pinned" : "") +
                     "); net seconds per 10^6 pairs]",
                 real, net_time);
+    // Elapsed beside net: the gap between the two tables is the subtracted
+    // "other work", so a bad subtraction shows instead of hiding inside the
+    // net figure.
+    print_table(config,
+                config.title + "  [real threads; elapsed seconds per 10^6 "
+                               "pairs, other work included]",
+                real, [](const SweepPoint& p) {
+                  return p.elapsed_seconds_per_million;
+                });
     if (config.json) {
       print_per_op_tables(config, real, kContentionTables, "real");
     }

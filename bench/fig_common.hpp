@@ -6,6 +6,12 @@
 // printer and the msq-bench-v1 JSON writer live here once, and each bench
 // is a variant list plus whatever is truly its own.
 //
+// Every real-thread point is one run of harness::run_workload, the paper's
+// pair loop with enqueue-time stamps: it reports net time (elapsed minus
+// one processor's "other work"), elapsed time, and the item-sojourn tail
+// (p99/p99.9) plus injected stall time.  Simulated points report net and
+// elapsed time only.
+//
 // Command line (all optional):
 //   --pairs N      total enqueue/dequeue pairs per run   (default 100000;
 //                  the paper uses 10^6 -- pass --pairs 1000000 to match)
@@ -18,7 +24,8 @@
 //                  multiprogrammed runs, which rely on preemption
 //   --csv          emit CSV instead of the aligned table
 //   --seed S       simulator seed
-//   --json         ALSO write the sweep (throughput + per-op observability
+//   --json         ALSO write the sweep (net/elapsed time, throughput, the
+//                  real points' sojourn tail, and per-op observability
 //                  counters per algorithm and proc count) to the bench's
 //                  BENCH_*.json file, and print per-op counter companion
 //                  tables (schema: tools/check_bench_json.py)
@@ -33,7 +40,6 @@
 #include "harness/driver.hpp"
 #include "json_file.hpp"
 #include "obs/counters.hpp"
-#include "scenario/stamped_loop.hpp"
 
 namespace msq::bench {
 
@@ -61,17 +67,18 @@ bool parse_args(int argc, char** argv, FigConfig& config);
 /// value and reports its own error.
 const char* extract_flag(int& argc, char** argv, const char* flag);
 
-/// One point of a sweep: a run's net time, its operation accounting and
-/// its observability-counter delta.  The sojourn fields are filled only by
-/// stamped runs (`stamped`), and only those emit them to JSON.
+/// One point of a sweep: a run's net and elapsed time, its operation
+/// accounting and its observability-counter delta.  The sojourn and stall
+/// fields come from the real-thread loop (harness::run_workload); every
+/// Source::kReal point carries them and no simulated point does.
 struct SweepPoint {
   std::uint32_t procs = 0;
   double net_seconds_per_million = 0;
+  double elapsed_seconds_per_million = 0;  // before subtracting other work
   double throughput_pairs_per_sec = 0;  // completed pairs / net seconds
   std::uint64_t ops = 0;  // operations attempted (completed + refused/empty)
   std::uint64_t empty_dequeues = 0;
   std::uint64_t enqueue_failures = 0;
-  bool stamped = false;
   std::uint64_t p99_ns = 0;             // item sojourn (submit -> dequeue)
   std::uint64_t p999_ns = 0;            // ^
   std::uint64_t injected_stall_ns = 0;  // fault-layer sleep delivered
@@ -90,20 +97,10 @@ struct SweepSeries {
 /// threads with ~6us of "other work" between operations.
 harness::WorkloadConfig paired_config(std::uint32_t procs,
                                       const FigConfig& config);
-/// Net time as the harness computed it, scaled by the pairs the loop ran
-/// (each iteration's enqueue retries until it lands, so enqueues == pairs).
+/// The loop runs every thread until ALL reach quota, so it completes at
+/// least the requested pairs: times are scaled by the completed pairs
+/// (`result.dequeues`), not config.pairs.
 SweepPoint make_point(const harness::WorkloadResult& result);
-
-/// The stamped pair loop (scenario::run_stamped_pairs), same thread count
-/// and other work as paired_config.
-scenario::StampedLoopConfig stamped_config(std::uint32_t procs,
-                                           const FigConfig& config);
-/// The stamped loop runs every thread until ALL reach quota, so it
-/// completes more pairs than requested: net time subtracts one thread's
-/// other work for the pairs it actually ran, and the scale is the
-/// completed pairs (`result.dequeues`), not config.pairs.
-SweepPoint make_point(const scenario::StampedLoopResult& result,
-                      const scenario::StampedLoopConfig& loop);
 
 /// Queue capacity for a sweep run: a few items in flight per thread.
 constexpr std::uint32_t queue_capacity(std::uint32_t threads) {
@@ -115,13 +112,6 @@ SweepPoint run_paired(std::uint32_t procs, const FigConfig& config) {
   const harness::WorkloadConfig workload = paired_config(procs, config);
   Q queue(queue_capacity(workload.threads));
   return make_point(harness::run_workload(queue, workload));
-}
-
-template <typename Q>
-SweepPoint run_stamped(std::uint32_t procs, const FigConfig& config) {
-  const scenario::StampedLoopConfig loop = stamped_config(procs, config);
-  Q queue(queue_capacity(loop.threads));
-  return make_point(scenario::run_stamped_pairs(queue, loop), loop);
 }
 
 using RunFn = std::function<SweepPoint(std::uint32_t procs,

@@ -195,17 +195,6 @@ LoopStats run_traffic(Q& queue, std::uint64_t items,
   return stats;
 }
 
-/// The queues disagree on construction (MsQueueHp takes a HazardDomain,
-/// everyone else a capacity) and none of them move, so build in place.
-template <typename Q>
-std::unique_ptr<Q> make_queue(std::uint32_t capacity) {
-  if constexpr (std::is_constructible_v<Q, std::uint32_t>) {
-    return std::make_unique<Q>(capacity);
-  } else {
-    return std::make_unique<Q>();
-  }
-}
-
 /// The allocation ceiling the gauge's peak is compared against, in the
 /// gauge's own units (nodes for the node pools, segments for segq,
 /// slots for the fixed rings; 0 = plain heap, no ceiling).
@@ -220,7 +209,7 @@ std::uint64_t allocation_ceiling(Q& queue, std::uint32_t cap_request) {
     return queue.capacity();  // ring, scq: the fixed preallocation
   } else if constexpr (requires { queue.pool().capacity(); }) {
     return queue.pool().capacity();  // valois
-  } else if constexpr (std::is_constructible_v<Q, std::uint32_t>) {
+  } else if constexpr (Q::traits.pool_backed) {
     return cap_request + 1;  // msq, wfq: capacity items + the dummy
   } else {
     return 0;  // msq_hp: heap-allocated, no ceiling to run into
@@ -263,7 +252,7 @@ MemRun run_family(const std::string& algo, bool bounded, StallMode mode,
   if (stall && mode == StallMode::kHarnessSleep) sleep_every = kStallEvery;
 
   {
-    auto queue = make_queue<Q>(cap_request);
+    auto queue = std::make_unique<Q>(cap_request);
     r.capacity_nodes = allocation_ceiling(*queue, cap_request);
 
     // The delayed-reader scenario keeps the occupancy credit ON: the

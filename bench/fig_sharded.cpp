@@ -36,21 +36,20 @@ using Seg = queues::SegmentQueue<std::uint64_t>;
 using PointFn = SweepPoint (*)(std::uint32_t, const FigConfig&);
 
 /// Map a runtime shard count onto the compile-time instantiations.  Every
-/// run is the SHARED stamped pair loop (scenario/stamped_loop.hpp -- the
-/// same stamping and sojourn convention as fig_stall and the open-loop
-/// scenarios), so this sweep reports tail sojourn next to throughput.
+/// run is the shared pair loop (harness::run_workload), which stamps each
+/// item, so this sweep reports tail sojourn next to throughput.
 PointFn sharded_run_fn(std::uint32_t shards) {
   switch (shards) {
     case 1:
-      return &run_stamped<queues::ShardedQueue<Seg, 1>>;
+      return &run_paired<queues::ShardedQueue<Seg, 1>>;
     case 2:
-      return &run_stamped<queues::ShardedQueue<Seg, 2>>;
+      return &run_paired<queues::ShardedQueue<Seg, 2>>;
     case 4:
-      return &run_stamped<queues::ShardedQueue<Seg, 4>>;
+      return &run_paired<queues::ShardedQueue<Seg, 4>>;
     case 8:
-      return &run_stamped<queues::ShardedQueue<Seg, 8>>;
+      return &run_paired<queues::ShardedQueue<Seg, 8>>;
     case 16:
-      return &run_stamped<queues::ShardedQueue<Seg, 16>>;
+      return &run_paired<queues::ShardedQueue<Seg, 16>>;
     default:
       return nullptr;
   }
@@ -101,7 +100,7 @@ int run(const FigConfig& config, const std::vector<std::uint32_t>& shards) {
   obs::reset();
   obs::arm();
 
-  std::vector<Variant> variants = {{"segq", &run_stamped<Seg>, {}}};
+  std::vector<Variant> variants = {{"segq", &run_paired<Seg>, {}}};
   for (const std::uint32_t k : shards) {
     variants.push_back(
         {"shard" + std::to_string(k) + "-segq", sharded_run_fn(k), {}});
@@ -112,7 +111,7 @@ int run(const FigConfig& config, const std::vector<std::uint32_t>& shards) {
               config.title + "  [real threads; net seconds per 10^6 pairs]",
               series, net_time);
   print_per_op_tables(config, series, kTables, "real");
-  // Tail sojourn from the shared stamped loop: does spreading the
+  // Tail sojourn from the shared pair loop: does spreading the
   // contention across shards also flatten the item-latency tail?
   print_table(config, "p99.9 item sojourn, ns (submit -> dequeue)  [real]",
               series, [](const SweepPoint& p) {

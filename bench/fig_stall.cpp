@@ -74,17 +74,16 @@ namespace {
 
 constexpr std::uint64_t kMaxStallUs = 10'000;
 
-/// One stalled point: arm the fault plan around the SHARED stamped pair
-/// loop (scenario::run_stamped_pairs -- the run-until-all-quota shape,
-/// stamping convention, and sojourn recording live there, common to
-/// fig_stall, fig_sharded, and the open-loop driver's closed-loop
-/// companion).  This bench keeps only what is its own: the sticky-victim
-/// stall choreography and the generous watchdog budget it requires.
+/// One stalled point: arm the fault plan around the shared pair loop
+/// (harness::run_workload -- the run-until-all-quota shape, stamping
+/// convention, and sojourn recording live there, common to every real
+/// sweep).  This bench keeps only what is its own: the sticky-victim stall
+/// choreography and the generous watchdog budget it requires.
 template <typename Q>
 SweepPoint run_stall(const char* site, std::uint64_t stall_us,
                      std::uint32_t procs, const FigConfig& config) {
-  const scenario::StampedLoopConfig loop = stamped_config(procs, config);
-  Q queue(queue_capacity(loop.threads));
+  const harness::WorkloadConfig workload = paired_config(procs, config);
+  Q queue(queue_capacity(workload.threads));
 
   fault::FaultPlan plan;
   if (stall_us > 0) {
@@ -106,8 +105,7 @@ SweepPoint run_stall(const char* site, std::uint64_t stall_us,
       std::chrono::milliseconds(60'000 + config.pairs * stall_us / 250);
   fault::Watchdog watchdog(deadline, "fig_stall run");
 
-  const SweepPoint point =
-      make_point(scenario::run_stamped_pairs(queue, loop), loop);
+  const SweepPoint point = make_point(harness::run_workload(queue, workload));
   plan.disarm();
   return point;
 }

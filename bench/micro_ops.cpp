@@ -32,24 +32,11 @@ using msq::queues::TwoLockQueue;
 using msq::queues::ValoisQueue;
 using msq::queues::WfQueue;
 
-template <typename Q>
-struct Make {
-  static std::unique_ptr<Q> make(std::uint32_t capacity) {
-    return std::make_unique<Q>(capacity);
-  }
-};
-template <typename T, typename B>
-struct Make<MsQueueHp<T, B>> {
-  static std::unique_ptr<MsQueueHp<T, B>> make(std::uint32_t) {
-    return std::make_unique<MsQueueHp<T, B>>();
-  }
-};
-
 // --- uncontended pair latency -----------------------------------------------
 
 template <typename Q>
 void BM_UncontendedPair(benchmark::State& state) {
-  auto queue = Make<Q>::make(1024);
+  auto queue = std::make_unique<Q>(1024);
   std::uint64_t out = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(queue->try_enqueue(1));
@@ -83,7 +70,7 @@ BENCHMARK_TEMPLATE(BM_UncontendedPair, WfQueue<std::uint64_t>);
 template <typename Q>
 void BM_ContendedPairs(benchmark::State& state) {
   static std::unique_ptr<Q> queue;
-  if (state.thread_index() == 0) queue = Make<Q>::make(1024);
+  if (state.thread_index() == 0) queue = std::make_unique<Q>(1024);
   std::uint64_t out = 0;
   for (auto _ : state) {
     while (!queue->try_enqueue(1)) {
@@ -121,7 +108,7 @@ BENCHMARK_TEMPLATE(BM_ContendedPairs,
 
 template <typename Q>
 void BM_EmptyTransition(benchmark::State& state) {
-  auto queue = Make<Q>::make(8);
+  auto queue = std::make_unique<Q>(8);
   std::uint64_t out = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(queue->try_dequeue(out));  // observe empty

@@ -1,10 +1,10 @@
 // Tour of the observability subsystem (src/obs/): run the MS non-blocking
 // queue and the two-lock queue head to head under real contention, then let
-// the counters and latency histograms tell the paper's section-4 story in
-// numbers -- the MS queue pays for contention with failed CASes (cheap,
-// retried immediately), the two-lock queue pays with lock spinning (a whole
-// critical section of waiting), and both are tamed by bounded exponential
-// backoff.
+// the counters and the item-sojourn histogram tell the paper's section-4
+// story in numbers -- the MS queue pays for contention with failed CASes
+// (cheap, retried immediately), the two-lock queue pays with lock spinning
+// (a whole critical section of waiting), and both are tamed by bounded
+// exponential backoff.
 //
 // Build & run:  cmake --build build --target obs_tour && build/examples/obs_tour
 #include <cstdint>
@@ -26,7 +26,6 @@ void duel_round(const char* name, Q& queue) {
   msq::harness::WorkloadConfig config;
   config.threads = kThreads;
   config.total_pairs = kPairs;
-  config.record_latency = true;  // per-op ns histograms, merged per thread
 
   // Bracket the run with snapshots so only ITS events are attributed.
   const msq::obs::Snapshot before = msq::obs::snapshot();
@@ -36,13 +35,16 @@ void duel_round(const char* name, Q& queue) {
 
   const std::uint64_t ops = result.enqueues + result.dequeues +
                             result.empty_dequeues + result.enqueue_failures;
-  std::cout << "\n=== " << name << ": " << kPairs << " pairs on " << kThreads
-            << " threads, " << result.elapsed_seconds << " s ===\n";
+  // Every thread runs until all reach their share of kPairs, so a few more
+  // pairs than requested complete.
+  std::cout << "\n=== " << name << ": " << result.dequeues << " pairs on "
+            << kThreads << " threads, " << result.elapsed_seconds
+            << " s ===\n";
   msq::obs::print_counters(std::cout, delta, ops, name);
-  msq::obs::print_histogram(std::cout, result.enqueue_latency_ns,
-                            "enqueue latency", "ns");
-  msq::obs::print_histogram(std::cout, result.dequeue_latency_ns,
-                            "dequeue latency", "ns");
+  // Every item carries its enqueue stamp; sojourn is stamp -> dequeue,
+  // merged from per-thread histograms.
+  msq::obs::print_histogram(std::cout, result.sojourn_ns,
+                            "item sojourn (enqueue -> dequeue)", "ns");
 }
 
 }  // namespace
@@ -68,7 +70,7 @@ int main() {
       "\n(lost linearization races, each a cheap retry); lock_spin/op and"
       "\nlock_acquire/op are the two-lock queue's (waiting for the holder)."
       "\nbackoff_wait counts the spins both spend backing off.  On a"
-      "\nmultiprogrammed host the histograms' p99 shows the real difference:"
+      "\nmultiprogrammed host the sojourn p99 shows the real difference:"
       "\na preempted lock holder stretches the two-lock tail, while the"
       "\nnon-blocking queue keeps its tail flat.  See EXPERIMENTS.md,"
       "\n\"Interpreting the counters\".\n";

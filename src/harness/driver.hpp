@@ -8,26 +8,40 @@
 //  and dequeues. ... We subtracted the time required for one processor to
 //  complete the 'other work' from the total time."
 //
-// The driver reproduces that loop with std::jthread workers, optionally
-// recording an operation history for the linearizability checkers.  On this
-// host (a single hardware core) any p > 1 run is inherently multiprogrammed;
-// the simulator (src/sim) provides the dedicated-machine curves.
+// run_workload is the one closed-loop driver every real-thread sweep uses.
+// Each enqueued value is the submitting thread's port::now_ns() stamp, and
+// the dequeuing thread records (now - stamp): the item's sojourn in (and
+// around) the queue.
+//
+// Run shape: every thread keeps doing pairs until EVERY thread has reached
+// its paper quota (floor or ceil of total_pairs / threads).  A fixed
+// per-thread quota would let fast threads exit early and leave a stalled
+// thread (bench/fig_stall) running helper-less -- silently turning a
+// multi-thread point into the lone-thread case.  Threads past their quota
+// keep operating and their extra pairs are counted, so enqueues ==
+// dequeues >= total_pairs.
+//
+// A refused enqueue or an empty dequeue yields and retries, and each retry
+// is counted.  For a linearizable queue the dequeue never misses for good:
+// the dequeuing thread's own enqueue is still in flight, so an item is
+// always eventually available.
+//
+// This is a CLOSED loop -- each thread submits its next pair when the
+// previous one returns -- so sojourn here answers "how long do items wait
+// when the offered load tracks capacity"; src/scenario/driver.hpp answers
+// the open-loop question (docs/ALGORITHMS.md "Open-loop vs closed-loop").
 #pragma once
 
 #include <atomic>
 #include <barrier>
-#include <chrono>
 #include <cstdint>
-#include <memory>
 #include <thread>
 #include <vector>
 
-#include "check/history.hpp"
-#include "check/invariants.hpp"
-#include "fault/watchdog.hpp"
+#include "fault/fault_plan.hpp"
 #include "obs/histogram.hpp"
+#include "obs/probe.hpp"
 #include "port/clock.hpp"
-#include "port/cpu.hpp"
 #include "port/spin_work.hpp"
 #include "queues/queue_concept.hpp"
 
@@ -37,28 +51,23 @@ struct WorkloadConfig {
   std::uint32_t threads = 2;
   std::uint64_t total_pairs = 1'000'000;  // the paper's 10^6
   std::uint64_t other_work_iters = 0;     // spin between ops (see calibrate)
-  bool record_history = false;            // per-op timestamps + event logs
-  bool record_latency = false;            // per-op ns histograms (obs)
   /// Pin worker t to CPU (t mod hardware_concurrency).  Dedicated-mode
   /// benches stop migrating between cores mid-run; multiprogrammed runs
   /// (threads > cores) keep it off so the scheduler can do its job.
   bool pin_threads = false;
-  /// Deadline for the whole parallel phase; 0 = no watchdog.  A wedged run
-  /// (deadlock, livelock, a faulted thread that never comes back) aborts
-  /// loudly with the workload name instead of hanging the caller forever.
-  std::chrono::milliseconds watchdog_deadline{0};
 };
 
 struct WorkloadResult {
   double elapsed_seconds = 0;  // wall time of the parallel phase
-  double net_seconds = 0;      // elapsed minus one processor's "other work"
+  /// Elapsed minus one processor's "other work" for the pairs each thread
+  /// actually completed on average (dequeues / threads).
+  double net_seconds = 0;
   std::uint64_t enqueues = 0;
-  std::uint64_t dequeues = 0;        // successful
-  std::uint64_t empty_dequeues = 0;  // observed-empty results
-  std::uint64_t enqueue_failures = 0;  // pool exhausted (retried)
-  std::vector<check::ThreadLog> logs;  // filled iff record_history
-  obs::Histogram enqueue_latency_ns;   // filled iff record_latency
-  obs::Histogram dequeue_latency_ns;   // filled iff record_latency
+  std::uint64_t dequeues = 0;
+  std::uint64_t empty_dequeues = 0;     // dequeue retries on observed-empty
+  std::uint64_t enqueue_failures = 0;   // enqueue retries on refusal
+  std::uint64_t injected_stall_ns = 0;  // fault-layer sleep delivered
+  obs::Histogram sojourn_ns;  // enqueue stamp -> dequeue, merged shards
 };
 
 /// Time for one processor to execute `pairs` iterations of the loop's two
@@ -82,127 +91,105 @@ bool pin_current_thread(std::uint32_t cpu) noexcept;
 std::int64_t await_deadline_ns(std::int64_t deadline_ns) noexcept;
 
 /// Run the paper's loop against `queue`.  The queue must hold std::uint64_t
-/// values (the harness encodes producer/sequence in them).
+/// values (the driver enqueues timestamps).  The caller owns fault plans
+/// and watchdogs; injected stall time is read per thread through
+/// fault::injected_stall_ns() and summed.
 template <queues::ConcurrentQueue Q>
 WorkloadResult run_workload(Q& queue, const WorkloadConfig& config) {
-  const std::uint32_t p = config.threads;
-  WorkloadResult result;
-  result.logs.reserve(p);
-  for (std::uint32_t t = 0; t < p; ++t) result.logs.emplace_back(t);
+  const std::uint32_t threads = config.threads;
 
-  // share-ok: each worker touches these once at exit (locals carry the hot
-  // path), so false sharing costs nothing measurable here
-  std::atomic<std::uint64_t> enqueues{0};
-  std::atomic<std::uint64_t> dequeues{0};  // share-ok: see above
-  std::atomic<std::uint64_t> empty_dequeues{0};  // share-ok: see above
-  std::atomic<std::uint64_t> enqueue_failures{0};  // share-ok: see above
-  std::barrier start_barrier(static_cast<std::ptrdiff_t>(p) + 1);
-
-  // Per-thread shards, merged after the join: Histogram is deliberately
-  // non-atomic (see obs/histogram.hpp), so each worker records privately.
-  struct LatencyShard {
-    obs::Histogram enqueue_ns;
-    obs::Histogram dequeue_ns;
+  struct Shard {
+    obs::Histogram sojourn_ns;
+    std::uint64_t enq = 0, deq = 0, empty = 0, fail = 0, injected = 0;
   };
-  std::vector<LatencyShard> latency(config.record_latency ? p : 0);
+  std::vector<Shard> shards(threads);
+  std::barrier start_barrier(static_cast<std::ptrdiff_t>(threads) + 1);
+  // share-ok: run-termination handshake, touched once per pair
+  std::atomic<std::uint32_t> at_quota{0};
+  std::atomic<bool> stop{false};  // share-ok: ^
 
-  auto worker = [&](std::uint32_t thread_id) {
-    // floor or ceil of total/p so the totals add up exactly, as in the paper.
-    const std::uint64_t pairs =
-        config.total_pairs / p + (thread_id < config.total_pairs % p ? 1 : 0);
-    check::ThreadLog& log = result.logs[thread_id];
-    if (config.record_history) log.reserve(2 * pairs);
-    const bool timed = config.record_history || config.record_latency;
-
-    std::uint64_t local_enq = 0, local_deq = 0, local_empty = 0, local_fail = 0;
-    if (config.pin_threads) pin_current_thread(thread_id);
+  auto worker = [&](std::uint32_t t) {
+    Shard& shard = shards[t];
+    // floor or ceil of total/threads so the quotas add up, as in the paper.
+    const std::uint64_t quota =
+        config.total_pairs / threads +
+        (t < config.total_pairs % threads ? 1 : 0);
+    std::uint64_t done = 0;
+    bool counted = false;
+    const std::uint64_t injected_before = fault::injected_stall_ns();
+    if (config.pin_threads) pin_current_thread(t);
     start_barrier.arrive_and_wait();
-
-    for (std::uint64_t i = 0; i < pairs; ++i) {
+    // relaxed: the stop flag carries no data; pair results are merged
+    // only after the join
+    while (!stop.load(std::memory_order_relaxed)) {
       // enqueue an item ...
-      const std::uint64_t value = check::encode_value(thread_id, i);
-      const std::int64_t enq_inv = timed ? port::now_ns() : 0;
-      while (!queue.try_enqueue(value)) {
-        ++local_fail;  // pool exhausted: another thread must dequeue first
-        port::cpu_relax();
+      const std::uint64_t stamp = static_cast<std::uint64_t>(port::now_ns());
+      while (!queue.try_enqueue(stamp)) {
+        // fault-cover: benchmark-driver backpressure accounting, not an
+        // algorithm window; injecting here would measure the driver
+        MSQ_PROBE("bench.enq_retry");
+        ++shard.fail;
+        std::this_thread::yield();  // an oversubscribed host starves spins
       }
-      ++local_enq;
-      if (timed) {
-        const std::int64_t enq_done = port::now_ns();
-        if (config.record_history) {
-          log.record(check::OpKind::kEnqueue, value, enq_inv, enq_done);
-        }
-        if (config.record_latency) {
-          latency[thread_id].enqueue_ns.record(
-              static_cast<std::uint64_t>(enq_done - enq_inv));
-        }
-      }
+      ++shard.enq;
       // ... do "other work" ...
       port::spin_work(config.other_work_iters);
       // ... dequeue an item ...
       std::uint64_t out = 0;
-      const std::int64_t deq_inv = timed ? port::now_ns() : 0;
-      const bool got = queue.try_dequeue(out);
-      if (got) {
-        ++local_deq;
-      } else {
-        ++local_empty;
+      while (!queue.try_dequeue(out)) {
+        // fault-cover: same driver-loop exemption as bench.enq_retry
+        MSQ_PROBE("bench.deq_retry");
+        ++shard.empty;
+        std::this_thread::yield();
       }
-      if (timed) {
-        const std::int64_t deq_done = port::now_ns();
-        if (config.record_history) {
-          log.record(
-              got ? check::OpKind::kDequeue : check::OpKind::kDequeueEmpty,
-              out, deq_inv, deq_done);
-        }
-        if (config.record_latency) {
-          latency[thread_id].dequeue_ns.record(
-              static_cast<std::uint64_t>(deq_done - deq_inv));
-        }
-      }
+      ++shard.deq;
+      shard.sojourn_ns.record(static_cast<std::uint64_t>(port::now_ns()) -
+                              out);
       // ... do "other work", and repeat.
       port::spin_work(config.other_work_iters);
+      if (!counted && ++done >= quota) {
+        counted = true;
+        // acq_rel: the last thread to reach quota must observe every
+        // earlier arrival before declaring the run over
+        if (at_quota.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+            threads) {
+          // relaxed: see the load above
+          stop.store(true, std::memory_order_relaxed);
+        }
+      }
     }
-
-    // relaxed: totals are read only after the join below synchronizes
-    enqueues.fetch_add(local_enq, std::memory_order_relaxed);
-    dequeues.fetch_add(local_deq, std::memory_order_relaxed);  // relaxed: ^
-    empty_dequeues.fetch_add(local_empty, std::memory_order_relaxed);  // relaxed: ^
-    enqueue_failures.fetch_add(local_fail, std::memory_order_relaxed);  // relaxed: ^
+    shard.injected = fault::injected_stall_ns() - injected_before;
   };
 
+  WorkloadResult result;
   {
-    std::unique_ptr<fault::Watchdog> watchdog;
-    if (config.watchdog_deadline.count() > 0) {
-      watchdog = std::make_unique<fault::Watchdog>(config.watchdog_deadline,
-                                                   "harness workload");
+    std::vector<std::jthread> workers;
+    workers.reserve(threads);
+    for (std::uint32_t t = 0; t < threads; ++t) {
+      workers.emplace_back(worker, t);
     }
-    std::vector<std::jthread> threads;
-    threads.reserve(p);
-    for (std::uint32_t t = 0; t < p; ++t) threads.emplace_back(worker, t);
     start_barrier.arrive_and_wait();
     const std::int64_t t0 = port::now_ns();
-    threads.clear();  // join all
-    const std::int64_t t1 = port::now_ns();
-    result.elapsed_seconds = port::ns_to_seconds(t1 - t0);
+    workers.clear();  // join all
+    result.elapsed_seconds = port::ns_to_seconds(port::now_ns() - t0);
   }
 
-  // relaxed: workers are joined; the join is the synchronization
-  result.enqueues = enqueues.load(std::memory_order_relaxed);
-  result.dequeues = dequeues.load(std::memory_order_relaxed);  // relaxed: ^
-  result.empty_dequeues = empty_dequeues.load(std::memory_order_relaxed);  // relaxed: ^
-  result.enqueue_failures = enqueue_failures.load(std::memory_order_relaxed);  // relaxed: ^
-  for (const LatencyShard& shard : latency) {
-    result.enqueue_latency_ns.merge(shard.enqueue_ns);
-    result.dequeue_latency_ns.merge(shard.dequeue_ns);
+  for (const Shard& shard : shards) {
+    result.sojourn_ns.merge(shard.sojourn_ns);
+    result.enqueues += shard.enq;
+    result.dequeues += shard.deq;
+    result.empty_dequeues += shard.empty;
+    result.enqueue_failures += shard.fail;
+    result.injected_stall_ns += shard.injected;
   }
 
-  // Subtract one processor's worth of "other work" (paper section 4).
-  const double pairs_per_proc =
-      static_cast<double>(config.total_pairs) / static_cast<double>(p);
+  // Subtract one processor's worth of "other work" (paper section 4), for
+  // the pairs the threads actually ran.
   result.net_seconds =
       result.elapsed_seconds -
-      other_work_seconds(config.other_work_iters, pairs_per_proc);
+      other_work_seconds(config.other_work_iters,
+                         static_cast<double>(result.dequeues) /
+                             static_cast<double>(threads));
   return result;
 }
 

@@ -3,7 +3,7 @@
 // Two consumers with different needs share the same data:
 //  * people, reading a post-run report (obs_tour, the bench tables, the
 //    watchdog's wedge attribution) -- aligned text, per-op rates;
-//  * machines, consuming BENCH_*.json (the CI smoke-bench, external
+//  * machines, consuming BENCH_*.json (bench/json_smoke.py, external
 //    plotting) -- strict JSON via the small streaming JsonWriter below,
 //    which is also what bench/fig_common uses for its --json output.
 #pragma once

@@ -37,8 +37,10 @@ class MsQueueHp {
       .linearizable = true,
   };
 
-  explicit MsQueueHp(mem::HazardDomain& domain = mem::default_domain())
-      : domain_(domain) {
+  /// `capacity` is ignored -- the queue is unbounded -- and accepted only so
+  /// MsQueueHp is constructed like every other queue.
+  explicit MsQueueHp(std::uint32_t /*capacity*/ = 0)
+      : domain_(mem::default_domain()) {
     Node* dummy = new Node{};
     MSQ_POOL_GAUGE(1);
     // relaxed: construction is single-threaded; publication happens when (proof: test:tests/queue_basic_test.cpp)

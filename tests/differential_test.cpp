@@ -64,8 +64,7 @@ class AnyQueue {
         impl_ = make<MsQueueDw<std::uint64_t>>(capacity);
         break;
       case Kind::kMsHp:
-        impl_ = std::make_unique<Model<MsQueueHp<std::uint64_t>>>(
-            std::make_unique<MsQueueHp<std::uint64_t>>());
+        impl_ = make<MsQueueHp<std::uint64_t>>(capacity);
         break;
       case Kind::kTwoLock:
         impl_ = make<TwoLockQueue<std::uint64_t>>(capacity);

@@ -1,14 +1,15 @@
-// Tests for the workload harness (driver, calibration, stats, tables).
+// Tests for the workload harness (driver, calibration, tables).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 
+#include "fault/fault_plan.hpp"
+#include "fault/watchdog.hpp"
 #include "harness/calibrate.hpp"
 #include "harness/driver.hpp"
-#include "harness/stats.hpp"
 #include "harness/table.hpp"
 #include "queues/ms_queue.hpp"
-#include "queues/two_lock_queue.hpp"
 
 namespace msq::harness {
 namespace {
@@ -32,38 +33,116 @@ TEST(Calibrate, ItersScaleWithMicroseconds) {
 }
 
 TEST(Driver, RunsPaperLoopAndCountsEverything) {
-  queues::MsQueue<std::uint64_t> queue(64);
-  WorkloadConfig config;
-  config.threads = 3;
-  config.total_pairs = 9'001;  // deliberately not divisible by threads
-  config.other_work_iters = 0;
-  const WorkloadResult result = run_workload(queue, config);
-  EXPECT_EQ(result.enqueues, config.total_pairs);
-  EXPECT_EQ(result.dequeues + result.empty_dequeues, config.total_pairs);
-  EXPECT_GT(result.elapsed_seconds, 0.0);
-  // Whatever empty dequeues happened left items behind; drain matches.
-  std::uint64_t out = 0;
-  std::uint64_t left = 0;
-  while (queue.try_dequeue(out)) ++left;
-  EXPECT_EQ(left, result.empty_dequeues);
+  for (const bool pin : {false, true}) {
+    SCOPED_TRACE(pin ? "pinned" : "unpinned");
+    queues::MsQueue<std::uint64_t> queue(64);
+    WorkloadConfig config;
+    config.threads = 3;
+    config.total_pairs = 9'001;  // deliberately not divisible by threads
+    config.other_work_iters = 0;
+    config.pin_threads = pin;  // pinning may be refused; the loop is the same
+    const WorkloadResult result = run_workload(queue, config);
+    // Every thread runs until all reach their quota, so at least the
+    // requested pairs complete; each pair's dequeue retries until it lands.
+    EXPECT_EQ(result.enqueues, result.dequeues);
+    EXPECT_GE(result.dequeues, config.total_pairs);
+    EXPECT_GT(result.elapsed_seconds, 0.0);
+    // No other work to subtract.
+    EXPECT_DOUBLE_EQ(result.net_seconds, result.elapsed_seconds);
+    EXPECT_EQ(result.sojourn_ns.count(), result.dequeues);  // one per item
+    // Every dequeued item left the queue: nothing is stranded afterwards.
+    std::uint64_t out = 0;
+    std::uint64_t left = 0;
+    while (queue.try_dequeue(out)) ++left;
+    EXPECT_EQ(left, 0u);
+  }
 }
 
-TEST(Driver, HistoryRecordingProducesConsistentLogs) {
-  queues::TwoLockQueue<std::uint64_t> queue(64);
+TEST(Driver, SingleThreadStopsAtItsQuotaWithoutRetries) {
+  // One thread always finds its own item, and nobody else keeps it
+  // running past its quota.
+  queues::MsQueue<std::uint64_t> queue(64);
+  WorkloadConfig config;
+  config.threads = 1;
+  config.total_pairs = 1'000;
+  const WorkloadResult result = run_workload(queue, config);
+  EXPECT_EQ(result.enqueues, config.total_pairs);
+  EXPECT_EQ(result.dequeues, config.total_pairs);
+  EXPECT_EQ(result.empty_dequeues, 0u);
+  EXPECT_EQ(result.enqueue_failures, 0u);
+  EXPECT_EQ(result.sojourn_ns.count(), config.total_pairs);
+}
+
+// Refuses the first try of every enqueue and every dequeue, then forwards
+// the retry to a real queue: each pair costs exactly one retry of each
+// kind.  Single-threaded use only.
+class RefusesFirstTry {
+ public:
+  using value_type = std::uint64_t;
+  bool try_enqueue(value_type value) {
+    refuse_enqueue_ = !refuse_enqueue_;
+    return !refuse_enqueue_ && inner_.try_enqueue(value);
+  }
+  bool try_dequeue(value_type& out) {
+    refuse_dequeue_ = !refuse_dequeue_;
+    return !refuse_dequeue_ && inner_.try_dequeue(out);
+  }
+
+ private:
+  queues::MsQueue<std::uint64_t> inner_{64};
+  bool refuse_enqueue_ = false;
+  bool refuse_dequeue_ = false;
+};
+
+TEST(Driver, RefusedEnqueuesAndEmptyDequeuesAreRetriedAndCounted) {
+  RefusesFirstTry queue;
+  WorkloadConfig config;
+  config.threads = 1;
+  config.total_pairs = 100;
+  const WorkloadResult result = run_workload(queue, config);
+  EXPECT_EQ(result.enqueues, config.total_pairs);
+  EXPECT_EQ(result.dequeues, config.total_pairs);
+  EXPECT_EQ(result.enqueue_failures, config.total_pairs);
+  EXPECT_EQ(result.empty_dequeues, config.total_pairs);
+}
+
+TEST(Driver, FewerPairsThanThreadsStillTerminatesAndDrains) {
+  // Quotas of 1,1,1,0: a thread with nothing to do must not hold up the
+  // run, and the others must not strand an item.
+  queues::MsQueue<std::uint64_t> queue(64);
+  WorkloadConfig config;
+  config.threads = 4;
+  config.total_pairs = 3;
+  const WorkloadResult result = run_workload(queue, config);
+  EXPECT_EQ(result.enqueues, result.dequeues);
+  EXPECT_GE(result.dequeues, config.total_pairs);
+  std::uint64_t out = 0;
+  EXPECT_FALSE(queue.try_dequeue(out));
+}
+
+TEST(Driver, InjectedStallIsAccountedOnlyWithAPlanArmed) {
+  if (!MSQ_PROBES) GTEST_SKIP() << "fault sites compiled out";
+  fault::Watchdog watchdog(std::chrono::seconds(60), "harness stall run");
   WorkloadConfig config;
   config.threads = 2;
-  config.total_pairs = 2'000;
-  config.record_history = true;
-  const WorkloadResult result = run_workload(queue, config);
-  ASSERT_EQ(result.logs.size(), 2u);
-  std::uint64_t events = 0;
-  for (const auto& log : result.logs) events += log.events().size();
-  EXPECT_EQ(events, 2 * config.total_pairs);  // one enq + one deq per pair
-  for (const auto& log : result.logs) {
-    for (const auto& e : log.events()) {
-      EXPECT_LE(e.invoke_ns, e.response_ns);
-    }
+  config.total_pairs = 400;
+
+  {
+    queues::MsQueue<std::uint64_t> queue(64);
+    EXPECT_EQ(run_workload(queue, config).injected_stall_ns, 0u);
   }
+
+  // Alternate hits, as bench/fig_stall does: a victim that sleeps on every
+  // ms.E9 hit loses every link CAS to its running peer and never finishes.
+  queues::MsQueue<std::uint64_t> queue(64);
+  fault::FaultPlan plan;
+  plan.stall_at("ms.E9", std::chrono::microseconds(50), /*skip=*/0,
+                /*every=*/2);
+  plan.arm();
+  const WorkloadResult stalled = run_workload(queue, config);
+  plan.disarm();
+  EXPECT_GT(stalled.injected_stall_ns, 0u);
+  EXPECT_EQ(stalled.enqueues, stalled.dequeues);
 }
 
 TEST(Driver, NetSubtractsOtherWork) {
@@ -77,48 +156,6 @@ TEST(Driver, NetSubtractsOtherWork) {
   // For one thread nearly all time IS other work; net must be a small
   // fraction of elapsed.
   EXPECT_LT(result.net_seconds, result.elapsed_seconds * 0.6);
-}
-
-TEST(Stats, SummarizesKnownSamples) {
-  const Summary s = summarize({1.0, 2.0, 3.0, 4.0, 5.0});
-  EXPECT_DOUBLE_EQ(s.mean, 3.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 5.0);
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
-  EXPECT_NEAR(s.stddev, 1.5811, 1e-3);
-  EXPECT_EQ(s.n, 5u);
-}
-
-TEST(Stats, HandlesDegenerateInputs) {
-  const Summary empty = summarize({});
-  EXPECT_EQ(empty.n, 0u);
-  EXPECT_DOUBLE_EQ(empty.mean, 0.0);
-  EXPECT_DOUBLE_EQ(empty.median, 0.0);
-  EXPECT_DOUBLE_EQ(empty.min, 0.0);
-  EXPECT_DOUBLE_EQ(empty.max, 0.0);
-  EXPECT_DOUBLE_EQ(empty.stddev, 0.0);
-
-  const Summary one = summarize({7.0});
-  EXPECT_EQ(one.n, 1u);
-  EXPECT_DOUBLE_EQ(one.mean, 7.0);
-  EXPECT_DOUBLE_EQ(one.median, 7.0);
-  EXPECT_DOUBLE_EQ(one.min, 7.0);
-  EXPECT_DOUBLE_EQ(one.max, 7.0);
-  EXPECT_DOUBLE_EQ(one.stddev, 0.0);
-}
-
-TEST(Stats, EvenSampleCountMedianAveragesTheMiddlePair) {
-  // With an even n, taking either middle sample alone would bias the
-  // median; the interpolated value is the standard definition.
-  const Summary four = summarize({1.0, 2.0, 10.0, 100.0});
-  EXPECT_DOUBLE_EQ(four.median, 6.0);
-
-  const Summary two = summarize({3.0, 5.0});
-  EXPECT_DOUBLE_EQ(two.median, 4.0);
-
-  // Order of the input must not matter.
-  const Summary shuffled = summarize({100.0, 1.0, 10.0, 2.0});
-  EXPECT_DOUBLE_EQ(shuffled.median, 6.0);
 }
 
 TEST(SeriesTable, RendersAlignedTableAndCsv) {

@@ -332,19 +332,18 @@ TEST(Report, HistogramTextAndJson) {
   EXPECT_NE(json.str().find("\"max\":64"), std::string::npos) << json.str();
 }
 
-TEST(Harness, RecordLatencyFillsMergedHistograms) {
+TEST(Harness, SojournHistogramMergesEveryThreadsShard) {
   queues::MsQueue<std::uint64_t> queue(64);
   harness::WorkloadConfig config;
   config.threads = 4;
   config.total_pairs = 2'000;
-  config.record_latency = true;
   const harness::WorkloadResult result = harness::run_workload(queue, config);
-  EXPECT_EQ(result.enqueue_latency_ns.count(), config.total_pairs);
-  // Every loop iteration records exactly one dequeue sample (hit or empty).
-  EXPECT_EQ(result.dequeue_latency_ns.count(), config.total_pairs);
-  EXPECT_GT(result.enqueue_latency_ns.max(), 0u);
-  EXPECT_GE(result.enqueue_latency_ns.percentile(99),
-            result.enqueue_latency_ns.percentile(50));
+  // One sojourn sample per dequeued item, from all four threads' shards.
+  EXPECT_EQ(result.sojourn_ns.count(), result.dequeues);
+  EXPECT_GE(result.dequeues, config.total_pairs);
+  EXPECT_GT(result.sojourn_ns.max(), 0u);
+  EXPECT_GE(result.sojourn_ns.percentile(99),
+            result.sojourn_ns.percentile(50));
 }
 
 }  // namespace

@@ -14,20 +14,10 @@ namespace {
 
 constexpr std::uint32_t kCapacity = 64;
 
-// Uniform construction across pool-backed and unbounded queues.
-template <typename Q>
-struct Factory {
-  static Q make() { return Q(kCapacity); }
-};
-template <typename T, typename B>
-struct Factory<MsQueueHp<T, B>> {
-  static MsQueueHp<T, B> make() { return MsQueueHp<T, B>(); }
-};
-
 template <typename Q>
 class QueueBasicTest : public ::testing::Test {
  protected:
-  decltype(Factory<Q>::make()) queue_ = Factory<Q>::make();
+  Q queue_{kCapacity};
 };
 
 using QueueTypes =

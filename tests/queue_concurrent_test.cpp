@@ -27,22 +27,13 @@ namespace {
 constexpr std::uint32_t kCapacity = 256;
 
 template <typename Q>
-struct Factory {
-  static Q make() { return Q(kCapacity); }
-};
-template <typename T, typename B>
-struct Factory<MsQueueHp<T, B>> {
-  static MsQueueHp<T, B> make() { return MsQueueHp<T, B>(); }
-};
-
-template <typename Q>
 class QueueConcurrentTest : public ::testing::Test {
  protected:
   // A wedged run (e.g. a blocking queue whose lock holder was preempted
   // forever) aborts with an attributed message instead of hanging ctest.
   fault::Watchdog watchdog_{std::chrono::seconds(240),
                             "queue_concurrent stress"};
-  decltype(Factory<Q>::make()) queue_ = Factory<Q>::make();
+  Q queue_{kCapacity};
 };
 
 using QueueTypes =

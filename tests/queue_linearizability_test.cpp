@@ -22,15 +22,6 @@ namespace msq::queues {
 namespace {
 
 template <typename Q>
-struct Factory {
-  static Q make(std::uint32_t capacity) { return Q(capacity); }
-};
-template <typename T, typename B>
-struct Factory<MsQueueHp<T, B>> {
-  static MsQueueHp<T, B> make(std::uint32_t) { return MsQueueHp<T, B>(); }
-};
-
-template <typename Q>
 class QueueLinearizabilityTest : public ::testing::Test {};
 
 using QueueTypes =
@@ -54,7 +45,7 @@ TYPED_TEST(QueueLinearizabilityTest, SmallHistoriesAreExactlyLinearizable) {
   constexpr int kRounds = 50;
   constexpr std::uint32_t kThreads = 3;
   for (int round = 0; round < kRounds; ++round) {
-    auto queue = Factory<TypeParam>::make(64);
+    TypeParam queue(64);
     std::vector<check::ThreadLog> logs;
     for (std::uint32_t t = 0; t < kThreads; ++t) logs.emplace_back(t);
     {
@@ -86,7 +77,7 @@ TYPED_TEST(QueueLinearizabilityTest, SmallHistoriesAreExactlyLinearizable) {
 }
 
 TYPED_TEST(QueueLinearizabilityTest, LargeHistorySatisfiesRealTimeFifoOrder) {
-  auto queue = Factory<TypeParam>::make(512);
+  TypeParam queue(512);
   constexpr std::uint32_t kThreads = 4;
   constexpr std::uint64_t kPairs = 15'000;
   std::vector<check::ThreadLog> logs;

@@ -16,12 +16,18 @@ ablate_magazine, fig_sharded and fig_stall):
         {"algo": str, "source": "sim"|"real",
          "points": [
            {"procs": int, "net_seconds_per_million_pairs": num,
+            "elapsed_seconds_per_million_pairs": num,
             "throughput_pairs_per_sec": num, "ops": int,
             "empty_dequeues": int, "enqueue_failures": int,
-            # stamped-loop series (fig_stall, fig_sharded) also emit, per
-            # point: "p99_ns": int, "p999_ns": int, "injected_stall_ns": int
+            # "real" series (harness::run_workload) also emit, per point,
+            # and "sim" series never do:
+            # "p99_ns": int, "p999_ns": int, "injected_stall_ns": int
             "counters": {<name>: {"total": int, "per_op": num}, ...}}]}]
     }
+
+Sweep cross-checks beyond shape: elapsed >= net per point (net subtracts
+one processor's "other work" from elapsed); the latency keys are
+non-negative and present on exactly the "real" series' points.
 
 Schema "msq-scenarios-v1" (bench/scenarios.cpp:write_json) -- the open-loop
 scenario extension: one object per (preset, queue family) run, carrying the
@@ -71,8 +77,8 @@ Memory cross-checks beyond shape: peak_bytes == peak_nodes * node_bytes;
 memory_bounded runs must honour their ceiling (peak_nodes <=
 capacity_nodes) -- the SCQ's headline claim, machine-checked.
 
-Checks exit non-zero with a per-file error listing on any violation (CI
-smoke-bench).  `--self-test` validates embedded good fixtures of BOTH
+Checks exit non-zero with a per-file error listing on any violation
+(bench/json_smoke.py, the bench_json_smoke ctest).  `--self-test` validates embedded good fixtures of BOTH
 schemas and asserts that representative mutations are caught.
 
 Usage: tools/check_bench_json.py [--self-test] [BENCH_fig3.json ...]
@@ -101,6 +107,7 @@ TOP_KEYS = {
 POINT_KEYS = {
     "procs": int,
     "net_seconds_per_million_pairs": (int, float),
+    "elapsed_seconds_per_million_pairs": (int, float),
     "throughput_pairs_per_sec": (int, float),
     "ops": int,
     "empty_dequeues": int,
@@ -108,9 +115,9 @@ POINT_KEYS = {
     "counters": dict,
 }
 
-# Emitted only by stamped-loop series (fig_stall, fig_sharded); when present
-# they must be well-formed non-negative integers (nanoseconds).
-OPTIONAL_POINT_KEYS = {
+# Emitted on every point of a "real" series and on no "sim" point; they must
+# be well-formed non-negative integers (nanoseconds).
+LATENCY_POINT_KEYS = {
     "p99_ns": int,
     "p999_ns": int,
     "injected_stall_ns": int,
@@ -223,7 +230,12 @@ def check_bench_doc(doc, err):
                 err(f"{pwhere} is not an object")
                 continue
             check_keys(point, POINT_KEYS, pwhere, err)
-            for key, type_ in OPTIONAL_POINT_KEYS.items():
+            real = series.get("source") == "real"
+            for key, type_ in LATENCY_POINT_KEYS.items():
+                if (key in point) != real:
+                    err(f"{pwhere} {key!r} must be "
+                        f"{'present' if real else 'absent'} on a "
+                        f"{series.get('source')} series")
                 if key not in point:
                     continue
                 value = point[key]
@@ -231,6 +243,11 @@ def check_bench_doc(doc, err):
                     err(f"{pwhere} {key!r} has type {type(value).__name__}")
                 elif value < 0:
                     err(f"{pwhere} {key!r} is negative")
+            net = point.get("net_seconds_per_million_pairs")
+            elapsed = point.get("elapsed_seconds_per_million_pairs")
+            if all(typed(v, (int, float)) and finite(v)
+                   for v in (net, elapsed)) and elapsed < net:
+                err(f"{pwhere} elapsed {elapsed} < net {net}")
             procs = point.get("procs")
             if isinstance(procs, int):
                 if procs <= prev_procs:
@@ -391,6 +408,7 @@ def _bench_fixture():
     def point(procs):
         return {
             "procs": procs, "net_seconds_per_million_pairs": 1.5,
+            "elapsed_seconds_per_million_pairs": 13.5,
             "throughput_pairs_per_sec": 2e5, "ops": 4000,
             "empty_dequeues": 3, "enqueue_failures": 0,
             "p99_ns": 1200, "p999_ns": 52000, "injected_stall_ns": 0,
@@ -486,6 +504,22 @@ def self_test():
     doc = _bench_fixture()
     doc["series"][0]["points"][0]["p999_ns"] = -1
     expect_errors("bench/negative-p999", doc, "negative")
+
+    doc = _bench_fixture()
+    del doc["series"][0]["points"][0]["elapsed_seconds_per_million_pairs"]
+    expect_errors("bench/missing-elapsed", doc, "elapsed_seconds_per_million")
+
+    doc = _bench_fixture()
+    doc["series"][0]["points"][1]["elapsed_seconds_per_million_pairs"] = 1.0
+    expect_errors("bench/elapsed-below-net", doc, "< net")
+
+    doc = _bench_fixture()
+    del doc["series"][0]["points"][1]["injected_stall_ns"]
+    expect_errors("bench/real-without-latency", doc, "must be present")
+
+    doc = _bench_fixture()
+    doc["series"][0]["source"] = "sim"
+    expect_errors("bench/sim-with-latency", doc, "must be absent")
 
     doc = _scenarios_fixture()
     del doc["scenarios"][0]["arrival_rate"]
