@@ -1,9 +1,10 @@
 #include "fig_common.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <string_view>
 #include <thread>
 
 #include "harness/calibrate.hpp"
@@ -103,21 +104,59 @@ const char* extract_flag(int& argc, char** argv, const char* flag) {
   return nullptr;
 }
 
+bool parse_u64(const char* text, std::uint64_t& out) {
+  const char* end = text + std::strlen(text);
+  const auto [stop, error] = std::from_chars(text, end, out);
+  return text != end && error == std::errc() && stop == end;
+}
+
+std::vector<std::string> parse_names(const char* flag, const char* list,
+                                     const std::vector<std::string>& known) {
+  std::vector<std::string> chosen;
+  std::string_view rest = list;
+  while (!rest.empty()) {
+    const std::size_t comma = rest.find(',');
+    const std::string name(rest.substr(0, comma));
+    rest = comma == std::string_view::npos ? "" : rest.substr(comma + 1);
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::cerr << flag << ": unknown name '" << name << "'\n";
+      chosen.clear();
+      break;
+    }
+    chosen.push_back(name);
+  }
+  if (chosen.empty()) {
+    std::cerr << flag << " takes a comma-separated list of:";
+    for (const std::string& name : known) std::cerr << ' ' << name;
+    std::cerr << '\n';
+  }
+  return chosen;
+}
+
 bool parse_args(int argc, char** argv, FigConfig& config) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    auto next_u64 = [&](std::uint64_t& out) {
-      if (i + 1 >= argc) return false;
-      out = std::strtoull(argv[++i], nullptr, 10);
+    // The flag's value as a whole number in [min, max].
+    auto number = [&](std::uint64_t& out, std::uint64_t min,
+                      std::uint64_t max) {
+      const char* value = i + 1 < argc ? argv[++i] : "";
+      std::uint64_t v = 0;
+      if (!parse_u64(value, v) || v < min || v > max) {
+        std::cerr << arg << ": '" << value << "' is not an integer in ["
+                  << min << ", " << max << "]\n";
+        return false;
+      }
+      out = v;
       return true;
     };
     std::uint64_t v = 0;
-    if (std::strcmp(arg, "--pairs") == 0 && next_u64(v)) {
-      config.pairs = v;
-    } else if (std::strcmp(arg, "--max-procs") == 0 && next_u64(v)) {
+    if (std::strcmp(arg, "--pairs") == 0) {
+      if (!number(config.pairs, 1, UINT64_MAX)) return false;
+    } else if (std::strcmp(arg, "--max-procs") == 0) {
+      if (!number(v, 1, UINT32_MAX)) return false;
       config.max_procs = static_cast<std::uint32_t>(v);
-    } else if (std::strcmp(arg, "--seed") == 0 && next_u64(v)) {
-      config.seed = v;
+    } else if (std::strcmp(arg, "--seed") == 0) {
+      if (!number(config.seed, 0, UINT64_MAX)) return false;
     } else if (std::strcmp(arg, "--real") == 0) {
       config.also_real = true;
     } else if (std::strcmp(arg, "--pin") == 0) {

@@ -13,9 +13,9 @@
 // elapsed time only.
 //
 // Command line (all optional):
-//   --pairs N      total enqueue/dequeue pairs per run   (default 100000;
-//                  the paper uses 10^6 -- pass --pairs 1000000 to match)
-//   --max-procs P  sweep 1..P processors                 (default 12)
+//   --pairs N      total enqueue/dequeue pairs per run, N >= 1 (default
+//                  100000; the paper uses 10^6 -- pass --pairs 1000000)
+//   --max-procs P  sweep 1..P processors, P >= 1          (default 12)
 //   --real         ALSO run the real-thread harness (multiprogrammed on
 //                  this host; reported separately).  The real sweep adds a
 //                  "segq" series (FAA-segment queue; no simulator model)
@@ -31,6 +31,7 @@
 //                  tables (schema: tools/check_bench_json.py)
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -66,6 +67,36 @@ bool parse_args(int argc, char** argv, FigConfig& config);
 /// absent and "" when FLAG is the last argument; the caller checks the
 /// value and reports its own error.
 const char* extract_flag(int& argc, char** argv, const char* flag);
+
+/// Parse `text` as a whole unsigned decimal number: no sign, no trailing
+/// characters, no overflow.
+bool parse_u64(const char* text, std::uint64_t& out);
+
+/// The names in the comma-separated `list` given for `flag`, each checked
+/// against `known`.  Empty (after printing the known names) when `list` is
+/// empty or names something not in `known`.
+std::vector<std::string> parse_names(const char* flag, const char* list,
+                                     const std::vector<std::string>& known);
+
+/// The benches' family selector (`--families a,b`; scenarios also uses it
+/// for `--presets`): keep the entries of `table` (each has a `.name`) that
+/// `list` names, in table order.  `list` is `flag`'s value as extract_flag
+/// returned it; null (flag absent) keeps every entry.  Returns false, after
+/// listing the table's names, when `list` is empty or names an entry that
+/// `table` lacks.
+template <typename Entry>
+bool select_by_name(const char* flag, const char* list,
+                    std::vector<Entry>& table) {
+  if (list == nullptr) return true;
+  std::vector<std::string> known;
+  for (const Entry& entry : table) known.emplace_back(entry.name);
+  const std::vector<std::string> chosen = parse_names(flag, list, known);
+  std::erase_if(table, [&](const Entry& entry) {
+    return std::find(chosen.begin(), chosen.end(), entry.name) ==
+           chosen.end();
+  });
+  return !chosen.empty();
+}
 
 /// One point of a sweep: a run's net and elapsed time, its operation
 /// accounting and its observability-counter delta.  The sojourn and stall

@@ -61,12 +61,11 @@
 //                   the paper's free-list size)
 //   --stall-us D    consumer stall per sticky hit, microseconds
 //                   (default 2000; one hit in 128 stalls)
-//   --only NAME     run one family (msq/msq_hp/segq/ring/scq/valois/wfq);
-//                   --only valois is the paper's A4 exhaustion run
+//   --families a,b  run only the named families; --families valois is the
+//                   paper's A4 exhaustion run
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -336,20 +335,6 @@ std::vector<Family> make_families() {
   };
 }
 
-/// Parse "--only NAME" out of argv before the common parser runs; empty =
-/// all families.
-bool extract_only(int& argc, char** argv, std::string& out) {
-  const char* value = extract_flag(argc, argv, "--only");
-  if (value == nullptr) return true;
-  if (*value == '\0') {
-    std::cerr << "--only needs a family name "
-                 "(msq/msq_hp/segq/ring/scq/valois/wfq)\n";
-    return false;
-  }
-  out = value;
-  return true;
-}
-
 /// Parse "--<flag> N" out of argv; leaves `out` alone when the flag is
 /// absent.
 bool extract_u64(int& argc, char** argv, const char* flag,
@@ -360,9 +345,7 @@ bool extract_u64(int& argc, char** argv, const char* flag,
     std::cerr << flag << " needs a number\n";
     return false;
   }
-  char* end = nullptr;
-  out = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
+  if (!parse_u64(value, out)) {
     std::cerr << flag << ": bad number '" << value << "'\n";
     return false;
   }
@@ -460,7 +443,8 @@ bool write_json(const FigConfig& config, const MemCfg& mc,
   return finish_json_file(out, config.json_path);
 }
 
-int run(const FigConfig& config, const MemCfg& mc, const std::string& only) {
+int run(const FigConfig& config, const MemCfg& mc,
+        const std::vector<Family>& families) {
   obs::reset();
   obs::arm();
 #if !MSQ_PROBES
@@ -468,16 +452,6 @@ int run(const FigConfig& config, const MemCfg& mc, const std::string& only) {
                "fault sites are compiled out; peaks for the pool-backed "
                "queues degenerate to 0\n";
 #endif
-
-  std::vector<Family> families = make_families();
-  if (!only.empty()) {
-    std::erase_if(families,
-                  [&](const Family& f) { return f.name != only; });
-    if (families.empty()) {
-      std::cerr << "--only: unknown family '" << only << "'\n";
-      return 1;
-    }
-  }
 
   std::vector<MemRun> runs;
   runs.reserve(families.size() * 2);
@@ -498,11 +472,15 @@ int run(const FigConfig& config, const MemCfg& mc, const std::string& only) {
 }  // namespace msq::bench
 
 int main(int argc, char** argv) {
-  std::string only;
+  std::vector<msq::bench::Family> families = msq::bench::make_families();
   std::uint64_t occupancy = 12;    // the paper's experiment
   std::uint64_t capacity = 64'000;  // the paper's free-list size
   std::uint64_t stall_us = 2'000;
-  if (!msq::bench::extract_only(argc, argv, only)) return 1;
+  if (!msq::bench::select_by_name(
+          "--families",
+          msq::bench::extract_flag(argc, argv, "--families"), families)) {
+    return 1;
+  }
   if (!msq::bench::extract_u64(argc, argv, "--occupancy", occupancy))
     return 1;
   if (!msq::bench::extract_u64(argc, argv, "--capacity", capacity)) return 1;
@@ -521,5 +499,5 @@ int main(int argc, char** argv) {
   mc.occupancy = static_cast<std::uint32_t>(occupancy);
   mc.capacity = static_cast<std::uint32_t>(capacity);
   mc.stall_us = stall_us;
-  return msq::bench::run(config, mc, only);
+  return msq::bench::run(config, mc, families);
 }

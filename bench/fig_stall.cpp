@@ -54,8 +54,8 @@
 // --json) plus
 //   --stalls D1,D2,...   stall durations in MICROSECONDS (default
 //                        0,1000; 0 = unstalled baseline; up to 10000)
-//   --only NAME          run a single variant (msq/segq/shard4/wfq);
-//                        bisection and CI smoke runs
+//   --families a,b,...   run only the named variants; bisection and smoke
+//                        runs
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -119,7 +119,7 @@ struct StallCase {
   StallFn run;
 };
 
-constexpr StallCase kCases[] = {
+const std::vector<StallCase> kCases = {
     {"msq", "ms.E9", &run_stall<queues::MsQueue<std::uint64_t>>},
     // segq.fill would livelock under a sticky stall (see header); the
     // pre-reservation window measures the same item-invisibility effect.
@@ -128,19 +128,6 @@ constexpr StallCase kCases[] = {
      &run_stall<queues::ShardedQueue<queues::MsQueue<std::uint64_t>, 4>>},
     {"wfq", "wfq.link", &run_stall<queues::WfQueue<std::uint64_t>>},
 };
-
-/// Parse "--only NAME" out of argv before the common parser runs; empty =
-/// all variants.
-bool extract_only(int& argc, char** argv, std::string& out) {
-  const char* value = extract_flag(argc, argv, "--only");
-  if (value == nullptr) return true;
-  if (*value == '\0') {
-    std::cerr << "--only needs a variant name (msq/segq/shard4/wfq)\n";
-    return false;
-  }
-  out = value;
-  return true;
-}
 
 /// Parse "--stalls 0,1000" out of argv before the common parser runs;
 /// durations are microseconds.
@@ -180,7 +167,7 @@ constexpr struct {
 };
 
 int run(const FigConfig& config, const std::vector<std::uint64_t>& stalls,
-        const std::string& only) {
+        const std::vector<StallCase>& cases) {
   obs::reset();
   obs::arm();
 #if !MSQ_PROBES
@@ -189,8 +176,7 @@ int run(const FigConfig& config, const std::vector<std::uint64_t>& stalls,
 #endif
 
   std::vector<Variant> variants;
-  for (const StallCase& c : kCases) {
-    if (!only.empty() && only != c.name) continue;
+  for (const StallCase& c : cases) {
     for (const std::uint64_t us : stalls) {
       const std::string name =
           std::string(c.name) + "+stall" + std::to_string(us) + "us";
@@ -209,11 +195,6 @@ int run(const FigConfig& config, const std::vector<std::uint64_t>& stalls,
            }});
     }
   }
-  if (variants.empty()) {
-    std::cerr << "--only: unknown variant '" << only << "'\n";
-    return 1;
-  }
-
   const std::vector<SweepSeries> series =
       sweep(config, variants, Source::kReal);
   for (const auto& spec : kTables) {
@@ -230,12 +211,16 @@ int run(const FigConfig& config, const std::vector<std::uint64_t>& stalls,
 
 int main(int argc, char** argv) {
   std::vector<std::uint64_t> stalls;
-  std::string only;
-  if (!msq::bench::extract_only(argc, argv, only)) return 1;
+  std::vector<msq::bench::StallCase> cases = msq::bench::kCases;
+  if (!msq::bench::select_by_name(
+          "--families",
+          msq::bench::extract_flag(argc, argv, "--families"), cases)) {
+    return 1;
+  }
   if (!msq::bench::extract_stalls(argc, argv, stalls)) return 1;
   msq::bench::FigConfig config;
   config.title = "item sojourn tail latency vs injected stalls";
   config.json_path = "BENCH_stall.json";
   if (!msq::bench::parse_args(argc, argv, config)) return 1;
-  return msq::bench::run(config, stalls, only);
+  return msq::bench::run(config, stalls, cases);
 }

@@ -11,8 +11,8 @@ Runs:
   * fig_memory, scaled down: under the injected slow consumer the scq's
     peak stays within its fixed capacity while the pool-backed MS queue
     strands more nodes than the scq will ever hold, and msq_hp (plain
-    heap) reports no allocation ceiling; plus `--only valois`, which must
-    still select a single family and exit 0.
+    heap) reports no allocation ceiling; plus `--families valois`, which
+    must still select a single family and exit 0.
 
 The magazine ablation is also checked for what it compares: its `msq`
 baseline must be the paper's shared free list, so at every procs value
@@ -20,12 +20,14 @@ baseline must be the paper's shared free list, so at every procs value
 (pool_get).  A baseline that silently picked up MsQueue's default
 magazines would fail here.
 
-A bench whose JSON file cannot be written must exit non-zero.
+A bench whose JSON file cannot be written must exit non-zero, and so must
+one given a malformed or zero count (`--pairs abc`, `--max-procs 0`) or an
+unknown `--families` name (fig_stall, fig_memory, scenarios).
 
-The open-loop scenario suite is not run here: its wfq runs hit the
-WfQueue double-dequeue (ROADMAP item 6) in about one run in twenty on a
-4-vCPU host, which would make this test flaky.  CI's Release leg runs it
-once, as the smoke-bench job did.
+Apart from that argument check, the open-loop scenario suite is not run
+here: its wfq runs hit the WfQueue double-dequeue (ROADMAP item 1) in
+about one run in twenty on a 4-vCPU host, which would make this test
+flaky.  CI's Release leg runs it once, as the smoke-bench job did.
 
 Registered with ctest as bench_json_smoke (bench/CMakeLists.txt).
 
@@ -105,8 +107,19 @@ RUNS = [
     ("fig_memory", ["--pairs", "4000", "--capacity", "2000",
                     "--stall-us", "500", "--json"],
      "BENCH_memory.json", memory_bound),
-    ("fig_memory", ["--only", "valois", "--pairs", "2000", "--capacity",
-                    "500"], None, None),
+    ("fig_memory", ["--families", "valois", "--pairs", "2000",
+                    "--capacity", "500"], None, None),
+]
+
+# Bad arguments, each of which must exit non-zero before running anything.
+# A malformed --pairs once ran 0 pairs and wrote an all-zero file that the
+# schema checker accepted.
+REJECTED = [
+    ("fig3_dedicated", ["--pairs", "abc", "--json"]),
+    ("fig3_dedicated", ["--max-procs", "0", "--json"]),
+    ("fig_stall", ["--families", "msq,nosuch"]),
+    ("fig_memory", ["--families", "msq,nosuch"]),
+    ("scenarios", ["--families", "msq,nosuch"]),
 ]
 
 
@@ -144,6 +157,15 @@ def main(argv):
             failures += tripped
             continue
         print(f"ok: {bench} -> {name}")
+
+    rejected = scratch / "rejected"
+    rejected.mkdir()
+    for bench, args in REJECTED:
+        status, output = run([str(bin_dir / bench), *args], rejected)
+        if status == 0:
+            failures.append(f"{bench} {' '.join(args)} exited 0:\n{output}")
+        else:
+            print(f"ok: {bench} {' '.join(args)} exits {status}")
 
     # A directory where the JSON file should go: the write must fail loudly.
     blocked = scratch / "blocked"

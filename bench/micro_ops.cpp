@@ -1,36 +1,32 @@
 // A1/A5: per-operation microbenchmarks (google-benchmark).
 //
-// Measures, for every queue in the library:
+// Measures, for every globally-FIFO queue family (queues::FifoFamilies)
+// plus two four-shard front ends:
 //   * uncontended enqueue/dequeue pair latency (the "one processor" end of
 //     Figure 3, where the paper notes the single lock is slightly fastest);
-//   * multi-threaded pair throughput (contended; on this one-core host this
-//     is the preempted/multiprogrammed regime);
+//   * 4-thread pair throughput (contended; where the host has fewer than 4
+//     cores this is also the preempted/multiprogrammed regime);
 //   * the empty<->nonempty transition (A5): the special case earlier
 //     algorithms got wrong, exercised a pair at a time on an empty queue.
+// Rows are named BM_<bench>/<family>, so `--benchmark_filter='/msq(/|$)'`
+// selects one family's three rows.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "queues/queues.hpp"
 
 namespace {
 
-using msq::queues::FunctionShippingQueue;
-using msq::queues::MellorCrummeyQueue;
+using msq::queues::Family;
+using msq::queues::FifoFamilies;
 using msq::queues::MsQueue;
-using msq::queues::MsQueueDw;
-using msq::queues::MsQueueHp;
-using msq::queues::PljQueue;
-using msq::queues::RingQueue;
 using msq::queues::SegmentQueue;
 using msq::queues::ShardedQueue;
-using msq::queues::SingleLockQueue;
 using msq::queues::SpscRing;
 using msq::queues::TreiberStack;
-using msq::queues::TwoLockQueue;
-using msq::queues::ValoisQueue;
-using msq::queues::WfQueue;
 
 // --- uncontended pair latency -----------------------------------------------
 
@@ -44,31 +40,16 @@ void BM_UncontendedPair(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_UncontendedPair, MsQueue<std::uint64_t>);
-BENCHMARK_TEMPLATE(BM_UncontendedPair, MsQueueDw<std::uint64_t>);
-BENCHMARK_TEMPLATE(BM_UncontendedPair, MsQueueHp<std::uint64_t>);
-BENCHMARK_TEMPLATE(BM_UncontendedPair, TwoLockQueue<std::uint64_t>);
-BENCHMARK_TEMPLATE(BM_UncontendedPair, SingleLockQueue<std::uint64_t>);
-BENCHMARK_TEMPLATE(BM_UncontendedPair, MellorCrummeyQueue<std::uint64_t>);
-BENCHMARK_TEMPLATE(BM_UncontendedPair, RingQueue<std::uint64_t>);
-BENCHMARK_TEMPLATE(BM_UncontendedPair, PljQueue<std::uint64_t>);
-BENCHMARK_TEMPLATE(BM_UncontendedPair, ValoisQueue<std::uint64_t>);
-BENCHMARK_TEMPLATE(BM_UncontendedPair, SegmentQueue<std::uint64_t>);
-BENCHMARK_TEMPLATE(BM_UncontendedPair, FunctionShippingQueue<std::uint64_t>);
-// Sharded front end: the single-thread numbers price the ticket overhead
-// (one extra fetch_add per enqueue over the inner queue alone).
-BENCHMARK_TEMPLATE(BM_UncontendedPair,
-                   ShardedQueue<MsQueue<std::uint64_t>, 4>);
-BENCHMARK_TEMPLATE(BM_UncontendedPair,
-                   ShardedQueue<SegmentQueue<std::uint64_t>, 4>);
-// Wait-free helping wrapper: the single-thread number prices the
-// announcement (16-byte CAS + slot sweep) against the bare MS queue.
-BENCHMARK_TEMPLATE(BM_UncontendedPair, WfQueue<std::uint64_t>);
 
 // --- contended pair throughput ----------------------------------------------
 
 template <typename Q>
 void BM_ContendedPairs(benchmark::State& state) {
+  // The loop's start and end are barriers across the threads, so thread 0
+  // builds the shared queue before anyone uses it and destroys it after
+  // everyone is done.  Destroying it here, not at exit, matters: static
+  // destructors run after the thread-local state that MsQueueHp's
+  // destructor still scans.
   static std::unique_ptr<Q> queue;
   if (state.thread_index() == 0) queue = std::make_unique<Q>(1024);
   std::uint64_t out = 0;
@@ -78,31 +59,8 @@ void BM_ContendedPairs(benchmark::State& state) {
     benchmark::DoNotOptimize(queue->try_dequeue(out));
   }
   state.SetItemsProcessed(state.iterations());
-  if (state.thread_index() == 0) {
-    // Leave teardown to the next setup / process exit.
-  }
+  if (state.thread_index() == 0) queue.reset();
 }
-BENCHMARK_TEMPLATE(BM_ContendedPairs, MsQueue<std::uint64_t>)->Threads(4)->UseRealTime();
-BENCHMARK_TEMPLATE(BM_ContendedPairs, MsQueueDw<std::uint64_t>)->Threads(4)->UseRealTime();
-BENCHMARK_TEMPLATE(BM_ContendedPairs, MsQueueHp<std::uint64_t>)->Threads(4)->UseRealTime();
-BENCHMARK_TEMPLATE(BM_ContendedPairs, TwoLockQueue<std::uint64_t>)->Threads(4)->UseRealTime();
-BENCHMARK_TEMPLATE(BM_ContendedPairs, SingleLockQueue<std::uint64_t>)->Threads(4)->UseRealTime();
-BENCHMARK_TEMPLATE(BM_ContendedPairs, MellorCrummeyQueue<std::uint64_t>)->Threads(4)->UseRealTime();
-BENCHMARK_TEMPLATE(BM_ContendedPairs, RingQueue<std::uint64_t>)->Threads(4)->UseRealTime();
-BENCHMARK_TEMPLATE(BM_ContendedPairs, PljQueue<std::uint64_t>)->Threads(4)->UseRealTime();
-BENCHMARK_TEMPLATE(BM_ContendedPairs, ValoisQueue<std::uint64_t>)->Threads(4)->UseRealTime();
-BENCHMARK_TEMPLATE(BM_ContendedPairs, SegmentQueue<std::uint64_t>)->Threads(4)->UseRealTime();
-BENCHMARK_TEMPLATE(BM_ContendedPairs, FunctionShippingQueue<std::uint64_t>)->Threads(4)->UseRealTime();
-// Sharding pays off exactly here: 4 threads spread over 4 shards touch
-// almost-disjoint cache lines (ISSUE 6 acceptance comparison vs bare segq).
-BENCHMARK_TEMPLATE(BM_ContendedPairs,
-                   ShardedQueue<MsQueue<std::uint64_t>, 4>)->Threads(4)->UseRealTime();
-BENCHMARK_TEMPLATE(BM_ContendedPairs,
-                   ShardedQueue<SegmentQueue<std::uint64_t>, 4>)->Threads(4)->UseRealTime();
-// Contended helping: threads complete each other's announced operations,
-// so throughput prices the helping sweeps fig_stall buys latency with.
-BENCHMARK_TEMPLATE(BM_ContendedPairs,
-                   WfQueue<std::uint64_t>)->Threads(4)->UseRealTime();
 
 // --- A5: empty<->nonempty transition ----------------------------------------
 
@@ -116,22 +74,6 @@ void BM_EmptyTransition(benchmark::State& state) {
     benchmark::DoNotOptimize(queue->try_dequeue(out));  // 1 -> empty
   }
 }
-BENCHMARK_TEMPLATE(BM_EmptyTransition, MsQueue<std::uint64_t>);
-BENCHMARK_TEMPLATE(BM_EmptyTransition, TwoLockQueue<std::uint64_t>);
-BENCHMARK_TEMPLATE(BM_EmptyTransition, SingleLockQueue<std::uint64_t>);
-BENCHMARK_TEMPLATE(BM_EmptyTransition, MellorCrummeyQueue<std::uint64_t>);
-BENCHMARK_TEMPLATE(BM_EmptyTransition, RingQueue<std::uint64_t>);
-BENCHMARK_TEMPLATE(BM_EmptyTransition, PljQueue<std::uint64_t>);
-BENCHMARK_TEMPLATE(BM_EmptyTransition, ValoisQueue<std::uint64_t>);
-BENCHMARK_TEMPLATE(BM_EmptyTransition, SegmentQueue<std::uint64_t>);
-// The sharded empty path is the expensive one (full sweep + ticket double
-// collect per empty verdict): keep it visible next to the single queues.
-BENCHMARK_TEMPLATE(BM_EmptyTransition, ShardedQueue<MsQueue<std::uint64_t>, 4>);
-BENCHMARK_TEMPLATE(BM_EmptyTransition,
-                   ShardedQueue<SegmentQueue<std::uint64_t>, 4>);
-// The wf empty verdict is a full announce + help sweep ending in a
-// phase-guarded kEmpty CAS -- the priciest empty path in the library.
-BENCHMARK_TEMPLATE(BM_EmptyTransition, WfQueue<std::uint64_t>);
 
 // --- related structures -------------------------------------------------------
 
@@ -143,7 +85,6 @@ void BM_SpscRingPair(benchmark::State& state) {
     benchmark::DoNotOptimize(ring.try_dequeue(out));
   }
 }
-BENCHMARK(BM_SpscRingPair);
 
 void BM_TreiberStackPair(benchmark::State& state) {
   TreiberStack<std::uint64_t> stack(1024);
@@ -153,8 +94,51 @@ void BM_TreiberStackPair(benchmark::State& state) {
     benchmark::DoNotOptimize(stack.try_pop(out));
   }
 }
-BENCHMARK(BM_TreiberStackPair);
+
+// --- registration -------------------------------------------------------------
+
+// Every FIFO family, plus the sharded front end at four shards: its
+// single-thread rows price the ticket (one extra fetch_add per enqueue over
+// the inner queue), its contended rows show 4 threads on 4 shards touching
+// almost-disjoint lines, and its empty row prices the full sweep and ticket
+// double collect behind each empty verdict.
+using MicroFamilies = FifoFamilies::plus<
+    Family<"shard4_msq", ShardedQueue<MsQueue<std::uint64_t>, 4>>,
+    Family<"shard4_segq", ShardedQueue<SegmentQueue<std::uint64_t>, 4>>>;
+
+/// "BM_<bench>/<family>": a filter such as '/msq(/|$)' picks one family.
+template <typename F>
+std::string row_name(const char* bench) {
+  return std::string(bench) + "/" + std::string(F::name);
+}
+
+void register_benchmarks() {
+  // One pass per benchmark, so each table groups every family together.
+  MicroFamilies::for_each([]<typename F>() {
+    benchmark::RegisterBenchmark(row_name<F>("BM_UncontendedPair").c_str(),
+                                 &BM_UncontendedPair<typename F::type>);
+  });
+  MicroFamilies::for_each([]<typename F>() {
+    benchmark::RegisterBenchmark(row_name<F>("BM_ContendedPairs").c_str(),
+                                 &BM_ContendedPairs<typename F::type>)
+        ->Threads(4)
+        ->UseRealTime();
+  });
+  MicroFamilies::for_each([]<typename F>() {
+    benchmark::RegisterBenchmark(row_name<F>("BM_EmptyTransition").c_str(),
+                                 &BM_EmptyTransition<typename F::type>);
+  });
+  benchmark::RegisterBenchmark("BM_SpscRingPair", &BM_SpscRingPair);
+  benchmark::RegisterBenchmark("BM_TreiberStackPair", &BM_TreiberStackPair);
+}
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  register_benchmarks();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

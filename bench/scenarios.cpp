@@ -23,7 +23,6 @@
 //   --seed S           arrival-schedule seed             (default 1)
 //   --pin              pin producer/consumer threads round-robin
 //   --json             write BENCH_scenarios.json
-#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "fig_common.hpp"
 #include "harness/calibrate.hpp"
 #include "json_file.hpp"
 #include "obs/counters.hpp"
@@ -49,8 +49,6 @@ namespace {
 struct Config {
   std::uint64_t ops = 20'000;
   double rate_scale = 1.0;
-  std::vector<std::string> presets;   // empty = all
-  std::vector<std::string> families;  // empty = all
   std::uint64_t seed = 1;
   bool pin = false;
   bool json = false;
@@ -107,26 +105,9 @@ std::vector<Family> make_families() {
   };
 }
 
-bool wanted(const std::vector<std::string>& filter, const std::string& name) {
-  return filter.empty() ||
-         std::find(filter.begin(), filter.end(), name) != filter.end();
-}
-
-bool parse_list(const char* arg, std::vector<std::string>& out) {
-  std::string token;
-  for (const char* p = arg;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (!token.empty()) out.push_back(token);
-      token.clear();
-      if (*p == '\0') break;
-    } else {
-      token.push_back(*p);
-    }
-  }
-  return !out.empty();
-}
-
-bool parse_args(int argc, char** argv, Config& config) {
+/// Every flag but --presets and --families, which main takes out of argv
+/// first and applies to the preset and family tables.
+bool parse_flags(int argc, char** argv, Config& config) {
   for (int i = 1; i < argc; ++i) {
     const auto need_value = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -138,9 +119,8 @@ bool parse_args(int argc, char** argv, Config& config) {
     if (std::strcmp(argv[i], "--ops") == 0) {
       const char* v = need_value("--ops");
       if (v == nullptr) return false;
-      config.ops = std::strtoull(v, nullptr, 10);
-      if (config.ops == 0) {
-        std::cerr << "--ops must be positive\n";
+      if (!parse_u64(v, config.ops) || config.ops == 0) {
+        std::cerr << "--ops must be a positive integer\n";
         return false;
       }
     } else if (std::strcmp(argv[i], "--rate-scale") == 0) {
@@ -151,16 +131,13 @@ bool parse_args(int argc, char** argv, Config& config) {
         std::cerr << "--rate-scale must be positive\n";
         return false;
       }
-    } else if (std::strcmp(argv[i], "--presets") == 0) {
-      const char* v = need_value("--presets");
-      if (v == nullptr || !parse_list(v, config.presets)) return false;
-    } else if (std::strcmp(argv[i], "--families") == 0) {
-      const char* v = need_value("--families");
-      if (v == nullptr || !parse_list(v, config.families)) return false;
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       const char* v = need_value("--seed");
       if (v == nullptr) return false;
-      config.seed = std::strtoull(v, nullptr, 10);
+      if (!parse_u64(v, config.seed)) {
+        std::cerr << "--seed must be an integer\n";
+        return false;
+      }
     } else if (std::strcmp(argv[i], "--pin") == 0) {
       config.pin = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {
@@ -288,7 +265,9 @@ bool write_json(const Config& config,
   return finish_json_file(out, config.json_path);
 }
 
-int run(const Config& config) {
+int run(const Config& config,
+        const std::vector<scenario::ScenarioPreset>& presets,
+        const std::vector<Family>& families) {
   obs::reset();
   obs::arm();
 #if !MSQ_PROBES
@@ -297,17 +276,11 @@ int run(const Config& config) {
                "from the driver and remain exact)\n";
 #endif
 
-  const std::vector<scenario::ScenarioPreset> presets =
-      scenario::builtin_presets(config.ops, config.rate_scale);
-  const std::vector<Family> families = make_families();
-
   std::vector<ScenarioOutcome> outcomes;
   for (const scenario::ScenarioPreset& preset : presets) {
-    if (!wanted(config.presets, preset.name)) continue;
     const scenario::ArrivalSchedule schedule =
         scenario::generate_arrivals(preset.arrival, config.seed);
     for (const Family& family : families) {
-      if (!wanted(config.families, family.name)) continue;
       std::cerr << "[scenarios] " << preset.name << " x " << family.name
                 << " (offered " << schedule.ops << " ops @ "
                 << schedule.offered_rate_hz << " Hz)\n";
@@ -327,11 +300,6 @@ int run(const Config& config) {
       outcomes.push_back(std::move(o));
     }
   }
-  if (outcomes.empty()) {
-    std::cerr << "no (preset, family) pairs selected -- check --presets/"
-                 "--families spelling\n";
-    return 1;
-  }
   print_table(outcomes);
   return config.json && !write_json(config, outcomes) ? 1 : 0;
 }
@@ -340,7 +308,18 @@ int run(const Config& config) {
 }  // namespace msq::bench
 
 int main(int argc, char** argv) {
+  using msq::bench::extract_flag;
+  using msq::bench::select_by_name;
+  const char* preset_list = extract_flag(argc, argv, "--presets");
+  const char* family_list = extract_flag(argc, argv, "--families");
   msq::bench::Config config;
-  if (!msq::bench::parse_args(argc, argv, config)) return 1;
-  return msq::bench::run(config);
+  if (!msq::bench::parse_flags(argc, argv, config)) return 1;
+  std::vector<msq::scenario::ScenarioPreset> presets =
+      msq::scenario::builtin_presets(config.ops, config.rate_scale);
+  std::vector<msq::bench::Family> families = msq::bench::make_families();
+  if (!select_by_name("--presets", preset_list, presets) ||
+      !select_by_name("--families", family_list, families)) {
+    return 1;
+  }
+  return msq::bench::run(config, presets, families);
 }

@@ -1,7 +1,8 @@
-// Differential testing: every queue against a reference std::deque model.
+// Differential testing: every globally-FIFO queue family
+// (queues::FifoFamilies) against a reference std::deque model.
 //
 //  * Sequential: long seeded-random op sequences must match the model op
-//    for op (value AND emptiness reporting), across all queues and many
+//    for op (value AND emptiness reporting), across all families and many
 //    seeds (parameterised sweep).
 //  * Concurrent phases: a parallel enqueue phase followed by a sequential
 //    drain must yield exactly the model multiset, merged in a way
@@ -17,7 +18,11 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
+#include <ostream>
 #include <set>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -29,119 +34,69 @@
 namespace msq::queues {
 namespace {
 
-enum class Kind {
-  kMs,
-  kMsDw,
-  kMsHp,
-  kTwoLock,
-  kSingleLock,
-  kMc,
-  kRing,
-  kScq,  // bounded indirect SCQ ring (Nikolaev), memory-bounded lock-free
-  kPlj,
-  kValois,
-  kSeg,
-  kSharded1,  // ShardedQueue<MsQueue, 1>: degenerate, still global FIFO
-  kWf,        // announcement-helping wait-free wrapper
-};
-
-constexpr Kind kAllKinds[] = {Kind::kMs,   Kind::kMsDw,       Kind::kMsHp,
-                              Kind::kTwoLock, Kind::kSingleLock, Kind::kMc,
-                              Kind::kRing, Kind::kScq,       Kind::kPlj,
-                              Kind::kValois, Kind::kSeg,     Kind::kSharded1,
-                              Kind::kWf};
-
-/// Type-erased adapter so the sweep can be a value-parameterised test
-/// (kind x seed) rather than 8 copies of the same code.
+/// Type-erased queue, so the sweep can be one value-parameterised test
+/// (family x seed) rather than one copy of the code per family.
 class AnyQueue {
  public:
-  AnyQueue(Kind kind, std::uint32_t capacity) {
-    switch (kind) {
-      case Kind::kMs:
-        impl_ = make<MsQueue<std::uint64_t>>(capacity);
-        break;
-      case Kind::kMsDw:
-        impl_ = make<MsQueueDw<std::uint64_t>>(capacity);
-        break;
-      case Kind::kMsHp:
-        impl_ = make<MsQueueHp<std::uint64_t>>(capacity);
-        break;
-      case Kind::kTwoLock:
-        impl_ = make<TwoLockQueue<std::uint64_t>>(capacity);
-        break;
-      case Kind::kSingleLock:
-        impl_ = make<SingleLockQueue<std::uint64_t>>(capacity);
-        break;
-      case Kind::kMc:
-        impl_ = make<MellorCrummeyQueue<std::uint64_t>>(capacity);
-        break;
-      case Kind::kRing:
-        impl_ = make<RingQueue<std::uint64_t>>(capacity);
-        break;
-      case Kind::kScq:
-        impl_ = make<ScqQueue<std::uint64_t>>(capacity);
-        break;
-      case Kind::kPlj:
-        impl_ = make<PljQueue<std::uint64_t>>(capacity);
-        break;
-      case Kind::kValois:
-        impl_ = make<ValoisQueue<std::uint64_t>>(capacity);
-        break;
-      case Kind::kSeg:
-        impl_ = make<SegmentQueue<std::uint64_t>>(capacity);
-        break;
-      case Kind::kSharded1:
-        impl_ = make<ShardedQueue<MsQueue<std::uint64_t>, 1>>(capacity);
-        break;
-      case Kind::kWf:
-        impl_ = make<WfQueue<std::uint64_t>>(capacity);
-        break;
-    }
-  }
-
-  bool try_enqueue(std::uint64_t v) { return impl_->enqueue(v); }
-  bool try_dequeue(std::uint64_t& v) { return impl_->dequeue(v); }
-
- private:
-  struct Iface {
-    virtual ~Iface() = default;
-    virtual bool enqueue(std::uint64_t) = 0;
-    virtual bool dequeue(std::uint64_t&) = 0;
-  };
-  template <typename Q>
-  struct Model : Iface {
-    explicit Model(std::unique_ptr<Q> q) : queue(std::move(q)) {}
-    bool enqueue(std::uint64_t v) override { return queue->try_enqueue(v); }
-    bool dequeue(std::uint64_t& v) override { return queue->try_dequeue(v); }
-    std::unique_ptr<Q> queue;
-  };
-  template <typename Q>
-  static std::unique_ptr<Iface> make(std::uint32_t capacity) {
-    return std::make_unique<Model<Q>>(std::make_unique<Q>(capacity));
-  }
-
-  std::unique_ptr<Iface> impl_;
+  virtual ~AnyQueue() = default;
+  virtual bool try_enqueue(std::uint64_t v) = 0;
+  virtual bool try_dequeue(std::uint64_t& v) = 0;
 };
 
+template <typename Q>
+class ErasedQueue final : public AnyQueue {
+ public:
+  explicit ErasedQueue(std::uint32_t capacity) : queue_(capacity) {}
+  bool try_enqueue(std::uint64_t v) override { return queue_.try_enqueue(v); }
+  bool try_dequeue(std::uint64_t& v) override { return queue_.try_dequeue(v); }
+
+ private:
+  Q queue_;
+};
+
+/// One registry family: its name and a factory for its queue.
+struct AnyFamily {
+  std::string_view name;
+  std::unique_ptr<AnyQueue> (*make)(std::uint32_t capacity);
+};
+
+void PrintTo(const AnyFamily& family, std::ostream* os) { *os << family.name; }
+
+std::vector<AnyFamily> fifo_families() {
+  std::vector<AnyFamily> families;
+  FifoFamilies::for_each([&]<typename F>() {
+    families.push_back(
+        {F::name, [](std::uint32_t capacity) -> std::unique_ptr<AnyQueue> {
+           return std::make_unique<ErasedQueue<typename F::type>>(capacity);
+         }});
+  });
+  return families;
+}
+
 class DifferentialTest
-    : public ::testing::TestWithParam<std::tuple<Kind, std::uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<AnyFamily, std::uint64_t>> {
+};
 
 INSTANTIATE_TEST_SUITE_P(
-    KindsBySeeds, DifferentialTest,
-    ::testing::Combine(::testing::ValuesIn(kAllKinds),
-                       ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u)));
+    FamiliesBySeeds, DifferentialTest,
+    ::testing::Combine(::testing::ValuesIn(fifo_families()),
+                       ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param).name) + "_seed" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST_P(DifferentialTest, SequentialRandomOpsMatchDequeModel) {
-  const auto [kind, seed] = GetParam();
+  const auto& [family, seed] = GetParam();
   constexpr std::uint32_t kCapacity = 32;
-  AnyQueue queue(kind, kCapacity);
+  const std::unique_ptr<AnyQueue> queue = family.make(kCapacity);
   std::deque<std::uint64_t> model;
   port::Xoshiro256 rng(seed);
 
   for (int op = 0; op < 50'000; ++op) {
     if (rng.below(100) < 55) {  // slight enqueue bias exercises fullness
       const std::uint64_t value = rng();
-      const bool accepted = queue.try_enqueue(value);
+      const bool accepted = queue->try_enqueue(value);
       if (accepted) {
         // Bounded queues may refuse only when the model says "full-ish";
         // capacity semantics differ slightly per implementation (dummy
@@ -154,7 +109,7 @@ TEST_P(DifferentialTest, SequentialRandomOpsMatchDequeModel) {
       }
     } else {
       std::uint64_t got = 0;
-      const bool ok = queue.try_dequeue(got);
+      const bool ok = queue->try_dequeue(got);
       if (model.empty()) {
         ASSERT_FALSE(ok) << "dequeue fabricated a value from an empty queue";
       } else {
@@ -169,10 +124,11 @@ TEST_P(DifferentialTest, SequentialRandomOpsMatchDequeModel) {
 }
 
 TEST_P(DifferentialTest, ParallelFillThenDrainMatchesModelMultiset) {
-  const auto [kind, seed] = GetParam();
+  const auto& [family, seed] = GetParam();
   constexpr std::uint32_t kThreads = 3;
   constexpr std::uint64_t kPerThread = 4'000;
-  AnyQueue queue(kind, kThreads * kPerThread + 8);
+  const std::unique_ptr<AnyQueue> queue =
+      family.make(kThreads * kPerThread + 8);
   {
     std::vector<std::jthread> threads;
     for (std::uint32_t t = 0; t < kThreads; ++t) {
@@ -181,7 +137,7 @@ TEST_P(DifferentialTest, ParallelFillThenDrainMatchesModelMultiset) {
         for (std::uint64_t i = 0; i < kPerThread; ++i) {
           const std::uint64_t value =
               (std::uint64_t{t} << 48) | (rng() & 0xFFFFFFFFull) << 16 | i % 65536;
-          while (!queue.try_enqueue(value)) std::this_thread::yield();
+          while (!queue->try_enqueue(value)) std::this_thread::yield();
         }
       });
     }
@@ -192,7 +148,7 @@ TEST_P(DifferentialTest, ParallelFillThenDrainMatchesModelMultiset) {
   bool seen_any[kThreads] = {};
   std::uint64_t total = 0;
   std::uint64_t got = 0;
-  while (queue.try_dequeue(got)) {
+  while (queue->try_dequeue(got)) {
     const auto producer = static_cast<std::uint32_t>(got >> 48);
     ASSERT_LT(producer, kThreads);
     const std::uint64_t low = got & 0xFFFF;

@@ -18,6 +18,7 @@
 #include "mem/magazine.hpp"
 #include "mem/node_pool.hpp"
 #include "obs/counters.hpp"
+#include "queue_families.hpp"
 #include "queues/queues.hpp"
 #include "tagged/atomic_tagged.hpp"
 #include "tagged/tagged_index.hpp"
@@ -34,22 +35,14 @@ class PoolExhaustionTest : public ::testing::Test {
   Q queue_{kCapacity};
 };
 
-using PoolBackedTypes =
-    ::testing::Types<MsQueue<std::uint64_t>,
-                     MsQueue<std::uint64_t, sync::Backoff, mem::FreeList>,
-                     MsQueueDw<std::uint64_t>,
-                     TwoLockQueue<std::uint64_t>, SingleLockQueue<std::uint64_t>,
-                     MellorCrummeyQueue<std::uint64_t>, RingQueue<std::uint64_t>,
-                     ScqQueue<std::uint64_t>,
-                     PljQueue<std::uint64_t>, ValoisQueue<std::uint64_t>,
-                     SegmentQueue<std::uint64_t>,
-                     // Sequential fill-to-refusal stays globally FIFO even
-                     // multi-shard: the single producer fills its home shard
-                     // to refusal before spilling onward in order, and the
-                     // drain sweeps shards in the same order.
-                     ShardedQueue<SegmentQueue<std::uint64_t>, 2>,
-                     WfQueue<std::uint64_t>>;
-TYPED_TEST_SUITE(PoolExhaustionTest, PoolBackedTypes);
+// Every pool-backed FIFO family, plus a two-shard front end: sequential
+// fill-to-refusal stays globally FIFO even multi-shard, because the single
+// producer fills its home shard to refusal before spilling onward in order,
+// and the drain sweeps shards in the same order.
+using PoolBacked = FifoFamilies::with<&QueueTraits::pool_backed>::plus<
+    Family<"shard2_segq", ShardedQueue<SegmentQueue<std::uint64_t>, 2>>>;
+TYPED_TEST_SUITE(PoolExhaustionTest, FamilyTypes<PoolBacked>,
+                 FamilyNames<PoolBacked>);
 
 TYPED_TEST(PoolExhaustionTest, RefusalIsCleanAndRepeatable) {
   static_assert(TypeParam::traits.pool_backed);

@@ -1,12 +1,13 @@
-// Single-threaded contract tests, typed over every MPMC queue in the
-// library: FIFO order, emptiness reporting, capacity behaviour, dummy-node
-// edge cases (empty <-> single-item transitions -- the cases the paper says
-// earlier algorithms got wrong or omitted).
+// Single-threaded contract tests, typed over every globally-FIFO queue
+// family (queues::FifoFamilies): FIFO order, emptiness reporting, capacity
+// behaviour, dummy-node edge cases (empty <-> single-item transitions -- the
+// cases the paper says earlier algorithms got wrong or omitted).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
 
+#include "queue_families.hpp"
 #include "queues/queues.hpp"
 
 namespace msq::queues {
@@ -20,17 +21,8 @@ class QueueBasicTest : public ::testing::Test {
   Q queue_{kCapacity};
 };
 
-using QueueTypes =
-    ::testing::Types<MsQueue<std::uint64_t>,
-                     MsQueue<std::uint64_t, sync::Backoff, mem::FreeList>,
-                     MsQueueDw<std::uint64_t>,
-                     MsQueueHp<std::uint64_t>, TwoLockQueue<std::uint64_t>,
-                     SingleLockQueue<std::uint64_t>,
-                     MellorCrummeyQueue<std::uint64_t>, RingQueue<std::uint64_t>,
-                     ScqQueue<std::uint64_t>, PljQueue<std::uint64_t>,
-                     ValoisQueue<std::uint64_t>, SegmentQueue<std::uint64_t>,
-                     WfQueue<std::uint64_t>>;
-TYPED_TEST_SUITE(QueueBasicTest, QueueTypes);
+TYPED_TEST_SUITE(QueueBasicTest, FamilyTypes<FifoFamilies>,
+                 FamilyNames<FifoFamilies>);
 
 TYPED_TEST(QueueBasicTest, SatisfiesConcurrentQueueConcept) {
   static_assert(ConcurrentQueue<TypeParam>);

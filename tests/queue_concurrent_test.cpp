@@ -1,11 +1,13 @@
-// Multi-threaded stress tests, typed over every MPMC queue: conservation
-// (nothing lost, duplicated or fabricated), per-producer FIFO as observed by
-// each consumer, mixed producer/consumer churn through the empty state, and
-// pool exhaustion under contention.
+// Multi-threaded stress tests, typed over every globally-FIFO queue family
+// (queues::FifoFamilies): conservation (nothing lost, duplicated or
+// fabricated), per-producer FIFO as observed by each consumer, mixed
+// producer/consumer churn through the empty state, and pool exhaustion
+// under contention.
 //
-// On this host every run is heavily preempted (one core), which is exactly
-// the multiprogrammed regime of the paper's Figures 4-5 -- a good stressor
-// for the blocking windows of the lock-based and MC algorithms.
+// Every case runs 4 threads.  With 4 or more cores they run in parallel
+// and race on the shared words; with fewer they are also preempted
+// mid-operation, the multiprogrammed regime of the paper's Figures 4-5,
+// which stresses the blocking windows of the lock-based and MC algorithms.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,10 +18,9 @@
 
 #include "check/invariants.hpp"
 #include "fault/watchdog.hpp"
-#include "mem/freelist.hpp"
 #include "obs/counters.hpp"
+#include "queue_families.hpp"
 #include "queues/queues.hpp"
-#include "sync/backoff.hpp"
 
 namespace msq::queues {
 namespace {
@@ -36,22 +37,8 @@ class QueueConcurrentTest : public ::testing::Test {
   Q queue_{kCapacity};
 };
 
-using QueueTypes =
-    ::testing::Types<MsQueue<std::uint64_t>,
-                     MsQueue<std::uint64_t, sync::Backoff, mem::FreeList>,
-                     MsQueueDw<std::uint64_t>,
-                     MsQueueHp<std::uint64_t>, TwoLockQueue<std::uint64_t>,
-                     SingleLockQueue<std::uint64_t>,
-                     MellorCrummeyQueue<std::uint64_t>, RingQueue<std::uint64_t>,
-                     ScqQueue<std::uint64_t>, PljQueue<std::uint64_t>,
-                     ValoisQueue<std::uint64_t>, SegmentQueue<std::uint64_t>,
-                     // Degenerate single shard keeps full global FIFO, so it
-                     // rides every suite here; multi-shard configurations are
-                     // stressed against their own contract in
-                     // sharded_queue_test.cpp.
-                     ShardedQueue<MsQueue<std::uint64_t>, 1>,
-                     WfQueue<std::uint64_t>>;
-TYPED_TEST_SUITE(QueueConcurrentTest, QueueTypes);
+TYPED_TEST_SUITE(QueueConcurrentTest, FamilyTypes<FifoFamilies>,
+                 FamilyNames<FifoFamilies>);
 
 TYPED_TEST(QueueConcurrentTest, PairedLoopConservesEveryValue) {
   // The paper's loop shape: every thread enqueues then dequeues, so the

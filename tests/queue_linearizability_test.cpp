@@ -3,7 +3,7 @@
 // Small histories (few threads x few ops, repeated across many seeds/runs)
 // are decided EXACTLY with the Wing-Gong checker; large stress histories are
 // screened with the scalable real-time FIFO-order checker.  Both run typed
-// over every queue.
+// over every globally-FIFO queue family (queues::FifoFamilies).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include "check/invariants.hpp"
 #include "check/lin_check.hpp"
 #include "port/clock.hpp"
+#include "queue_families.hpp"
 #include "queues/queues.hpp"
 #include "sharded_oracle.hpp"
 
@@ -24,24 +25,12 @@ namespace {
 template <typename Q>
 class QueueLinearizabilityTest : public ::testing::Test {};
 
-using QueueTypes =
-    ::testing::Types<MsQueue<std::uint64_t>,
-                     MsQueue<std::uint64_t, sync::Backoff, mem::FreeList>,
-                     MsQueueDw<std::uint64_t>,
-                     MsQueueHp<std::uint64_t>, TwoLockQueue<std::uint64_t>,
-                     SingleLockQueue<std::uint64_t>,
-                     MellorCrummeyQueue<std::uint64_t>, RingQueue<std::uint64_t>,
-                     ScqQueue<std::uint64_t>, PljQueue<std::uint64_t>,
-                     ValoisQueue<std::uint64_t>, SegmentQueue<std::uint64_t>,
-                     // A single shard is exactly its inner queue plus the
-                     // ticket scaffolding: must stay fully linearizable.
-                     ShardedQueue<MsQueue<std::uint64_t>, 1>,
-                     WfQueue<std::uint64_t>>;
-TYPED_TEST_SUITE(QueueLinearizabilityTest, QueueTypes);
+TYPED_TEST_SUITE(QueueLinearizabilityTest, FamilyTypes<FifoFamilies>,
+                 FamilyNames<FifoFamilies>);
 
 TYPED_TEST(QueueLinearizabilityTest, SmallHistoriesAreExactlyLinearizable) {
-  // 3 threads x 4 ops = <= 24 events per round; 50 rounds of genuinely
-  // preempted interleavings on this 1-core host.
+  // 3 threads x 4 ops = <= 24 events per round; 50 rounds of real-thread
+  // interleavings (parallel where there are cores, preempted otherwise).
   constexpr int kRounds = 50;
   constexpr std::uint32_t kThreads = 3;
   for (int round = 0; round < kRounds; ++round) {
