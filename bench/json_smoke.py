@@ -12,7 +12,11 @@ Runs:
     peak stays within its fixed capacity while the pool-backed MS queue
     strands more nodes than the scq will ever hold, and msq_hp (plain
     heap) reports no allocation ceiling; plus `--families valois`, which
-    must still select a single family and exit 0.
+    must still select a single family and exit 0;
+  * the open-loop scenario suite, scaled down: 4 presets x 4 families
+    (msq, segq, wfq, ring), and the flash crowd must actually hit the
+    ring's bound (burst100/ring shed > 0) -- a zero there means the
+    open-loop pacing silently degraded to closed loop.
 
 The magazine ablation is also checked for what it compares: its `msq`
 baseline must be the paper's shared free list, so at every procs value
@@ -23,11 +27,6 @@ magazines would fail here.
 A bench whose JSON file cannot be written must exit non-zero, and so must
 one given a malformed or zero count (`--pairs abc`, `--max-procs 0`) or an
 unknown `--families` name (fig_stall, fig_memory, scenarios).
-
-Apart from that argument check, the open-loop scenario suite is not run
-here: its wfq runs hit the WfQueue double-dequeue (ROADMAP item 1) in
-about one run in twenty on a 4-vCPU host, which would make this test
-flaky.  CI's Release leg runs it once, as the smoke-bench job did.
 
 Registered with ctest as bench_json_smoke (bench/CMakeLists.txt).
 
@@ -63,6 +62,20 @@ def magazine_tripwire(doc):
     return [f"BENCH_ablate_magazine.json procs {procs}: msq+mag pool_get "
             f"{mag[procs]} is not under a tenth of msq's {plain[procs]}"
             for procs in plain if mag[procs] * 10 >= plain[procs]]
+
+
+def burst_shed(doc):
+    """Failures unless the burst100 flash crowd made the ring shed load."""
+    burst = [s for s in doc["scenarios"]
+             if s["scenario"] == "burst100" and s["algo"] == "ring"]
+    if not burst:
+        return ["BENCH_scenarios.json: burst100/ring missing from the run"]
+    if burst[0]["shed"] <= 0:
+        return [f"BENCH_scenarios.json: burst100/ring shed nothing, so no "
+                f"backpressure: {burst[0]}"]
+    print(f"burst100/ring shed {burst[0]['shed']} "
+          f"(rate {burst[0]['shed_rate']:.4f}) -- backpressure engaged")
+    return []
 
 
 def memory_bound(doc):
@@ -109,6 +122,10 @@ RUNS = [
      "BENCH_memory.json", memory_bound),
     ("fig_memory", ["--families", "valois", "--pairs", "2000",
                     "--capacity", "500"], None, None),
+    ("scenarios", ["--ops", "1200", "--presets",
+                   "steady,ramp,burst100,hotskew",
+                   "--families", "msq,segq,wfq,ring", "--json"],
+     "BENCH_scenarios.json", burst_shed),
 ]
 
 # Bad arguments, each of which must exit non-zero before running anything.

@@ -20,12 +20,14 @@
 //     measures.
 //
 // Completion is a phase-guarded CAS on the announcement cell, so an
-// operation completes exactly once no matter how many helpers race, and a
-// helper holding an arbitrarily stale view can never corrupt a newer
-// operation: either its expected {phase|state} no longer matches, or --
-// for a dequeue deposit, where the helper may have re-read the reused
-// slot's CURRENT announcement -- the live-Head revalidation in
-// finish_deq rejects its dead dummy incarnation before any value is read.
+// operation completes exactly once no matter how many helpers race.  Which
+// dequeue consumes the current dummy is decided by ONE queue-wide cell,
+// bind_ = {Head tag, op}: a helper binds the dequeue it helps only when the
+// binding names an older Head or an op that has left {pending, done}; a
+// value is deposited only into the bound op while Head still carries the
+// binding's tag; and Head swings only once the bound op reads done.  So a
+// Head incarnation hands its value to exactly one dequeue, and a helper
+// acting on a stale view fails its revalidation or its CAS.
 //
 // Step bound: once announced, an operation completes within
 // O(kSlots * N) steps of ANY thread executing the protocol (N = number of
@@ -98,6 +100,23 @@ constexpr std::uint64_t phase_of(std::uint64_t seq) noexcept {
   return seq >> 3;
 }
 
+/// An operation's identity, (phase << 8 | slot): the enqueue stamp and the
+/// op half of the dequeue binding.
+constexpr std::uint64_t op_id(std::uint64_t phase,
+                              std::uint32_t slot) noexcept {
+  return (phase << 8) | slot;
+}
+
+/// The dequeue binding: which op consumes the dummy of the Head whose
+/// 32-bit count is `head_tag`.  `head_tag` starts out of range, so the
+/// initial binding is stale against every Head.
+struct Binding {
+  std::uint64_t head_tag = ~std::uint64_t{0};
+  std::uint64_t op = 0;
+
+  friend constexpr bool operator==(Binding, Binding) noexcept = default;
+};
+
 }  // namespace wf_detail
 
 /// Wait-free MPMC FIFO queue.  `T` must be trivially copyable and at most
@@ -137,6 +156,7 @@ class WfQueue {
                       std::memory_order_release);
     tail_.value.store(tagged::TaggedIndex(dummy, 0),
                       std::memory_order_release);
+    bind_.value.store(wf_detail::Binding{}, std::memory_order_release);
   }
 
   WfQueue(const WfQueue&) = delete;
@@ -161,7 +181,7 @@ class WfQueue {
     // visible, i.e. before the announcement below.
     Node& n = pool_[node];
     n.value.put(value);
-    n.enq_stamp.store((phase << 8) | slot, std::memory_order_release);
+    n.enq_stamp.store(wf_detail::op_id(phase, slot), std::memory_order_release);
     // Reset the link, preserving and bumping the tag half: together with
     // FreeList::push (which bumps likewise) the node's link count is
     // monotone over its WHOLE lifetime, so a helper's stale link CAS from
@@ -204,21 +224,6 @@ class WfQueue {
     // relaxed: same argument as the enqueue-side FAA above
     const std::uint64_t phase = phase_.value.fetch_add(1, std::memory_order_relaxed);
 
-    // Reset the taken-binding from our previous dequeue in this slot.  The
-    // reset value is tagged with the phase so the cell's history never
-    // repeats (helpers CAS it against full expected values).
-    for (;;) {
-      const tagged::TaggedIndex tk = d.taken.load(std::memory_order_acquire);
-      if (tk.is_null() ||
-          d.taken.compare_and_swap(
-              tk,
-              tagged::TaggedIndex(tagged::kNullIndex,
-                                  static_cast<std::uint32_t>(phase)),
-              std::memory_order_acq_rel)) {
-        break;
-      }
-    }
-
     const wf_detail::SeqVal announced{
         wf_detail::make_seq(phase, wf_detail::kPendingDeq), 0};
     d.result.store(announced, std::memory_order_seq_cst);
@@ -234,12 +239,9 @@ class WfQueue {
 
     const bool got = wf_detail::state_of(r.seq) == wf_detail::kDoneDeq;
     if (got) {
-      // The depositor recorded which dummy (index AND head-tag) it
-      // consumed in `taken`; make sure Head has swung past it and the
-      // node is freed BEFORE the slot can be reused, otherwise a stale
-      // finisher meeting a recycled dummy with a coincidentally matching
-      // index could swing Head past an unconsumed node.
-      settle_consumed_dummy(d);
+      // Head must be past our dummy before harvesting: once the op leaves
+      // done, nothing would keep a helper from rebinding that dummy.
+      settle_consumed_dummy(wf_detail::op_id(phase, slot));
       std::memcpy(&out, &r.bits, sizeof(T));
     }
     d.result.store(
@@ -275,28 +277,19 @@ class WfQueue {
   struct Node {
     mem::ValueCell<T> value;
     tagged::AtomicTagged next;
-    // Which descriptor slot's dequeue owns this node while it is the
-    // dummy: {slot | null, tag}.  Never touched by the free list, so its
-    // tag is monotone for the node's whole lifetime.
-    tagged::AtomicTagged claim;
-    // (phase << 8 | slot) of the enqueue that inserted this node; lets
-    // any helper that finds the node linked complete that enqueue.  The
-    // packing truncates the phase to 56 bits -- see the lifetime-bound
-    // comment at the kSlots static_assert.
+    // op_id of the enqueue that inserted this node; lets any helper that
+    // finds the node linked complete that enqueue.  The packing truncates
+    // the phase to 56 bits -- see the lifetime-bound comment at the kSlots
+    // static_assert.
     // share-ok: written only while the node is private, read-mostly after
     std::atomic<std::uint64_t> enq_stamp{0};
   };
 
-  /// One announcement slot.  Cache-line aligned: the cell, its taken
-  /// binding and its busy flag are one operation's words and travel
-  /// together by design; different slots never share a line.
+  /// One announcement slot.  Cache-line aligned: the cell and its busy
+  /// flag are one operation's words and travel together by design;
+  /// different slots never share a line.
   struct alignas(port::kCacheLine) Descriptor {
     tagged::AtomicDoubleWord<wf_detail::SeqVal> result;
-    // Which dummy ({index, head-tag}) the in-flight dequeue's deposit
-    // consumed.  Storing the Head tag -- globally monotone, bumped by
-    // every successful Head CAS -- makes the binding identify one dummy
-    // INCARNATION, so index recycling can never replay it.
-    tagged::AtomicTagged taken;
     // share-ok: same line as the result cell on purpose (see struct cmt)
     std::atomic<std::uint32_t> busy{0};
   };
@@ -409,8 +402,8 @@ class WfQueue {
                                  std::memory_order_acq_rel);
   }
 
-  /// One attempt at an announced dequeue: resolve emptiness, or claim the
-  /// dummy for this operation and drive the claimed operation home.
+  /// One attempt at an announced dequeue: resolve emptiness, or bind the
+  /// dummy to this operation and drive the bound operation home.
   void help_deq_round(std::uint32_t slot, wf_detail::SeqVal sv) noexcept {
     const tagged::TaggedIndex h = head_.value.load(std::memory_order_acquire);
     const tagged::TaggedIndex t = tail_.value.load(std::memory_order_acquire);
@@ -435,150 +428,101 @@ class WfQueue {
       return;
     }
     if (next.is_null()) return;  // stale view; re-read
-    const tagged::TaggedIndex claim =
-        pool_[h.index()].claim.load(std::memory_order_acquire);
-    if (claim.is_null()) {
-      // Bind the dummy to the operation we are helping -- but never claim
-      // on behalf of an operation that is already complete.
+    const wf_detail::Binding b = bind_.value.load(std::memory_order_seq_cst);
+    if (b.head_tag != h.count() || !bound_op_live(b)) {
+      // Rebind, only on behalf of an op still pending after our Head read,
+      // and only while Head still is `h` after our binding read: that keeps
+      // binding tags monotone, so a helper with a stale `h` can never evict
+      // the live binding (without the Head re-read, the model in
+      // tests/sim_wf_test.cpp finds a value dequeued twice).
       if (desc_[slot].result.load(std::memory_order_seq_cst) != sv) return;
+      if (head_.value.load(std::memory_order_seq_cst) != h) return;
       MSQ_PROBE_COUNT("wfq.claim", kCasAttempt);
-      if (!pool_[h.index()].claim.compare_and_swap(
-              claim, claim.successor(slot), std::memory_order_acq_rel)) {
+      if (!bind_.value.compare_and_swap(
+              b,
+              wf_detail::Binding{
+                  h.count(),
+                  wf_detail::op_id(wf_detail::phase_of(sv.seq), slot)},
+              std::memory_order_seq_cst)) {
         MSQ_COUNT(kCasFail);
       }
     }
-    finish_deq(h);
+    finish_deq(h, next);
   }
 
-  /// Drive the dequeue that holds the dummy's claim to completion:
-  /// deposit the first value into its announcement, swing Head, free the
-  /// old dummy.  Called with `first` = a validated read of Head; every
+  /// True while the bound op still reads {its phase, pending or done}.  An
+  /// op that has left both states (empty verdict, harvested, slot reused)
+  /// never returns to them, so another op may replace its binding.
+  bool bound_op_live(wf_detail::Binding b) const noexcept {
+    const std::uint64_t seq =
+        desc_[b.op & 0xff].result.load(std::memory_order_seq_cst).seq;
+    const std::uint64_t phase = b.op >> 8;
+    return seq == wf_detail::make_seq(phase, wf_detail::kPendingDeq) ||
+           seq == wf_detail::make_seq(phase, wf_detail::kDoneDeq);
+  }
+
+  /// Drive the bound dequeue to completion: deposit the first value into
+  /// its announcement, swing Head, free the old dummy.  `h` is a validated
+  /// Head read and `next` its successor read while `h` was Head.  Every
   /// mutation is guarded (phase-guarded 16-byte CAS, full-value counted
   /// CAS), so arbitrarily stale callers lose every race harmlessly.
-  void finish_deq(tagged::TaggedIndex first) noexcept {
-    Node& dummy = pool_[first.index()];
-    const tagged::TaggedIndex claim =
-        dummy.claim.load(std::memory_order_acquire);
-    if (claim.is_null()) return;
-    const tagged::TaggedIndex next = dummy.next.load(std::memory_order_acquire);
-    if (next.is_null()) return;  // stale view of a recycled node
-    // A thread halted HERE holds a possibly ancient view of Head and this
-    // node's claim/next; everything it does below is guarded against that
+  void finish_deq(tagged::TaggedIndex h, tagged::TaggedIndex next) noexcept {
+    const wf_detail::Binding b = bind_.value.load(std::memory_order_seq_cst);
+    if (b.head_tag != h.count()) return;  // bound to another Head
+    // A thread halted HERE holds a possibly ancient view of Head and the
+    // binding; everything below is guarded against that
     // (tests/fault_tolerance_test.cpp parks a victim here and replays the
     // consumed-freed-recycled dummy scenario against it).
     MSQ_PROBE("wfq.finish");
-    const std::uint32_t slot = claim.index() % kSlots;
-    Descriptor& d = desc_[slot];
-    const wf_detail::SeqVal r = d.result.load(std::memory_order_seq_cst);
-
-    if (wf_detail::state_of(r.seq) == wf_detail::kPendingDeq) {
-      // Record WHICH dummy incarnation this operation consumes before
-      // depositing: {index, Head tag}.  If the claim is a stale leftover
-      // from a previous life of this node index, the pending operation
-      // simply adopts the current dummy -- a valid linearization.
-      tagged::TaggedIndex tk = d.taken.load(std::memory_order_acquire);
-      if (tk.is_null()) {
-        d.taken.compare_and_swap(
-            tk, tagged::TaggedIndex(first.index(), first.count()),
-            std::memory_order_acq_rel);
-        tk = d.taken.load(std::memory_order_acquire);
-      }
-      if (tk != tagged::TaggedIndex(first.index(), first.count())) {
-        // Bound to some OTHER dummy incarnation -- either our `first` is
-        // stale (binding is live: leave it), or the binding itself is
-        // stale pollution that would wedge the operation (clear it).
-        unbind_if_stale(d, tk);
-        return;
-      }
-      // Deposit guard.  `r` was re-read above, so the phase guard alone
-      // cannot reject a stale helper: if our `first` predates a swing, the
-      // dummy may have been consumed, freed and recycled, its dangling
-      // claim may point at a slot now reused by a FRESH pending dequeue
-      // (whose taken our CAS above just polluted), and `next` may be a
-      // free-list link or mid-queue edge -- depositing would complete the
-      // new operation with a garbage or duplicate value while removing
-      // nothing.  Head's tag is bumped by every swing, so equality with
-      // `first` proves no swing intervened: `first` is the LIVE dummy
-      // incarnation, our binding is genuine, and from here Head stays
-      // pinned until this operation leaves kPendingDeq (every swing
-      // requires a resolved kDoneDeq with a matching binding), making the
-      // value read below stable.  The polluted-taken case this guard
-      // abandons is cleaned up by unbind_if_stale on any later pass.
-      if (head_.value.load(std::memory_order_seq_cst) !=
-          tagged::TaggedIndex(first.index(), first.count())) {
-        return;
-      }
+    Descriptor& d = desc_[b.op & 0xff];
+    const std::uint64_t phase = b.op >> 8;
+    const wf_detail::SeqVal pending{
+        wf_detail::make_seq(phase, wf_detail::kPendingDeq), 0};
+    if (d.result.load(std::memory_order_seq_cst) == pending) {
+      // The bound op was pending after we read the binding, so the binding
+      // was still {h.count, op}: no other op can be bound under this tag
+      // while the op is pending.  Head equal to `h` NOW proves no swing
+      // intervened -- `h` is the live dummy and `next` its successor --
+      // and Head stays pinned until the op leaves pending (a swing needs
+      // the bound op done), so the value read below is the front value.
+      if (head_.value.load(std::memory_order_seq_cst) != h) return;
       const T value = pool_[next.index()].value.get();
       std::uint64_t bits = 0;
       std::memcpy(&bits, &value, sizeof(T));
       MSQ_PROBE_COUNT("wfq.deposit", kCasAttempt);
       d.result.compare_and_swap(
-          r,
-          wf_detail::SeqVal{wf_detail::make_seq(wf_detail::phase_of(r.seq),
-                                                wf_detail::kDoneDeq),
+          pending,
+          wf_detail::SeqVal{wf_detail::make_seq(phase, wf_detail::kDoneDeq),
                             bits},
           std::memory_order_seq_cst);
       // Fall through: whoever won the deposit, the swing below applies.
     }
-
-    // Swing Head past the dummy iff the claimed operation's completed
-    // deposit consumed exactly THIS dummy incarnation.  kEmpty or a
-    // later/earlier state never swings; an orphaned claim (stale leftover
-    // whose slot shows no matching activity) is reset so the dummy can be
-    // claimed afresh.
-    const tagged::TaggedIndex tk = d.taken.load(std::memory_order_acquire);
-    const wf_detail::SeqVal now = d.result.load(std::memory_order_seq_cst);
-    if (wf_detail::state_of(now.seq) == wf_detail::kDoneDeq &&
-        tk == tagged::TaggedIndex(first.index(), first.count())) {
+    // Swing Head past the dummy iff the bound op holds this dummy's value.
+    // The op was bound while pending after Head reached `h`, and a deposit
+    // needs Head equal to the binding's tag, so a done op bound under
+    // h.count consumed exactly this incarnation.
+    if (d.result.load(std::memory_order_seq_cst).seq ==
+        wf_detail::make_seq(phase, wf_detail::kDoneDeq)) {
       MSQ_PROBE("wfq.swing");
-      if (head_.value.compare_and_swap(first, first.successor(next.index()),
+      if (head_.value.compare_and_swap(h, h.successor(next.index()),
                                        std::memory_order_seq_cst)) {
-        freelist_.free(first.index());
+        freelist_.free(h.index());
       }
-      return;
     }
-    if (wf_detail::state_of(now.seq) != wf_detail::kPendingDeq) {
-      // Orphan: the claim points at a slot that is no longer running a
-      // dequeue that could consume this dummy; clear it (tag bumps keep
-      // the cell's history monotone).
-      dummy.claim.compare_and_swap(claim, claim.successor(tagged::kNullIndex),
-                                   std::memory_order_acq_rel);
-    }
-  }
-
-  /// Clear a taken-binding left by a stale helper, so the pending dequeue
-  /// it pollutes can be re-bound instead of wedging forever.  Staleness
-  /// proof: Head's tag is globally monotone (bumped by every successful
-  /// swing) and a non-null binding is always the copy of a genuine Head
-  /// read, so a binding whose tag differs from the live Head's names an
-  /// incarnation Head can never show again.  Crucially the converse holds
-  /// too: between a deposit and the swing that retires it, the consumed
-  /// binding's tag still EQUALS Head's (the swing is what bumps it), so a
-  /// consumed-but-unswung binding is never cleared here -- clearing one
-  /// would let the same dummy be claimed and deposited twice.  The tag
-  /// comparison shares the library-wide 2^32 ABA regime.
-  void unbind_if_stale(Descriptor& d, tagged::TaggedIndex tk) noexcept {
-    if (tk.is_null()) return;
-    const tagged::TaggedIndex h = head_.value.load(std::memory_order_seq_cst);
-    if (tk.count() == h.count()) return;  // live (or plausibly live): keep
-    MSQ_PROBE("wfq.unbind");
-    d.taken.compare_and_swap(
-        tk, tagged::TaggedIndex(tagged::kNullIndex, tk.count() + 1),
-        std::memory_order_acq_rel);
   }
 
   /// Owner-side epilogue of a successful dequeue: before the slot can be
-  /// reused, make sure Head has swung past the consumed dummy and the
-  /// node went back to the free list (the one successful counted Head
-  /// CAS frees; everyone else fails harmlessly).
-  void settle_consumed_dummy(Descriptor& d) noexcept {
-    const tagged::TaggedIndex tk = d.taken.load(std::memory_order_acquire);
+  /// reused, make sure Head has swung past the consumed dummy and the node
+  /// went back to the free list (the one successful counted Head CAS
+  /// frees; everyone else fails harmlessly).  While the op reads done the
+  /// binding can only move on once Head leaves the bound tag, so a binding
+  /// naming another op means the swing already happened.
+  void settle_consumed_dummy(std::uint64_t op) noexcept {
+    const wf_detail::Binding b = bind_.value.load(std::memory_order_seq_cst);
+    if (b.op != op) return;
     for (;;) {
       const tagged::TaggedIndex h = head_.value.load(std::memory_order_acquire);
-      if (tagged::TaggedIndex(h.index(), h.count()) !=
-          tagged::TaggedIndex(tk.index(), tk.count())) {
-        return;  // already swung (tag is monotone: never this dummy again)
-      }
+      if (h.count() != b.head_tag) return;  // already swung (tag monotone)
       const tagged::TaggedIndex next =
           pool_[h.index()].next.load(std::memory_order_acquire);
       if (next.is_null()) return;  // unreachable for a consumed dummy
@@ -597,6 +541,8 @@ class WfQueue {
   port::CacheAligned<tagged::AtomicTagged> head_;
   port::CacheAligned<tagged::AtomicTagged> tail_;
   port::CacheAligned<std::atomic<std::uint64_t>> phase_;
+  // The dequeue binding (see header comment); its own line, like Head.
+  port::CacheAligned<tagged::AtomicDoubleWord<wf_detail::Binding>> bind_;
   std::array<Descriptor, kSlots> desc_;
 };
 

@@ -1,10 +1,9 @@
 #include "sim/explore.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <memory>
-#include <set>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/counters.hpp"
@@ -206,10 +205,27 @@ void clock_join(DporClock& into, const DporClock& from) {
   }
 }
 
+/// A set of agents as a bitmask (agent_count <= 64), walked in ascending
+/// order.  The search touches these sets at every node of every replay, so
+/// they must not allocate.
+struct AgentSet {
+  std::uint64_t bits = 0;
+
+  /// Returns true iff `q` was not yet in the set.
+  bool insert(std::uint32_t q) noexcept {
+    const bool fresh = !contains(q);
+    bits |= std::uint64_t{1} << q;
+    return fresh;
+  }
+  [[nodiscard]] bool contains(std::uint32_t q) const noexcept {
+    return ((bits >> q) & 1) != 0;
+  }
+};
+
 struct DporNode {
   std::vector<std::uint32_t> enabled;  // processes runnable at this node
-  std::set<std::uint32_t> backtrack;   // alternatives to explore from here
-  std::set<std::uint32_t> done;        // alternatives already explored
+  AgentSet backtrack;                  // alternatives to explore from here
+  AgentSet done;                       // alternatives already explored
   // Sleep set on entry plus the accesses of already-explored choices:
   // a sleeping process's recorded next access stays valid because the
   // engine is deterministic and the process does not run while asleep.
@@ -219,15 +235,24 @@ struct DporNode {
   DporAccess access{};
 };
 
+/// One agent's read of an address since its last write: its step index in
+/// the path and its happens-before clock.
+struct DporRead {
+  bool valid = false;
+  std::size_t index = 0;
+  DporClock clock;
+};
+
 /// Per-address trace summary for the race rule: the last write and the
-/// reads since it, each with the executing process, its step index in the
-/// path and its happens-before clock.
+/// reads since it (indexed by agent), each with the executing process, its
+/// step index in the path and its happens-before clock.  Kept across
+/// replays and reset in place, so a replay reuses the clocks' storage.
 struct DporAddrTrace {
   bool has_write = false;
   std::uint32_t w_proc = 0;
   std::size_t w_index = 0;
   DporClock w_clock;
-  std::unordered_map<std::uint32_t, std::pair<std::size_t, DporClock>> reads;
+  std::vector<DporRead> reads;
 };
 
 }  // namespace
@@ -237,10 +262,19 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
                         const std::function<void(Engine&)>& on_step,
                         const std::function<void(Engine&)>& on_done) {
   DporResult result;
+  // The path is path[0, path_len); nodes past it are kept for their
+  // storage and reused as the search extends the path again.
   std::vector<DporNode> path;
+  std::size_t path_len = 0;
   bool first_run = true;
+  // Kept across replays so the search does not allocate per step: the
+  // per-address trace (reset at the start of each replay) and two per-step
+  // buffers.
+  std::vector<DporAddrTrace> mem;
+  std::vector<std::uint32_t> enabled;
+  std::vector<std::pair<std::uint32_t, DporAccess>> next_sleep;
 
-  while (first_run || !path.empty()) {
+  while (first_run || path_len != 0) {
     first_run = false;
     if (result.schedules_run + result.sleep_blocked >= config.max_schedules) {
       result.budget_exhausted = true;
@@ -255,10 +289,13 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
     const bool weak = engine.config().weak_memory;
     const std::uint32_t agent_count =
         weak ? 2 * process_count : process_count;
+    assert(agent_count <= 64 && "AgentSet holds at most 64 agents");
 
-    // Per-run trace analysis state, rebuilt during replay.
     std::vector<DporClock> vc(agent_count, DporClock(agent_count, 0));
-    std::unordered_map<Addr, DporAddrTrace> mem;
+    for (DporAddrTrace& t : mem) {
+      t.has_write = false;
+      for (DporRead& r : t.reads) r.valid = false;
+    }
     // Clocks of stores sitting in each process's buffer, FIFO like it.
     std::vector<std::vector<DporClock>> pending_clocks(process_count);
     // Active sleep set carried down the path (entry sleep of the next node
@@ -271,7 +308,7 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
       // program progress (a fence waiting on its buffer is not); a flush
       // agent is enabled while its process has buffered stores.  Spinning
       // processes are always runnable, so "may be co-enabled" holds.
-      std::vector<std::uint32_t> enabled;
+      enabled.clear();
       for (std::uint32_t q = 0; q < process_count; ++q) {
         if (engine.can_advance(q)) enabled.push_back(q);
       }
@@ -281,7 +318,7 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
         }
       }
 
-      if (depth < path.size()) {
+      if (depth < path_len) {
         active_sleep = path[depth].sleep;  // replay: stored entry sleep
       } else {
         if (enabled.empty()) break;  // execution complete (buffers drained)
@@ -289,13 +326,18 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
         // New node: default strategy picks the first enabled agent not
         // asleep.  If every enabled agent sleeps, this branch commutes
         // with one already explored -- prune it.
-        DporNode node;
-        node.enabled = enabled;
-        node.sleep = active_sleep;
+        if (path_len == path.size()) path.emplace_back();
+        DporNode& fresh = path[path_len];
+        fresh.enabled = enabled;
+        fresh.sleep = active_sleep;
+        fresh.explored.clear();
+        fresh.backtrack = {};
+        fresh.done = {};
+        fresh.access = {};
         std::uint32_t choice = agent_count;
         for (const std::uint32_t q : enabled) {
           const bool asleep =
-              std::any_of(node.sleep.begin(), node.sleep.end(),
+              std::any_of(fresh.sleep.begin(), fresh.sleep.end(),
                           [&](const auto& e) { return e.first == q; });
           if (!asleep) {
             choice = q;
@@ -306,9 +348,9 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
           sleep_blocked = true;
           break;
         }
-        node.chosen = choice;
-        node.backtrack.insert(choice);
-        path.push_back(std::move(node));
+        fresh.chosen = choice;
+        fresh.backtrack.insert(choice);
+        ++path_len;
       }
 
       DporNode& node = path[depth];
@@ -350,7 +392,9 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
         // Race rule: find earlier conflicting accesses not ordered before
         // p (by the happens-before of the trace so far) and plant
         // backtrack points where they were scheduled.
+        if (a.addr >= mem.size()) mem.resize(a.addr + 1);
         DporAddrTrace& t = mem[a.addr];
+        if (t.reads.size() < agent_count) t.reads.resize(agent_count);
         auto plant = [&](std::size_t at_index) {
           DporNode& site = path[at_index];
           const bool p_enabled = std::find(site.enabled.begin(),
@@ -369,8 +413,9 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
           plant(t.w_index);
         }
         if (a.is_write) {
-          for (const auto& [q, entry] : t.reads) {
-            if (q != p && entry.second[q] > vc[p][q]) plant(entry.first);
+          for (std::uint32_t q = 0; q < agent_count; ++q) {
+            const DporRead& r = t.reads[q];
+            if (r.valid && q != p && r.clock[q] > vc[p][q]) plant(r.index);
           }
         }
 
@@ -380,7 +425,9 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
         DporClock& c = vc[p];
         if (t.has_write) clock_join(c, t.w_clock);
         if (a.is_write) {
-          for (const auto& [q, entry] : t.reads) clock_join(c, entry.second);
+          for (const DporRead& r : t.reads) {
+            if (r.valid) clock_join(c, r.clock);
+          }
         }
         c[p] += 1;
         if (a.is_write) {
@@ -388,9 +435,12 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
           t.w_proc = p;
           t.w_index = depth;
           t.w_clock = c;
-          t.reads.clear();
+          for (DporRead& r : t.reads) r.valid = false;
         } else {
-          t.reads[p] = {depth, c};
+          DporRead& r = t.reads[p];
+          r.valid = true;
+          r.index = depth;
+          r.clock = c;
         }
       } else {
         vc[p][p] += 1;  // label/work/final step: independent of everything
@@ -398,7 +448,7 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
 
       // Sleep propagation: processes whose recorded next access commutes
       // with this step stay asleep below it.
-      std::vector<std::pair<std::uint32_t, DporAccess>> next_sleep;
+      next_sleep.clear();
       auto keep = [&](const std::pair<std::uint32_t, DporAccess>& e) {
         if (e.first == p) return;
         if (dpor_conflict(e.second, a)) return;
@@ -406,7 +456,7 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
       };
       for (const auto& e : node.sleep) keep(e);
       for (const auto& e : node.explored) keep(e);
-      active_sleep = std::move(next_sleep);
+      active_sleep.swap(next_sleep);
 
       if (on_step) on_step(engine);
     }
@@ -420,13 +470,14 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
 
     // DFS backtrack: retire the deepest explored edge, then find the
     // deepest node with an untried, non-sleeping alternative.
-    while (!path.empty()) {
-      DporNode& v = path.back();
-      if (v.done.insert(v.chosen).second) {
+    while (path_len != 0) {
+      DporNode& v = path[path_len - 1];
+      if (v.done.insert(v.chosen)) {
         v.explored.emplace_back(v.chosen, v.access);
       }
       std::uint32_t next = agent_count;
-      for (const std::uint32_t q : v.backtrack) {
+      for (std::uint64_t m = v.backtrack.bits; m != 0; m &= m - 1) {
+        const auto q = static_cast<std::uint32_t>(std::countr_zero(m));
         if (v.done.contains(q)) continue;
         const bool asleep =
             std::any_of(v.sleep.begin(), v.sleep.end(),
@@ -439,7 +490,7 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
         v.chosen = next;
         break;
       }
-      path.pop_back();
+      --path_len;
     }
   }
   return result;

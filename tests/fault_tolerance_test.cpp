@@ -932,8 +932,9 @@ TEST(RealThreadFaults, WfVictimHaltedAfterAnnounceIsCompletedBySurvivors) {
 
 TEST(RealThreadFaults, WfSurvivorsCompleteWhileVictimHaltedInsideHelping) {
   // Crash-stop a worker at every labelled step of the helping protocol in
-  // turn: after the link CAS window opens, at the claim CAS, at the result
-  // deposit, and at the tail/head swing.  A parked helper holds only its
+  // turn: after the link CAS window opens, at the dequeue-binding CAS
+  // (site wfq.claim), inside finish_deq, at the result deposit, and at the
+  // tail/head swing.  A parked helper holds only its
   // own descriptor slot -- survivors must complete full workloads, and
   // every item (including the victim's own completed ops) is conserved.
   constexpr std::array<const char*, 5> kSites = {
@@ -989,21 +990,19 @@ TEST(RealThreadFaults, WfSurvivorsCompleteWhileVictimHaltedInsideHelping) {
 }
 
 TEST(RealThreadFaults, StaleHelperCannotDepositIntoARecycledDummysNewOp) {
-  // Deterministic replay of the recycled-dummy hazard the taken-binding's
-  // live-Head deposit guard exists for.  Choreography: helper V parks
-  // inside finish_deq (site wfq.finish) holding a Head read of dummy D0
-  // and D0's claim, which names thread O's descriptor slot.  While V is
+  // Deterministic replay of the recycled-dummy hazard the binding's op
+  // identity and the live-Head deposit guard exist for.  Choreography:
+  // helper V parks inside finish_deq (site wfq.finish) holding a Head read
+  // of dummy D0 and the binding {D0's Head tag, O's op}.  While V is
   // parked, O's dequeue is completed by main (D0 consumed, freed), D0 is
   // RE-ENQUEUED mid-queue, and O -- same thread, same slot -- announces a
-  // fresh dequeue that parks pending with its taken reset to null.  V then
-  // resumes: it re-reads the reused slot's CURRENT pending announcement,
-  // so the phase guard alone cannot reject it, and its binding CAS writes
-  // the dead {D0, old-Head-tag} incarnation.  Without the deposit guard V
-  // completes O's new dequeue with the PREVIOUS dummy's already-delivered
-  // value (a duplicate, removing nothing); without stale-binding recovery
-  // the polluted taken wedges O's dequeue forever (the Watchdog would
-  // fire).  With both, O's second dequeue must deliver the real front
-  // value and the queue must conserve items exactly.
+  // fresh dequeue that parks pending.  V then resumes and reads that slot's
+  // CURRENT pending announcement.  Were the binding to name only the slot,
+  // V would complete O's new dequeue with the PREVIOUS dummy's
+  // already-delivered value (a duplicate, removing nothing).  The binding
+  // names O's first op by phase, and Head has moved past its tag, so V
+  // must leave; O's second dequeue must deliver the real front value and
+  // the queue must conserve items exactly.
   constexpr std::uint64_t kX = 101, kP = 202, kQ = 303;
   fault::Watchdog watchdog(60s, "WfQueue stale-helper deposit guard");
   queues::WfQueue<std::uint64_t> queue(64);
@@ -1029,8 +1028,8 @@ TEST(RealThreadFaults, StaleHelperCannotDepositIntoARecycledDummysNewOp) {
   plan_o1.wait_for_halted(1);
   plan_o1.disarm();
 
-  // Act 2: V's dequeue helps O's lower-phase op -- it claims D0 for O's
-  // slot, then parks inside finish_deq with claim and next already read.
+  // Act 2: V's dequeue helps O's lower-phase op -- it binds D0 to O's op,
+  // then parks inside finish_deq with the binding and next already read.
   fault::FaultPlan plan_v;
   plan_v.halt_at("wfq.finish");
   plan_v.arm();
@@ -1049,7 +1048,7 @@ TEST(RealThreadFaults, StaleHelperCannotDepositIntoARecycledDummysNewOp) {
 
   // Act 4: O harvests kX and returns; D0 is re-enqueued (the free list is
   // LIFO, so the first allocation re-uses it) and sits mid-queue with a
-  // live next edge and its claim still dangling at O's slot.
+  // live next edge.
   plan_o1.release_halted();
   while (o_gate.load() != 1) std::this_thread::yield();
   EXPECT_TRUE(o_first_ok.load());
@@ -1072,22 +1071,14 @@ TEST(RealThreadFaults, StaleHelperCannotDepositIntoARecycledDummysNewOp) {
   v.join();
   EXPECT_FALSE(v_got.load()) << "V's own dequeue should have read empty";
 
-  // Act 7: release O.  Its helping must recover from whatever binding V
-  // left behind and deliver the true front value.  The recovery goes
-  // through the stale-binding unbind (site wfq.unbind): V's dead
-  // {D0, old-Head-tag} binding pollutes O's taken, and O's own helping
-  // pass must clear it before the live dummy can be bound -- an armed
-  // observer plan must see that window cross.
-  fault::FaultPlan plan_watch;  // no rules: pure site-hit observation
-  plan_watch.arm();
+  // Act 7: release O.  V's stale binding names a Head tag the queue has
+  // left behind, so O's own helping rebinds the live dummy and delivers
+  // the true front value.
   plan_o2.release_halted();
   o.join();
-  plan_watch.disarm();
   EXPECT_TRUE(o_second_ok.load());
   EXPECT_EQ(o_second.load(), kP)
       << "stale helper completed the new dequeue with a recycled value";
-  EXPECT_GT(plan_watch.hits("wfq.unbind"), 0u)
-      << "O's recovery should have unbound V's stale pollution";
 
   // Conservation: exactly kQ remains.
   EXPECT_TRUE(queue.try_dequeue(out));

@@ -154,6 +154,9 @@ TEST(QueueTraits, ProgressClassificationMatchesPaper) {
   // (ROADMAP item 3; the bound is proven over schedules in
   // tests/sim_wf_test.cpp).
   EXPECT_EQ(WfQueue<int>::traits.progress, Progress::kWaitFree);
+  // Its dequeue binding is one queue-wide cell, so a node is the MS node
+  // (value, counted next) plus the enqueue stamp.
+  static_assert(WfQueue<std::uint64_t>::node_bytes() == 24);
   EXPECT_FALSE(MsQueueHp<int>::traits.pool_backed);
   EXPECT_TRUE(MsQueue<int>::traits.pool_backed);
 }

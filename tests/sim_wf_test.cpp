@@ -1,6 +1,8 @@
-// Model-checked core of the wait-free helping protocol behind
+// Model-checked cores of the wait-free helping protocol behind
 // queues::WfQueue (announcement array + monotone phases, Kogan-Petrank
-// style over the MS core).
+// style over the MS core): the helping sweep (SimWfHelping, this header)
+// and the dequeue path's single binding cell (SimWfDequeue, its own
+// section comment further down).
 //
 // The queue itself is exercised by the real-thread suites; what the
 // simulator adds is SCHEDULE coverage of the protocol skeleton -- the part
@@ -16,8 +18,9 @@
 // Checked over EVERY sleep-set-DPOR schedule of 3 concurrent ops:
 //  1. step bound: no schedule makes any op exceed its documented
 //     2*kProcs + 3 shared-memory steps (the real queue's constant-step
-//     link/swing/claim/deposit completion is collapsed into the one CAS;
-//     the helping sweep is what scales and what is modelled exactly);
+//     link/swing/bind/deposit completion is collapsed into the one CAS
+//     here, and modelled step by step in SimWfDequeue; the helping sweep
+//     is what scales and what is modelled exactly);
 //  2. completion-after-sweep: an op's own announcement is always done when
 //     its own sweep finishes -- under ANY interleaving (this is the
 //     wait-free claim: bounded steps to completion, no luck required);
@@ -32,9 +35,13 @@
 // the simulator twin of RealThreadFaults.WfVictimHaltedAfterAnnounce*.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/explore.hpp"
@@ -198,6 +205,593 @@ TEST(SimWfHelping, CrashedHelperCannotWedgeTheAnnouncementArray) {
           << "published announcement not completed; crash step " << k;
     }
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// The dequeue path: one binding cell decides which dequeue consumes the
+// dummy.
+//
+// The model above collapses link, bind, deposit and swing into one CAS, so
+// it cannot see how dequeues race for the dummy.  This one has them step
+// by step, in WfQueue's order: Head and Tail (counted links), a pool of
+// kNodes recycled nodes with counted `next` links, one descriptor word per
+// process ((value << 16) | phase << 3 | state), the phase counter and the
+// binding cell ((Head count << 32) | op, op = phase << 8 | slot).  A
+// dequeue draws a phase, announces, sweeps the lower phases, helps itself
+// until done, settles (swings Head past its own consumed dummy) and
+// harvests; a helping round resolves an empty verdict, helps a lagging
+// Tail, binds, deposits and swings.  Every shared access is one step.
+//
+// Enqueues are the MS core's plain link and Tail swing, not announced: the
+// binding never touches the enqueue side, whose announcement and helping
+// SimWfHelping models above (with both in, even one op per process is
+// more than 5 million schedules).  Two steps are folded where no other process
+// can observe the difference: popping the free list (a bitmask; the
+// Treiber stack is proved elsewhere) and preparing the private node.
+//
+// Checked over EVERY DPOR schedule of kSlotReuse and kRecycle below:
+//  1. no value is dequeued twice and none is lost;
+//  2. FIFO: the i-th deposit is made against Head count i and carries the
+//     i-th linked value (deposits are the dequeues' linearization points);
+//  3. Head swings only past a dummy whose value was deposited, and every
+//     consumed dummy is swung past by the time its owner returns;
+//  4. the step bound: each helping loop ends within 1 + (other ops in the
+//     world) rounds -- every failed round is charged to the completion of
+//     a distinct other operation (a swing, a Tail swing, an empty verdict
+//     or a competing bind) -- so each op stays under op_step_bound().
+//
+// Two broken variants show the model can see the bugs the binding rules
+// exist for; DPOR must find a value dequeued twice in each:
+//  * kSlotOnly is the old claim: the binding names a descriptor SLOT, not
+//    the op.  A helper that read it can then deposit into the slot's NEXT
+//    dequeue after the binding has moved on to another op, which gets the
+//    same value.
+//  * kNoHeadRecheck binds without re-reading Head after reading the
+//    binding.  A helper whose Head read predates a swing then sees the
+//    live binding as stale and evicts it; the evicted op's dummy is never
+//    swung past, and its value is deposited again.
+// ---------------------------------------------------------------------------
+
+namespace deq {
+
+constexpr std::uint32_t kNodes = 4;
+constexpr std::uint64_t kNull = 0xff;
+
+// Descriptor states, as wf_detail::State (enqueues do not announce here).
+constexpr std::uint64_t kIdle = 0, kPendingDeq = 2, kDoneDeq = 4, kEmpty = 5;
+
+constexpr std::uint64_t link(std::uint64_t idx, std::uint64_t count) {
+  return (count << 8) | idx;
+}
+constexpr std::uint64_t idx_of(std::uint64_t l) { return l & 0xff; }
+constexpr std::uint64_t count_of(std::uint64_t l) { return l >> 8; }
+constexpr std::uint64_t seq(std::uint64_t phase, std::uint64_t state) {
+  return (phase << 3) | state;
+}
+constexpr std::uint64_t state_of(std::uint64_t d) { return d & 7; }
+constexpr std::uint64_t phase_of(std::uint64_t d) { return (d >> 3) & 0x1fff; }
+constexpr std::uint64_t bits_of(std::uint64_t d) { return d >> 16; }
+constexpr std::uint64_t op_id(std::uint64_t phase, std::uint64_t slot) {
+  return (phase << 8) | slot;
+}
+constexpr std::uint64_t bind_word(std::uint64_t tag, std::uint64_t op) {
+  return (tag << 32) | op;
+}
+constexpr std::uint64_t tag_of(std::uint64_t b) { return b >> 32; }
+constexpr std::uint64_t op_of(std::uint64_t b) { return b & 0xffffffffu; }
+constexpr std::uint64_t kStaleTag = 0xffffffffu;  // matches no Head count
+
+/// Rounds one helping loop may take in a world of `ops` operations.
+constexpr std::uint64_t round_bound(std::uint64_t ops) { return ops; }
+
+/// Steps one operation may take: FAA + announce, a sweep read per other
+/// slot, up to kProcs helping loops of round_bound rounds (one loop read
+/// plus at most 17 accesses per round), settle (at most 8) and harvest.
+constexpr std::uint64_t op_step_bound(std::uint64_t ops) {
+  return 2 + (kProcs - 1) + kProcs * (1 + round_bound(ops) * 18) + 8 + 1;
+}
+
+enum class Variant { kBinding, kSlotOnly, kNoHeadRecheck };
+
+struct Op {
+  bool enqueue = false;
+  std::uint64_t value = 0;  // enqueue: the value (distinct, nonzero)
+};
+
+struct World {
+  std::array<std::vector<Op>, kProcs> work;
+  std::vector<std::uint64_t> prefill;  // queued before any process runs
+};
+
+struct Deposit {
+  std::uint64_t value;
+  std::uint64_t head_count;
+};
+
+/// One decisive step, kept for the failure message.
+struct Event {
+  std::uint32_t proc;
+  const char* what;
+  std::uint64_t x;
+  std::uint64_t head_count;
+};
+
+struct DeqWorld;
+Task<void> run_ops(Proc& p, DeqWorld& w, std::uint32_t self,
+                   std::vector<Op> ops);
+
+struct DeqWorld {
+  Engine engine;
+  bool slot_only;
+  bool head_recheck;
+  Addr head = 0, tail = 0, phase = 0, bind = 0, freemask = 0;
+  Addr next0 = 0, payload0 = 0, desc0 = 0;
+
+  // Bookkeeping (outside simulated memory; costs no step).
+  std::vector<std::uint64_t> linked;    // values, in link order
+  std::vector<Deposit> deposits;        // in deposit-CAS order
+  std::vector<std::uint64_t> returned;  // values owners returned
+  std::uint64_t swings = 0;
+  std::array<bool, kNodes> used{};  // node has been in the queue
+  std::uint64_t recycled = 0;       // allocations of a used node
+  std::vector<std::string> violations;
+  std::vector<Event> trace;
+  std::array<std::uint64_t, kProcs> op_steps{};
+  std::uint64_t max_op_steps = 0;
+  std::uint64_t max_rounds = 0;
+
+  DeqWorld(const World& world, Variant variant)
+      : slot_only(variant == Variant::kSlotOnly),
+        head_recheck(variant != Variant::kNoHeadRecheck) {
+    SimMemory& mem = engine.memory();
+    head = mem.alloc(1);
+    tail = mem.alloc(1);
+    phase = mem.alloc(1);
+    bind = mem.alloc(1);
+    freemask = mem.alloc(1);
+    next0 = mem.alloc(kNodes);
+    payload0 = mem.alloc(kNodes);
+    desc0 = mem.alloc(kProcs);
+    for (std::uint32_t i = 0; i < kNodes; ++i) mem.word(next(i)) = kNull;
+    // Node 0 is the dummy; prefilled values sit in nodes 1, 2, ...
+    const std::uint64_t last = world.prefill.size();
+    for (std::uint64_t i = 0; i < last; ++i) {
+      mem.word(next(i)) = link(i + 1, 0);
+      mem.word(payload(i + 1)) = world.prefill[i];
+      linked.push_back(world.prefill[i]);
+    }
+    for (std::uint64_t i = 0; i <= last; ++i) used[i] = true;
+    mem.word(head) = link(0, 0);
+    mem.word(tail) = link(last, 0);
+    mem.word(bind) = bind_word(kStaleTag, 0);
+    mem.word(freemask) = ((1u << kNodes) - 1) & ~((2u << last) - 1);
+    for (std::uint32_t i = 0; i < kProcs; ++i) {
+      engine.spawn(0, [this, i, ops = world.work[i]](Proc& p) {
+        return run_ops(p, *this, i, ops);
+      });
+    }
+  }
+
+  [[nodiscard]] Addr next(std::uint64_t i) const { return next0 + i; }
+  [[nodiscard]] Addr payload(std::uint64_t i) const { return payload0 + i; }
+  [[nodiscard]] Addr desc(std::uint64_t s) const { return desc0 + s; }
+  [[nodiscard]] std::uint64_t value_in(std::uint64_t node) const {
+    return engine.memory().peek(payload(node));
+  }
+  [[nodiscard]] std::uint64_t head_count() const {
+    return count_of(engine.memory().peek(head));
+  }
+
+  // Every access of an operation goes through these, which count it
+  // against the operation's step bound.
+  Proc::OpAwaiter rd(Proc& p, Addr a) {
+    ++op_steps[p.id()];
+    return p.read(a);
+  }
+  Proc::OpAwaiter wr(Proc& p, Addr a, std::uint64_t v) {
+    ++op_steps[p.id()];
+    return p.write(a, v);
+  }
+  Proc::OpAwaiter cas(Proc& p, Addr a, std::uint64_t e, std::uint64_t d) {
+    ++op_steps[p.id()];
+    // The access is applied at the end of THIS step (code after a co_await
+    // runs at the process's next step), so a CAS that will succeed is
+    // recorded here, atomically with it.
+    if (engine.memory().peek(a) == e) on_cas(p, a, e, d);
+    return p.cas(a, e, d);
+  }
+  Proc::OpAwaiter faa(Proc& p, Addr a, std::uint64_t d) {
+    ++op_steps[p.id()];
+    return p.faa(a, d);
+  }
+
+  void violation(std::string what) { violations.push_back(std::move(what)); }
+  void note(Proc& p, const char* what, std::uint64_t x) {
+    trace.push_back({p.id(), what, x, head_count()});
+  }
+
+  // A CAS about to succeed: record links, deposits (against the Head count
+  // they are made under) and swings -- each swing must retire the one
+  // deposit made against the Head incarnation it leaves.
+  void on_cas(Proc& p, Addr a, std::uint64_t e, std::uint64_t d) {
+    if (a == head) {
+      note(p, "swing Head past the value", value_in(idx_of(d)));
+      if (swings >= deposits.size() || deposits[swings].head_count != swings ||
+          count_of(e) != swings ||
+          deposits[swings].value != value_in(idx_of(d))) {
+        violation("Head swung past a dummy whose value was not deposited");
+      }
+      ++swings;
+    } else if (a == bind) {
+      note(p, "bind op", op_of(d));
+    } else if (a >= desc0 && a < desc0 + kProcs) {
+      if (state_of(d) == kDoneDeq) {
+        deposits.push_back({bits_of(d), head_count()});
+        note(p, "deposit", bits_of(d));
+      } else {
+        note(p, "empty verdict for slot", a - desc0);
+      }
+    } else if (a >= next0 && a < next0 + kNodes && idx_of(d) != kNull) {
+      linked.push_back(value_in(idx_of(d)));
+      note(p, "link", linked.back());
+    }
+  }
+
+  [[nodiscard]] std::string render_trace() const {
+    std::string out;
+    for (const Event& e : trace) {
+      out += "\n  p" + std::to_string(e.proc) + " " + e.what + " " +
+             std::to_string(e.x) + " (Head count " +
+             std::to_string(e.head_count) + ")";
+    }
+    return out;
+  }
+};
+
+/// Swing a lagging Tail past its linked successor (the MS core's E12/D9;
+/// WfQueue's finish_tail also completes the enqueue's announcement).
+Task<void> finish_tail(Proc& p, DeqWorld& w) {
+  const std::uint64_t t = co_await w.rd(p, w.tail);
+  const std::uint64_t nx = co_await w.rd(p, w.next(idx_of(t)));
+  if (idx_of(nx) == kNull) co_return;
+  const std::uint64_t unused =
+      co_await w.cas(p, w.tail, t, link(idx_of(nx), count_of(t) + 1));
+  static_cast<void>(unused);
+}
+
+/// The bound op still reads {its phase, `state`}.  kSlotOnly: ANY op in
+/// the bound slot that reads `state`.
+bool op_reads(const DeqWorld& w, std::uint64_t op, std::uint64_t d,
+              std::uint64_t state) {
+  if (w.slot_only) return state_of(d) == state;
+  return (d & 0xffff) == seq(op >> 8, state);
+}
+
+/// finish_deq: deposit into the bound op while it is pending and Head is
+/// still `h`, then swing Head iff the bound op reads done.
+Task<void> finish_deq(Proc& p, DeqWorld& w, std::uint64_t h,
+                      std::uint64_t nx) {
+  const std::uint64_t b = co_await w.rd(p, w.bind);
+  if (tag_of(b) != count_of(h)) co_return;
+  const Addr d = w.desc(op_of(b) & 0xff);
+  const std::uint64_t r = co_await w.rd(p, d);
+  if (op_reads(w, op_of(b), r, kPendingDeq)) {
+    const std::uint64_t h2 = co_await w.rd(p, w.head);
+    if (h2 != h) co_return;
+    const std::uint64_t v = co_await w.rd(p, w.payload(idx_of(nx)));
+    const std::uint64_t unused =
+        co_await w.cas(p, d, r, (v << 16) | seq(phase_of(r), kDoneDeq));
+    static_cast<void>(unused);
+  }
+  const std::uint64_t r2 = co_await w.rd(p, d);
+  if (!op_reads(w, op_of(b), r2, kDoneDeq)) co_return;
+  const std::uint64_t old =
+      co_await w.cas(p, w.head, h, link(idx_of(nx), count_of(h) + 1));
+  if (old == h) {
+    const std::uint64_t unused = co_await w.faa(p, w.freemask, 1u << idx_of(h));
+    static_cast<void>(unused);
+  }
+}
+
+Task<void> help_deq_round(Proc& p, DeqWorld& w, std::uint32_t slot,
+                          std::uint64_t sv) {
+  const std::uint64_t h = co_await w.rd(p, w.head);
+  const std::uint64_t t = co_await w.rd(p, w.tail);
+  const std::uint64_t nx = co_await w.rd(p, w.next(idx_of(h)));
+  const std::uint64_t h2 = co_await w.rd(p, w.head);
+  if (h2 != h) co_return;
+  if (idx_of(h) == idx_of(t)) {
+    if (idx_of(nx) == kNull) {
+      const std::uint64_t unused =
+          co_await w.cas(p, w.desc(slot), sv, seq(phase_of(sv), kEmpty));
+      static_cast<void>(unused);
+    } else {
+      co_await finish_tail(p, w);
+    }
+    co_return;
+  }
+  if (idx_of(nx) == kNull) co_return;
+  const std::uint64_t b = co_await w.rd(p, w.bind);
+  bool rebind = tag_of(b) != count_of(h);
+  if (!rebind) {
+    const std::uint64_t bd = co_await w.rd(p, w.desc(op_of(b) & 0xff));
+    rebind = !op_reads(w, op_of(b), bd, kPendingDeq) &&
+             !op_reads(w, op_of(b), bd, kDoneDeq);
+  }
+  if (rebind) {
+    const std::uint64_t r = co_await w.rd(p, w.desc(slot));
+    if (r != sv) co_return;
+    if (w.head_recheck) {
+      const std::uint64_t h3 = co_await w.rd(p, w.head);
+      if (h3 != h) co_return;
+    }
+    const std::uint64_t op = w.slot_only ? slot : op_id(phase_of(sv), slot);
+    const std::uint64_t unused =
+        co_await w.cas(p, w.bind, b, bind_word(count_of(h), op));
+    static_cast<void>(unused);
+  }
+  co_await finish_deq(p, w, h, nx);
+}
+
+/// settle_consumed_dummy: swing Head past the owner's bound dummy.
+Task<void> settle(Proc& p, DeqWorld& w, std::uint64_t op) {
+  const std::uint64_t b = co_await w.rd(p, w.bind);
+  if (op_of(b) != op) co_return;
+  for (;;) {
+    const std::uint64_t h = co_await w.rd(p, w.head);
+    if (count_of(h) != tag_of(b)) co_return;
+    const std::uint64_t nx = co_await w.rd(p, w.next(idx_of(h)));
+    if (idx_of(nx) == kNull) co_return;
+    const std::uint64_t old =
+        co_await w.cas(p, w.head, h, link(idx_of(nx), count_of(h) + 1));
+    if (old == h) {
+      const std::uint64_t unused =
+          co_await w.faa(p, w.freemask, 1u << idx_of(h));
+      static_cast<void>(unused);
+      co_return;
+    }
+  }
+}
+
+/// Help the dequeue announced as `sv` in slot `s` until its announcement
+/// changes; returns the new word and records the loop's round count.
+Task<std::uint64_t> help_until_done(Proc& p, DeqWorld& w, std::uint32_t s,
+                                    std::uint64_t sv) {
+  for (std::uint64_t rounds = 0;; ++rounds) {
+    const std::uint64_t now = co_await w.rd(p, w.desc(s));
+    if (now != sv) {
+      w.max_rounds = std::max(w.max_rounds, rounds);
+      co_return now;
+    }
+    co_await help_deq_round(p, w, s, sv);
+  }
+}
+
+Task<void> enqueue(Proc& p, DeqWorld& w, std::uint64_t value) {
+  // Pop the lowest free node: the peek and the CAS run in the same engine
+  // step, so the CAS always succeeds.
+  SimMemory& mem = w.engine.memory();
+  const std::uint64_t m = mem.peek(w.freemask);
+  if (m == 0) {
+    w.violation("pool exhausted: size the model's pool to its workload");
+    co_return;
+  }
+  const std::uint64_t node = static_cast<std::uint64_t>(std::countr_zero(m));
+  if (w.used[node]) ++w.recycled;
+  w.used[node] = true;
+  const std::uint64_t popped =
+      co_await w.cas(p, w.freemask, m, m & ~(1ull << node));
+  static_cast<void>(popped);
+  // Prepare the private node in one step: nobody else writes a free
+  // node's words, and a stale read of them is discarded by a Head or Tail
+  // revalidation.  The reset bumps the link count, as WfQueue's does.
+  mem.word(w.payload(node)) = value;
+  co_await w.wr(p, w.next(node),
+                link(kNull, count_of(mem.peek(w.next(node))) + 1));
+  for (;;) {
+    const std::uint64_t t = co_await w.rd(p, w.tail);
+    const std::uint64_t nx = co_await w.rd(p, w.next(idx_of(t)));
+    const std::uint64_t t2 = co_await w.rd(p, w.tail);
+    if (t2 != t) continue;
+    if (idx_of(nx) != kNull) {
+      co_await finish_tail(p, w);
+      continue;
+    }
+    const std::uint64_t old = co_await w.cas(p, w.next(idx_of(t)), nx,
+                                             link(node, count_of(nx) + 1));
+    if (old == nx) break;
+  }
+  co_await finish_tail(p, w);
+}
+
+Task<void> dequeue(Proc& p, DeqWorld& w, std::uint32_t self) {
+  const std::uint64_t phase = co_await w.faa(p, w.phase, 1);
+  const std::uint64_t announced = seq(phase, kPendingDeq);
+  w.note(p, "announce dequeue, phase", phase);
+  co_await w.wr(p, w.desc(self), announced);
+  // help_lower_phases: every other pending dequeue with phase <= ours.
+  for (std::uint32_t s = 0; s < kProcs; ++s) {
+    if (s == self) continue;
+    const std::uint64_t sv = co_await w.rd(p, w.desc(s));
+    if (state_of(sv) != kPendingDeq || phase_of(sv) > phase) continue;
+    const std::uint64_t unused = co_await help_until_done(p, w, s, sv);
+    static_cast<void>(unused);
+  }
+  const std::uint64_t r = co_await help_until_done(p, w, self, announced);
+  if (state_of(r) == kDoneDeq) {
+    co_await settle(p, w, w.slot_only ? self : op_id(phase, self));
+    w.returned.push_back(bits_of(r));
+  }
+  w.note(p, "harvest, phase", phase);
+  co_await w.wr(p, w.desc(self), seq(phase, kIdle));
+}
+
+Task<void> run_ops(Proc& p, DeqWorld& w, std::uint32_t self,
+                   std::vector<Op> ops) {
+  for (const Op& op : ops) {
+    w.op_steps[self] = 0;
+    if (op.enqueue) {
+      co_await enqueue(p, w, op.value);
+    } else {
+      co_await dequeue(p, w, self);
+    }
+    w.max_op_steps = std::max(w.max_op_steps, w.op_steps[self]);
+  }
+}
+
+/// Terminal checks 1-3 of the section comment; appends to w.violations.
+void check_terminal(DeqWorld& w) {
+  for (std::size_t i = 0; i < w.deposits.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (w.deposits[j].value == w.deposits[i].value) {
+        w.violation("value " + std::to_string(w.deposits[i].value) +
+                    " dequeued twice");
+        return;
+      }
+    }
+    if (i >= w.linked.size() || w.deposits[i].value != w.linked[i] ||
+        w.deposits[i].head_count != i) {
+      w.violation("dequeue order is not FIFO");
+      return;
+    }
+  }
+  if (w.swings != w.deposits.size()) {
+    w.violation("a consumed dummy was never swung past");
+  }
+  if (w.returned.size() != w.deposits.size()) {
+    w.violation("a deposited value was not returned by its owner");
+  }
+  // No loss: every linked value not dequeued is still queued, in order.
+  const SimMemory& mem = w.engine.memory();
+  std::vector<std::uint64_t> queued;
+  std::uint64_t node = idx_of(mem.peek(w.head));
+  for (std::uint32_t hops = 0; hops < kNodes; ++hops) {
+    node = idx_of(mem.peek(w.next(node)));
+    if (node == kNull) break;
+    queued.push_back(w.value_in(node));
+  }
+  const std::vector<std::uint64_t> expected(
+      w.linked.begin() + static_cast<std::ptrdiff_t>(w.deposits.size()),
+      w.linked.end());
+  if (queued != expected) w.violation("a linked value was lost");
+}
+
+struct Exploration {
+  DporResult dpor;
+  std::uint64_t violating = 0;  // schedules with any violation
+  std::string first_violation;  // with its schedule's decisive steps
+  std::uint64_t max_rounds = 0;
+  std::uint64_t recycling = 0;  // schedules that re-allocated a used node
+};
+
+/// Thrown out of explore_dpor to end a search at its first violation.
+struct FoundViolation {};
+
+/// Explores every schedule of `world`; `stop_at_violation` ends the search
+/// at the first violating schedule instead.
+Exploration explore(const World& world, Variant variant,
+                    bool stop_at_violation = false) {
+  std::uint64_t ops = 0, enqueues = world.prefill.size();
+  for (const auto& list : world.work) {
+    for (const Op& op : list) {
+      ++ops;
+      if (op.enqueue) ++enqueues;
+    }
+  }
+  Exploration out;
+  std::unique_ptr<DeqWorld> w;
+  DporConfig config;
+  config.max_steps_per_run = 5'000;
+  config.max_schedules = 5'000'000;
+  try {
+    out.dpor = explore_dpor(
+        config, kProcs,
+        [&]() -> Engine& {
+          w = std::make_unique<DeqWorld>(world, variant);
+          return w->engine;
+        },
+        /*on_step=*/nullptr,
+        [&](Engine& engine) {
+          if (!engine.all_done()) {
+            w->violation("a schedule left an operation unfinished");
+          } else {
+            check_terminal(*w);
+            if (w->linked.size() != enqueues) {
+              w->violation("an enqueue was lost");
+            }
+          }
+          if (w->max_rounds > round_bound(ops) ||
+              w->max_op_steps > op_step_bound(ops)) {
+            w->violation("an operation exceeded the documented step bound");
+          }
+          out.max_rounds = std::max(out.max_rounds, w->max_rounds);
+          if (w->recycled > 0) ++out.recycling;
+          if (!w->violations.empty() && out.violating++ == 0) {
+            out.first_violation = w->violations.front() + w->render_trace();
+            if (stop_at_violation) throw FoundViolation{};
+          }
+        });
+  } catch (const FoundViolation&) {
+  }
+  return out;
+}
+
+const Op kDeq{false, 0};
+constexpr Op enq(std::uint64_t v) { return Op{true, v}; }
+
+// p0 dequeues twice in slot 0 while p1 enqueues and p2 dequeues: an empty
+// verdict can land on a bound dequeue, and the slot is reused under a
+// live binding -- the window the old claim mishandled.
+const World kSlotReuse{{{{kDeq, kDeq}, {enq(1)}, {kDeq}}}, {}};
+// One value queued up front, two more enqueued: swings free node 0 while
+// enqueues allocate, so nodes are recycled under stale views.
+const World kRecycle{{{{kDeq}, {enq(2), enq(3)}, {kDeq}}}, {1}};
+// Two values queued, three dequeues: a helper can hold a Head read from
+// before the first swing while the second value is being bound.  (The
+// binding passes all 5.0 million schedules of this world too, but they
+// take about a minute, so the suite only searches it for kNoHeadRecheck.)
+const World kStaleHead{{{{kDeq}, {kDeq}, {kDeq}}}, {1, 2}};
+
+}  // namespace deq
+
+/// Every schedule of `world` passes checks 1-4 of the section comment.
+deq::Exploration expect_every_schedule_correct(const deq::World& world) {
+  const deq::Exploration r = deq::explore(world, deq::Variant::kBinding);
+  EXPECT_FALSE(r.dpor.budget_exhausted);
+  EXPECT_EQ(r.violating, 0u) << r.first_violation;
+  EXPECT_GT(r.dpor.schedules_run, 1'000u)
+      << "DPOR covered suspiciously few schedules";
+  EXPECT_GT(r.dpor.sleep_blocked, 0u);
+  EXPECT_GT(r.max_rounds, 1u) << "no schedule made a helping round fail";
+  return r;
+}
+
+TEST(SimWfDequeue, DporSlotReuseDeliversEachValueOnceInFifoOrder) {
+  expect_every_schedule_correct(deq::kSlotReuse);
+}
+
+TEST(SimWfDequeue, DporRecycledNodesDeliverEachValueOnceInFifoOrder) {
+  const deq::Exploration r = expect_every_schedule_correct(deq::kRecycle);
+  EXPECT_GT(r.recycling, 0u) << "no schedule recycled a node";
+}
+
+/// DPOR finds a value dequeued twice in `world` under a broken `variant`.
+void expect_double_deposit_found(const deq::World& world,
+                                 deq::Variant variant) {
+  const deq::Exploration r =
+      deq::explore(world, variant, /*stop_at_violation=*/true);
+  ASSERT_GT(r.violating, 0u) << "DPOR missed the double deposit";
+  EXPECT_NE(r.first_violation.find("dequeued twice"), std::string::npos)
+      << r.first_violation;
+}
+
+TEST(SimWfDequeue, SlotOnlyBindingIsCaughtDepositingOneValueTwice) {
+  expect_double_deposit_found(deq::kSlotReuse, deq::Variant::kSlotOnly);
+}
+
+TEST(SimWfDequeue, BindWithoutHeadRecheckIsCaughtDepositingOneValueTwice) {
+  expect_double_deposit_found(deq::kStaleHead, deq::Variant::kNoHeadRecheck);
 }
 
 }  // namespace
