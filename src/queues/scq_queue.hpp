@@ -37,6 +37,18 @@
 //    of chasing enqueuers forever.  tests/sim_scq_test.cpp replays the
 //    livelock that exists WITHOUT the threshold and proves the bound WITH
 //    it over every DPOR schedule.
+//  * a read-only empty check, gated on the threshold: once a dequeuer has
+//    missed since the last deposit (threshold below 3n-1 but not
+//    negative), dequeue loads head, then tail, and returns empty with no
+//    RMW when tail <= head -- the paper's D2-D7 "empty from reads alone".
+//    Without it every empty poll costs 4 RMWs (head FAA, entry CAS, tail
+//    catch-up CAS, threshold fetch_sub), two on lines the producer writes.
+//    The gate keeps the extra tail read off the path while dequeues
+//    succeed.  On the free ring the same check makes a refused enqueue on
+//    a full queue RMW-free.  tests/sim_scq_test.cpp proves it linearizable
+//    over every DPOR schedule of a 3-process world, and shows that reading
+//    tail before head can report a ring empty that held an item at every
+//    instant of the call.
 #pragma once
 
 #include <atomic>
@@ -138,8 +150,20 @@ class ScqRing {
   /// Livelock-free via the threshold: at most threshold_init_+1 losing
   /// probes after the last deposit before every dequeuer reports empty.
   [[nodiscard]] std::uint32_t dequeue() noexcept {
-    if (threshold_.load(std::memory_order_acquire) < 0) {
+    const std::int64_t threshold = threshold_.load(std::memory_order_acquire);
+    if (threshold < 0) {
       return kBottom;  // fast path: a prior exhausted scan proved emptiness
+    }
+    if (threshold != threshold_init_) {
+      // A dequeuer has missed since the last deposit: the ring is probably
+      // still empty, so check with reads alone before taking a ticket (the
+      // paper's D2-D7).  Head first: both counters only grow, so tail <=
+      // head at the tail read means every deposited index already has its
+      // dequeue ticket issued.  Read the other way round, a head that moved
+      // past a fresh deposit after the tail read hides it.  While dequeues
+      // succeed the threshold stays armed and the hot tail line is not read.
+      const std::uint64_t h = head_.load(std::memory_order_acquire);
+      if (tail_.load(std::memory_order_acquire) <= h) return kBottom;
     }
     for (;;) {
       MSQ_PROBE("scq.faa_deq");
@@ -308,8 +332,9 @@ class ScqQueue {
     return true;
   }
 
-  /// Returns false iff the queue was observed empty (threshold-certified:
-  /// the allocated ring's scan budget ran out or its fast path fired).
+  /// Returns false iff the queue was observed empty (the allocated ring's
+  /// scan budget ran out, its fast path fired, or its read-only check saw
+  /// tail <= head).
   bool try_dequeue(T& out) noexcept {
     MSQ_PROBE("scq.deq");
     const std::uint32_t idx = aq_.dequeue();

@@ -170,7 +170,12 @@ ExploreResult explore_schedules(const ExploreConfig& config,
 // choices on a fresh engine, extends it to completion with a default
 // strategy, analyses the trace with vector clocks to plant backtrack
 // points at conflicting steps, then backtracks DFS-style to the deepest
-// node with an untried alternative.
+// node with an untried alternative.  A race is planted as the later
+// step's process only when that process is an initial of the steps since
+// the earlier one (source-DPOR's condition); otherwise as every enabled
+// process.  Planting the process regardless lost traces in 3-process
+// worlds: tests/sim_scq_test.cpp's empty-check world is symmetric in its
+// two dequeuers, yet only one of them was ever seen returning empty.
 //
 // Weak memory (EngineConfig::weak_memory) doubles the agent space: agent
 // a < n runs process a's next program step, agent n + q publishes process
@@ -233,6 +238,7 @@ struct DporNode {
   std::vector<std::pair<std::uint32_t, DporAccess>> explored;
   std::uint32_t chosen = 0;
   DporAccess access{};
+  DporClock clock;  // the chosen agent's happens-before clock after the step
 };
 
 /// One agent's read of an address since its last write: its step index in
@@ -242,6 +248,34 @@ struct DporRead {
   std::size_t index = 0;
   DporClock clock;
 };
+
+/// Can agent `p` reverse its race with the step at `site` by being
+/// scheduled right there?  Only if p's first step after the site waits on
+/// no step run since that is not itself ordered after the site: p must be
+/// an initial of those steps (source-DPOR).  Planting p anyway would run
+/// p's first step early, not the racing one, and can lose the reversed
+/// trace.  `racing` is the clock of p's racing step.
+bool is_initial_after(const std::vector<DporNode>& path, std::size_t site,
+                      std::size_t depth, std::uint32_t p,
+                      const DporClock& racing) {
+  const std::uint32_t e_agent = path[site].chosen;
+  const std::uint64_t e_tick = path[site].clock[e_agent];
+  std::size_t first = depth;
+  for (std::size_t j = site + 1; j < depth; ++j) {
+    if (path[j].chosen == p) {
+      first = j;
+      break;
+    }
+  }
+  const DporClock& first_clock = first == depth ? racing : path[first].clock;
+  for (std::size_t k = site + 1; k < first; ++k) {
+    const DporClock& kc = path[k].clock;
+    const std::uint32_t q = path[k].chosen;
+    if (kc[e_agent] >= e_tick) continue;  // ordered after the site's step
+    if (first_clock[q] >= kc[q]) return false;  // p's first step waits on k
+  }
+  return true;
+}
 
 /// Per-address trace summary for the race rule: the last write and the
 /// reads since it (indexed by agent), each with the executing process, its
@@ -273,6 +307,7 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
   std::vector<DporAddrTrace> mem;
   std::vector<std::uint32_t> enabled;
   std::vector<std::pair<std::uint32_t, DporAccess>> next_sleep;
+  DporClock joined;
 
   while (first_run || path_len != 0) {
     first_run = false;
@@ -369,12 +404,14 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
         vc[p][p] += 1;
         pending_clocks[p].push_back(vc[p]);
         node.access = {};
+        node.clock = vc[p];
         if (on_step) on_step(engine);
         continue;
       }
       if (la.valid && la.forwarded) {
         vc[p][p] += 1;  // served from the process's own buffer: local
         node.access = {};
+        node.clock = vc[p];
         if (on_step) on_step(engine);
         continue;
       }
@@ -395,12 +432,24 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
         if (a.addr >= mem.size()) mem.resize(a.addr + 1);
         DporAddrTrace& t = mem[a.addr];
         if (t.reads.size() < agent_count) t.reads.resize(agent_count);
+        // This step's happens-before clock: ordered after every earlier
+        // dependent access (reads after the last write; writes after the
+        // last write and the reads since it).
+        joined = vc[p];
+        if (t.has_write) clock_join(joined, t.w_clock);
+        if (a.is_write) {
+          for (const DporRead& r : t.reads) {
+            if (r.valid) clock_join(joined, r.clock);
+          }
+        }
+        joined[p] += 1;
         auto plant = [&](std::size_t at_index) {
           DporNode& site = path[at_index];
           const bool p_enabled = std::find(site.enabled.begin(),
                                            site.enabled.end(),
                                            p) != site.enabled.end();
-          if (p_enabled) {
+          if (p_enabled &&
+              is_initial_after(path, at_index, depth, p, joined)) {
             site.backtrack.insert(p);
           } else {
             for (const std::uint32_t q : site.enabled) {
@@ -419,17 +468,8 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
           }
         }
 
-        // Update the happens-before clocks: this access is ordered after
-        // every earlier dependent access (reads after the last write;
-        // writes after the last write and the reads since it).
         DporClock& c = vc[p];
-        if (t.has_write) clock_join(c, t.w_clock);
-        if (a.is_write) {
-          for (const DporRead& r : t.reads) {
-            if (r.valid) clock_join(c, r.clock);
-          }
-        }
-        c[p] += 1;
+        c = joined;
         if (a.is_write) {
           t.has_write = true;
           t.w_proc = p;
@@ -457,6 +497,7 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
       for (const auto& e : node.sleep) keep(e);
       for (const auto& e : node.explored) keep(e);
       active_sleep.swap(next_sleep);
+      node.clock = vc[p];
 
       if (on_step) on_step(engine);
     }

@@ -276,6 +276,20 @@ inline constexpr MoSite kMoSites[] = {
                 false, false, false, false,
                 "tail catch-up: liveness-only (keeps deposits ahead of the "
                 "scanned region); losers re-read both counters"),
+    MSQ_MO_SITE("scq.empty_head_load", MoKind::kLoad, check::MemOrder::kAcquire,
+                false, false, true, false,
+                "the gated empty check's first read: compared, never "
+                "dereferenced, and no payload rides an empty verdict; "
+                "plain demotion races with a sibling consumer's head FAA. "
+                "Its acquire keeps the tail load after it on targets that "
+                "reorder loads -- SC and TSO exploration never do, so that "
+                "role is argued (tests/sim_scq_test.cpp's tail-first "
+                "control), not swept"),
+    MSQ_MO_SITE("scq.empty_tail_load", MoKind::kLoad, check::MemOrder::kAcquire,
+                false, false, true, false,
+                "the gated empty check's verdict read (tail <= head): "
+                "value advisory like scq.deq_tail_load, but plain "
+                "demotion races with every enqueuer's FAA"),
 
     // --- litmus worlds (tools/mo_mutation_sweep.cpp, "
     //     tests/sim_weak_memory_test.cpp) --------------------------------

@@ -7,15 +7,17 @@
 //   threshold_           -- int64 search budget, stored as two's-complement
 //                           in the u64 word (faa with ~0ull decrements)
 //
-// Two deliberate divergences from the real header, both annotated inline:
-//  * the consume fetch_or becomes a CAS loop (the engine has no fetch_or;
-//    equivalent because only the unsafe bit can change under our feet),
-//  * `threshold_enabled=false` removes the budget entirely -- the knob
-//    tests/sim_scq_test.cpp uses to EXHIBIT the livelock the threshold
-//    exists to kill.
+// One divergence from the real header, annotated inline: the consume
+// fetch_or becomes a CAS loop (the engine has no fetch_or; equivalent
+// because only the unsafe bit can change under our feet).  The Variant
+// knob adds deliberately broken models that tests/sim_scq_test.cpp uses as
+// negative controls: one without the threshold EXHIBITS the livelock the
+// budget exists to kill, one whose read-only empty check reads tail before
+// head reports a non-empty ring empty.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/mo_table.hpp"
@@ -27,42 +29,53 @@ class SimScqRing {
  public:
   static constexpr std::uint32_t kBottom = 0x7FFFFFFFu;
 
+  enum class Variant {
+    kFaithful,     // op-for-op the real ScqRing
+    kNoThreshold,  // no search budget (and so no gated empty check)
+    kTailFirst,    // the gated empty check loads tail, then head
+  };
+
   /// Per-dequeue progress accounting for the threshold-bound proof: the
   /// engine runs coroutines cooperatively on one OS thread, so plain
   /// (non-simulated) members are race-free.
   struct Stats {
     std::uint64_t last_deq_rounds = 0;  // FAA rounds of the latest dequeue
     std::uint64_t max_deq_rounds = 0;   // worst dequeue seen on this ring
+    std::uint64_t read_only_empties = 0;  // verdicts of the gated check
   };
 
   // `mo` overrides the annotated orders (mutation sweeps); defaults mirror
   // queues/scq_queue.hpp -- rationale per site in sim/mo_table.hpp.
   SimScqRing(Engine& engine, std::uint32_t half, bool full,
-             const MoTable* mo = nullptr, bool threshold_enabled = true)
+             const MoTable* mo = nullptr,
+             Variant variant = Variant::kFaithful)
       : half_(half),
         size_(half * 2),
         mask_(size_ - 1),
         order_(log2_pow2(size_)),
         rot_(order_ < kMaxRot ? order_ : kMaxRot),
         threshold_init_(3 * static_cast<std::int64_t>(half) - 1),
-        threshold_enabled_(threshold_enabled),
+        variant_(variant),
+        threshold_enabled_(variant != Variant::kNoThreshold),
         entries_(engine.memory().alloc(size_)),
         head_(engine.memory().alloc(1)),
         tail_(engine.memory().alloc(1)),
         threshold_(engine.memory().alloc(1)),
-        mo_enq_faa_tail_(mo_resolve(mo, "scq.enq_faa_tail")),
-        mo_enq_entry_load_(mo_resolve(mo, "scq.enq_entry_load")),
-        mo_enq_head_load_(mo_resolve(mo, "scq.enq_head_load")),
-        mo_enq_cas_(mo_resolve(mo, "scq.enq_cas")),
-        mo_threshold_check_(mo_resolve(mo, "scq.threshold_check")),
-        mo_threshold_store_(mo_resolve(mo, "scq.threshold_store")),
-        mo_threshold_faa_(mo_resolve(mo, "scq.threshold_faa")),
-        mo_deq_faa_head_(mo_resolve(mo, "scq.deq_faa_head")),
-        mo_deq_entry_load_(mo_resolve(mo, "scq.deq_entry_load")),
-        mo_deq_consume_or_(mo_resolve(mo, "scq.deq_consume_or")),
-        mo_deq_mark_cas_(mo_resolve(mo, "scq.deq_mark_cas")),
-        mo_deq_tail_load_(mo_resolve(mo, "scq.deq_tail_load")),
-        mo_catchup_cas_(mo_resolve(mo, "scq.catchup_cas")) {
+        mo_enq_faa_tail_(site(mo, "scq.enq_faa_tail")),
+        mo_enq_entry_load_(site(mo, "scq.enq_entry_load")),
+        mo_enq_head_load_(site(mo, "scq.enq_head_load")),
+        mo_enq_cas_(site(mo, "scq.enq_cas")),
+        mo_threshold_check_(site(mo, "scq.threshold_check")),
+        mo_threshold_store_(site(mo, "scq.threshold_store")),
+        mo_threshold_faa_(site(mo, "scq.threshold_faa")),
+        mo_deq_faa_head_(site(mo, "scq.deq_faa_head")),
+        mo_deq_entry_load_(site(mo, "scq.deq_entry_load")),
+        mo_deq_consume_or_(site(mo, "scq.deq_consume_or")),
+        mo_deq_mark_cas_(site(mo, "scq.deq_mark_cas")),
+        mo_deq_tail_load_(site(mo, "scq.deq_tail_load")),
+        mo_catchup_cas_(site(mo, "scq.catchup_cas")),
+        mo_empty_head_load_(site(mo, "scq.empty_head_load")),
+        mo_empty_tail_load_(site(mo, "scq.empty_tail_load")) {
     // Construction is single-site: raw memory writes, no simulated cost
     // (matches the real constructor's relaxed stores).
     SimMemory& mem = engine.memory();
@@ -89,27 +102,27 @@ class SimScqRing {
   Task<bool> enqueue(Proc& p, std::uint32_t idx, std::uint32_t max_rounds = 0) {
     for (std::uint32_t round = 0;; ++round) {
       if (max_rounds != 0 && round == max_rounds) co_return false;
-      const std::uint64_t t = co_await p.faa(tail_, 1, mo_enq_faa_tail_);
+      const std::uint64_t t = co_await faa(p, tail_, 1, mo_enq_faa_tail_);
       const Addr slot = entries_ + remap(t);
       const std::uint32_t cycle = ticket_cycle(t);
-      std::uint64_t e = co_await p.read(slot, mo_enq_entry_load_);
+      std::uint64_t e = co_await read(p, slot, mo_enq_entry_load_);
       for (;;) {
         if (cycle_less(entry_cycle(e), cycle) && entry_idx(e) == kBottom &&
             (entry_safe(e) ||
-             co_await p.read(head_, mo_enq_head_load_) <= t)) {
-          const std::uint64_t seen = co_await p.cas(
-              slot, e, make_entry(cycle, true, idx), mo_enq_cas_);
+             co_await read(p, head_, mo_enq_head_load_) <= t)) {
+          const std::uint64_t seen = co_await cas(
+              p, slot, e, make_entry(cycle, true, idx), mo_enq_cas_);
           if (seen != e) {
             e = seen;
             continue;  // entry changed: re-test the same entry
           }
           if (threshold_enabled_) {
             const auto th = static_cast<std::int64_t>(
-                co_await p.read(threshold_, mo_threshold_check_));
+                co_await read(p, threshold_, mo_threshold_check_));
             if (th != threshold_init_) {
-              co_await p.write(threshold_,
-                               static_cast<std::uint64_t>(threshold_init_),
-                               mo_threshold_store_);
+              co_await write(p, threshold_,
+                             static_cast<std::uint64_t>(threshold_init_),
+                             mo_threshold_store_);
             }
           }
           co_return true;
@@ -123,16 +136,32 @@ class SimScqRing {
   Task<std::uint32_t> dequeue(Proc& p) {
     if (threshold_enabled_) {
       const auto th = static_cast<std::int64_t>(
-          co_await p.read(threshold_, mo_threshold_check_));
+          co_await read(p, threshold_, mo_threshold_check_));
       if (th < 0) co_return kBottom;
+      if (th != threshold_init_) {
+        // The read-only empty check; kTailFirst swaps the two loads.
+        std::uint64_t h = 0;
+        std::uint64_t t = 0;
+        if (variant_ == Variant::kTailFirst) {
+          t = co_await read(p, tail_, mo_empty_tail_load_);
+          h = co_await read(p, head_, mo_empty_head_load_);
+        } else {
+          h = co_await read(p, head_, mo_empty_head_load_);
+          t = co_await read(p, tail_, mo_empty_tail_load_);
+        }
+        if (t <= h) {
+          ++stats_.read_only_empties;
+          co_return kBottom;
+        }
+      }
     }
     std::uint64_t rounds = 0;
     for (;;) {
       ++rounds;
-      const std::uint64_t h = co_await p.faa(head_, 1, mo_deq_faa_head_);
+      const std::uint64_t h = co_await faa(p, head_, 1, mo_deq_faa_head_);
       const Addr slot = entries_ + remap(h);
       const std::uint32_t cycle = ticket_cycle(h);
-      std::uint64_t e = co_await p.read(slot, mo_deq_entry_load_);
+      std::uint64_t e = co_await read(p, slot, mo_deq_entry_load_);
       for (;;) {
         if (entry_cycle(e) == cycle) {
           // Real code: fetch_or(kIdxMask).  The engine has no fetch_or, so
@@ -142,7 +171,7 @@ class SimScqRing {
           // ours, so retrying with the seen value is the same fetch_or.
           for (;;) {
             const std::uint64_t seen =
-                co_await p.cas(slot, e, e | kIdxMask, mo_deq_consume_or_);
+                co_await cas(p, slot, e, e | kIdxMask, mo_deq_consume_or_);
             if (seen == e) break;
             e = seen;
           }
@@ -155,24 +184,24 @@ class SimScqRing {
                   ? make_entry(cycle, entry_safe(e), kBottom)
                   : (e | kUnsafeBit);
           const std::uint64_t seen =
-              co_await p.cas(slot, e, desired, mo_deq_mark_cas_);
+              co_await cas(p, slot, e, desired, mo_deq_mark_cas_);
           if (seen != e) {
             e = seen;
             continue;  // entry changed: re-test (it may now match our cycle)
           }
         }
-        const std::uint64_t t = co_await p.read(tail_, mo_deq_tail_load_);
+        const std::uint64_t t = co_await read(p, tail_, mo_deq_tail_load_);
         if (t <= h + 1) {
           co_await catch_up(p, t, h + 1);
           if (threshold_enabled_) {
-            (void)co_await p.faa(threshold_, ~0ull, mo_threshold_faa_);
+            (void)co_await faa(p, threshold_, ~0ull, mo_threshold_faa_);
           }
           note_rounds(rounds);
           co_return kBottom;
         }
         if (threshold_enabled_) {
           const auto prior = static_cast<std::int64_t>(
-              co_await p.faa(threshold_, ~0ull, mo_threshold_faa_));
+              co_await faa(p, threshold_, ~0ull, mo_threshold_faa_));
           if (prior <= 0) {
             note_rounds(rounds);
             co_return kBottom;  // search budget exhausted
@@ -200,17 +229,77 @@ class SimScqRing {
     return static_cast<std::int64_t>(e.memory().peek(threshold_));
   }
 
+  /// Indices deposited at tickets no dequeuer holds yet (>= head), in
+  /// ticket order (no simulated cost).  An item whose ticket a dequeuer
+  /// already drew is that dequeuer's, so these are what an empty verdict
+  /// must not miss; at quiescence they are the ring's whole contents.
+  [[nodiscard]] std::vector<std::uint32_t> peek_unclaimed(
+      const Engine& e) const {
+    std::vector<std::uint32_t> items;
+    const std::uint64_t head = e.memory().peek(head_);
+    for (std::uint64_t t = head; t < head + size_; ++t) {
+      const std::uint64_t entry = e.memory().peek(entries_ + remap(t));
+      if (entry_cycle(entry) == ticket_cycle(t) &&
+          entry_idx(entry) != kBottom) {
+        items.push_back(entry_idx(entry));
+      }
+    }
+    return items;
+  }
+
   /// Pre-arm the search budget as if a deposit had just happened (models
-  /// "some earlier enqueue/dequeue pair completed"); construction-time
-  /// only, raw write.
-  void arm_threshold(Engine& e) const {
-    e.memory().word(threshold_) = static_cast<std::uint64_t>(threshold_init_);
+  /// "some earlier enqueue/dequeue pair completed"), less `misses`
+  /// fruitless dequeues since -- misses > 0 opens the gated empty check.
+  /// Construction-time only, raw write.
+  void arm_threshold(Engine& e, std::int64_t misses = 0) const {
+    e.memory().word(threshold_) =
+        static_cast<std::uint64_t>(threshold_init_ - misses);
+  }
+
+  /// Deposit `idx` at the next tail ticket as a completed enqueue would,
+  /// re-arming the budget.  Construction-time only, raw writes.
+  void prefill(Engine& e, std::uint32_t idx) const {
+    SimMemory& mem = e.memory();
+    const std::uint64_t t = mem.word(tail_);
+    mem.word(entries_ + remap(t)) = make_entry(ticket_cycle(t), true, idx);
+    mem.word(tail_) = t + 1;
+    arm_threshold(e);
   }
 
  private:
   static constexpr std::uint64_t kIdxMask = 0x7FFFFFFFull;
   static constexpr std::uint64_t kUnsafeBit = 0x80000000ull;
   static constexpr std::uint32_t kMaxRot = 4;
+
+  /// One annotated access: its sim/mo_table.hpp site and resolved order.
+  /// The accessors below tag the process with the site name (zero cost)
+  /// before the access, so hb race reports name the line.
+  struct Site {
+    const char* name;
+    check::MemOrder order;
+  };
+  static Site site(const MoTable* mo, const char* name) {
+    return {name, mo_resolve(mo, name)};
+  }
+  static Proc::OpAwaiter read(Proc& p, Addr a, const Site& s) {
+    p.annotate(s.name);
+    return p.read(a, s.order);
+  }
+  static Proc::OpAwaiter write(Proc& p, Addr a, std::uint64_t v,
+                               const Site& s) {
+    p.annotate(s.name);
+    return p.write(a, v, s.order);
+  }
+  static Proc::OpAwaiter cas(Proc& p, Addr a, std::uint64_t expected,
+                             std::uint64_t desired, const Site& s) {
+    p.annotate(s.name);
+    return p.cas(a, expected, desired, s.order);
+  }
+  static Proc::OpAwaiter faa(Proc& p, Addr a, std::uint64_t delta,
+                             const Site& s) {
+    p.annotate(s.name);
+    return p.faa(a, delta, s.order);
+  }
 
   static constexpr std::uint64_t make_entry(std::uint32_t cycle, bool safe,
                                             std::uint32_t idx) noexcept {
@@ -246,10 +335,11 @@ class SimScqRing {
 
   Task<void> catch_up(Proc& p, std::uint64_t t, std::uint64_t h) {
     for (;;) {
-      const std::uint64_t seen = co_await p.cas(tail_, t, h, mo_catchup_cas_);
+      const std::uint64_t seen = co_await cas(p, tail_, t, h, mo_catchup_cas_);
       if (seen == t) co_return;
-      h = co_await p.read(head_, mo_enq_head_load_ /*the head-word load site*/);
-      t = co_await p.read(tail_, mo_deq_tail_load_);
+      // The losers' head reload shares the enqueue's head-word load site.
+      h = co_await read(p, head_, mo_enq_head_load_);
+      t = co_await read(p, tail_, mo_deq_tail_load_);
       if (t >= h) co_return;
     }
   }
@@ -265,24 +355,27 @@ class SimScqRing {
   std::uint32_t order_;
   std::uint32_t rot_;
   std::int64_t threshold_init_;
+  Variant variant_;
   bool threshold_enabled_;
   Addr entries_;
   Addr head_;
   Addr tail_;
   Addr threshold_;
-  check::MemOrder mo_enq_faa_tail_;
-  check::MemOrder mo_enq_entry_load_;
-  check::MemOrder mo_enq_head_load_;
-  check::MemOrder mo_enq_cas_;
-  check::MemOrder mo_threshold_check_;
-  check::MemOrder mo_threshold_store_;
-  check::MemOrder mo_threshold_faa_;
-  check::MemOrder mo_deq_faa_head_;
-  check::MemOrder mo_deq_entry_load_;
-  check::MemOrder mo_deq_consume_or_;
-  check::MemOrder mo_deq_mark_cas_;
-  check::MemOrder mo_deq_tail_load_;
-  check::MemOrder mo_catchup_cas_;
+  Site mo_enq_faa_tail_;
+  Site mo_enq_entry_load_;
+  Site mo_enq_head_load_;
+  Site mo_enq_cas_;
+  Site mo_threshold_check_;
+  Site mo_threshold_store_;
+  Site mo_threshold_faa_;
+  Site mo_deq_faa_head_;
+  Site mo_deq_entry_load_;
+  Site mo_deq_consume_or_;
+  Site mo_deq_mark_cas_;
+  Site mo_deq_tail_load_;
+  Site mo_catchup_cas_;
+  Site mo_empty_head_load_;
+  Site mo_empty_tail_load_;
   Stats stats_;
 };
 

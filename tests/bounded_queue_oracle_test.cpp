@@ -114,6 +114,88 @@ TEST(BoundedQueueOracle, RingAndScqTellTheSameObservableStory) {
 }
 
 // ---------------------------------------------------------------------------
+// SCQ's read-only empty check.  Once a poll has missed since the last
+// deposit, the threshold sits below its armed 3n-1 and the next poll first
+// compares tail with head, taking no ticket when tail <= head.  A poll that
+// does take a ticket on a quiet ring ends in a tail catch-up, so
+// kScqCatchup counts the ticketed polls and the rest were read-only.
+// ---------------------------------------------------------------------------
+
+template <typename Fn>
+obs::Snapshot counted(Fn&& fn) {
+  obs::arm();
+  const auto before = obs::snapshot();
+  fn();
+  const auto delta = obs::snapshot() - before;
+  obs::disarm();
+  return delta;
+}
+
+TEST(ScqEmptyCheck, AnOpenGateCannotHideALaterItem) {
+  queues::ScqQueue<std::uint64_t> queue(kCapacity);
+  std::uint64_t out = 0;
+  ASSERT_TRUE(queue.try_enqueue(1));  // the deposit arms the threshold
+  ASSERT_TRUE(queue.try_dequeue(out));
+  const auto polls = counted([&] {
+    for (int i = 0; i < 4; ++i) EXPECT_FALSE(queue.try_dequeue(out));
+  });
+  // One ticketed miss spent budget; the next three were read-only.
+  EXPECT_EQ(polls[obs::Counter::kScqCatchup], 1u);
+  EXPECT_EQ(polls[obs::Counter::kDequeueEmpty], 4u);
+
+  // The gate is open now, and an enqueue must still be seen.
+  ASSERT_TRUE(queue.try_enqueue(2));
+  ASSERT_TRUE(queue.try_dequeue(out));
+  EXPECT_EQ(out, 2u);
+  EXPECT_FALSE(queue.try_dequeue(out));
+}
+
+TEST(ScqEmptyCheck, AFullQueueRefusesThenAcceptsAfterOneDequeue) {
+  queues::ScqQueue<std::uint64_t> queue(kCapacity);
+  for (std::uint64_t v = 0; v < kCapacity; ++v) {
+    ASSERT_TRUE(queue.try_enqueue(v));
+  }
+  // The free ring is empty: one ticketed refusal, then read-only ones.
+  const auto refusals = counted([&] {
+    for (int i = 0; i < 4; ++i) EXPECT_FALSE(queue.try_enqueue(99));
+  });
+  EXPECT_EQ(refusals[obs::Counter::kQueueFull], 4u);
+  EXPECT_EQ(refusals[obs::Counter::kScqCatchup], 1u);
+
+  std::uint64_t out = 0;
+  ASSERT_TRUE(queue.try_dequeue(out));
+  EXPECT_EQ(out, 0u);
+  EXPECT_TRUE(queue.try_enqueue(kCapacity));  // the freed slot is taken
+  EXPECT_FALSE(queue.try_enqueue(99));        // and the queue is full again
+  for (std::uint64_t v = 1; v <= kCapacity; ++v) {
+    ASSERT_TRUE(queue.try_dequeue(out));
+    EXPECT_EQ(out, v);
+  }
+  EXPECT_FALSE(queue.try_dequeue(out));
+}
+
+TEST(ScqEmptyCheck, EnqueuePollDequeueRoundsWrapTheRingInFifoOrder) {
+  // Each round spends 2 enqueue and 3 dequeue tickets on the allocated
+  // ring, so 3n rounds lap its 2n entries several times, each lap with
+  // both a ticketed and a read-only empty poll.
+  queues::ScqQueue<std::uint64_t> queue(kCapacity);
+  std::uint64_t next_in = 0;
+  std::uint64_t next_out = 0;
+  std::uint64_t out = 0;
+  for (std::uint32_t round = 0; round < 3 * kCapacity; ++round) {
+    ASSERT_TRUE(queue.try_enqueue(next_in++));
+    ASSERT_TRUE(queue.try_enqueue(next_in++));
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(queue.try_dequeue(out)) << "round " << round;
+      ASSERT_EQ(out, next_out++) << "FIFO violated in round " << round;
+    }
+    EXPECT_FALSE(queue.try_dequeue(out));  // ticketed: spends budget
+    EXPECT_FALSE(queue.try_dequeue(out));  // read-only
+  }
+  EXPECT_EQ(next_out, 6 * kCapacity);
+}
+
+// ---------------------------------------------------------------------------
 // Fault-window reachability (the lint's coverage plans).
 // ---------------------------------------------------------------------------
 

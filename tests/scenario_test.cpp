@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "harness/calibrate.hpp"
@@ -317,6 +319,42 @@ TEST(ScenarioOpenLoopTest, SteadyRunConservesAndDrains) {
   EXPECT_FALSE(queue.try_dequeue(leftover)) << "queue not drained";
 }
 
+/// Shed rate of `schedule` replayed through one deterministic server: a
+/// queue of `capacity` waiting items and a consumer that takes the oldest
+/// one whenever it is free and holds it `service_ns`, except that it takes
+/// none inside [stall_from_ns, stall_to_ns).  An offer retries only by
+/// yielding, which the replay counts as no time, so a refused arrival is
+/// shed whatever its retry budget.
+double replay_shed_rate(const scenario::ArrivalSchedule& schedule,
+                        std::uint32_t capacity, double service_ns,
+                        double stall_from_ns = 0, double stall_to_ns = 0) {
+  std::vector<double> arrivals;
+  for (const auto& producer : schedule.per_producer) {
+    arrivals.insert(arrivals.end(), producer.begin(), producer.end());
+  }
+  std::sort(arrivals.begin(), arrivals.end());
+  std::deque<double> waiting;
+  double free_at = 0;
+  std::uint64_t shed = 0;
+  for (const double now : arrivals) {
+    while (!waiting.empty()) {
+      double start = std::max(free_at, waiting.front());
+      if (start >= stall_from_ns && start < stall_to_ns) start = stall_to_ns;
+      if (start > now) break;
+      waiting.pop_front();
+      free_at = start + service_ns;
+    }
+    if (waiting.size() < capacity) {
+      waiting.push_back(now);
+    } else {
+      ++shed;
+    }
+  }
+  return arrivals.empty() ? 0.0
+                          : static_cast<double>(shed) /
+                                static_cast<double>(arrivals.size());
+}
+
 TEST(ScenarioOpenLoopTest, BurstPresetEngagesBackpressureOnRing) {
   // The burst100 preset from the bench suite, scaled down: a 100x flash
   // crowd into a 32-slot ring with a 2-retry budget and a consumer that
@@ -331,6 +369,32 @@ TEST(ScenarioOpenLoopTest, BurstPresetEngagesBackpressureOnRing) {
   ASSERT_NE(burst, nullptr);
 
   const auto schedule = scenario::generate_arrivals(burst->arrival, 1);
+  // How much an on-schedule run sheds is the schedule's arithmetic, not
+  // the preset's SLO: the 9.2 ms burst offers ~1,376 items at 150 kHz and
+  // a 25 us consumer drains ~367 of them plus the 32 slots, so ~0.65 is
+  // shed (the replay of this schedule says 0.661).  Only a generator that
+  // falls behind sheds less.  The slack covers a slow consumer: the spin
+  // calibration alone varies 2x between runs, and a loaded host preempts
+  // the consumer.  The replay at 5x the service time sheds 0.855.
+  const double service_ns = burst->service_us * 1e3;
+  const double expected =
+      replay_shed_rate(schedule, burst->capacity, service_ns);
+  constexpr double kSlack = 0.20;
+  const double bound = expected + kSlack;
+  EXPECT_GT(expected, 0.5);  // the flash crowd is far over capacity
+
+  // The bound still has teeth: a consumer that dequeues nothing during
+  // the burst window sheds 0.904, more than it allows.
+  const double horizon_ns =
+      scenario::nominal_horizon_seconds(burst->arrival) * 1e9;
+  const double burst_from = burst->arrival.burst_start_frac * horizon_ns;
+  const double burst_to =
+      burst_from + burst->arrival.burst_len_frac * horizon_ns;
+  EXPECT_GT(replay_shed_rate(schedule, burst->capacity, service_ns,
+                             burst_from, burst_to),
+            bound)
+      << "the bound would pass a consumer stalled through the burst";
+
   queues::RingQueue<std::uint64_t> queue(burst->capacity);
   scenario::OpenLoopConfig config;
   config.consumers = burst->consumers;
@@ -342,8 +406,9 @@ TEST(ScenarioOpenLoopTest, BurstPresetEngagesBackpressureOnRing) {
   EXPECT_GT(result.shed, 0u) << "flash crowd never hit the bound";
   EXPECT_EQ(result.enqueued + result.shed, result.offered);
   EXPECT_EQ(result.dequeued, result.enqueued);
-  EXPECT_LE(result.shed_rate(), burst->slo.shed_rate_max)
-      << "shedding engaged but unbounded";
+  EXPECT_LE(result.shed_rate(), bound)
+      << "shedding engaged but unbounded (single-server replay "
+      << expected << " + slack " << kSlack << ")";
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 //     exhaustively checked property, not a benchmark anecdote.
 //
 //  2. The livelock the threshold exists to kill, replayed as a directed
-//     schedule with `threshold_enabled=false`: a frozen second enqueuer
+//     schedule with `Variant::kNoThreshold`: a frozen second enqueuer
 //     keeps the tail two ahead of the head, and a dequeuer + lagging
 //     enqueuer then chase each other around the ring FOREVER -- each round
 //     the dequeuer's cycle-advance invalidates the enqueuer's pending
@@ -20,12 +20,23 @@
 //  3. The SAME choreography with the threshold armed: the dequeuer's
 //     budget decrements strike 0 within threshold_init rounds, it returns
 //     empty, and both enqueuers then complete and their values drain FIFO.
+//
+//  4. The read-only empty check (taken once a dequeuer has missed since
+//     the last deposit: load head, then tail, empty if tail <= head),
+//     proved over every DPOR schedule of a 3-process world -- exact
+//     linearizability with empties, FIFO, no loss, no duplicate -- and its
+//     negative control: the same check reading tail BEFORE head reports
+//     empty on a ring that holds an item at every instant of the call.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "check/history.hpp"
+#include "check/lin_check.hpp"
 #include "sim/engine.hpp"
 #include "sim/explore.hpp"
 #include "sim/scq_ring_sim.hpp"
@@ -154,7 +165,8 @@ struct ChaseWorld {
 
   explicit ChaseWorld(bool threshold_enabled)
       : ring(engine, /*half=*/1, /*full=*/false, /*mo=*/nullptr,
-             threshold_enabled) {
+             threshold_enabled ? SimScqRing::Variant::kFaithful
+                               : SimScqRing::Variant::kNoThreshold) {
     if (threshold_enabled) {
       // Model "an earlier enqueue/dequeue pair completed": the budget sits
       // at threshold_init (a fresh empty ring's -1 would short-circuit D
@@ -249,6 +261,204 @@ TEST(SimScqLivelock, TheThresholdEndsTheSameChaseAndTheRingRecovers) {
   ASSERT_EQ(drained.size(), 2u);
   EXPECT_EQ(drained[0], 5u);
   EXPECT_EQ(drained[1], 7u);
+}
+
+// ---- movement 4: the read-only empty check ------------------------------
+
+// History clock in half-steps.  A call's first memory op runs in the same
+// resume that invokes it, but its response is recorded on a LATER resume,
+// possibly right before a peer's invocation with no op in between.  After
+// k memory ops a response reads 2k and an invocation 2k + 1, so such a
+// pair is strictly ordered; k = clock / 2 either way.
+std::int64_t invoked_at(Proc& p) {
+  return 2 * static_cast<std::int64_t>(p.engine().total_steps()) + 1;
+}
+std::int64_t returned_at(Proc& p) {
+  return 2 * static_cast<std::int64_t>(p.engine().total_steps());
+}
+
+Task<void> logged_deq(Proc& p, SimScqRing& ring, check::ThreadLog& log) {
+  const std::int64_t inv = invoked_at(p);
+  const std::uint32_t r = co_await ring.dequeue(p);
+  log.record(r == SimScqRing::kBottom ? check::OpKind::kDequeueEmpty
+                                      : check::OpKind::kDequeue,
+             r == SimScqRing::kBottom ? 0 : r, inv, returned_at(p));
+}
+
+Task<void> logged_enq(Proc& p, SimScqRing& ring, std::uint32_t v,
+                      check::ThreadLog& log) {
+  const std::int64_t inv = invoked_at(p);
+  (void)co_await ring.enqueue(p, v);
+  log.record(check::OpKind::kEnqueue, v, inv, returned_at(p));
+}
+
+/// A 4-entry ring (room for 2 indices) prefilled with 1; p0 dequeues, p1
+/// enqueues 2, p2 dequeues.  The budget sits one miss below armed ("a
+/// dequeuer has missed since the last deposit"), so each dequeue opens
+/// with the read-only empty check.  Records the history for the exact
+/// checker and the ring's unclaimed items after every memory op.
+struct EmptyCheckWorld {
+  static constexpr std::uint32_t kPrefill = 1;
+  static constexpr std::uint32_t kEnqueued = 2;
+
+  Engine engine;
+  SimScqRing ring;
+  std::vector<check::ThreadLog> logs;
+  std::vector<std::size_t> occupancy;  // [k]: unclaimed items after k ops
+
+  explicit EmptyCheckWorld(SimScqRing::Variant variant)
+      : ring(engine, /*half=*/2, /*full=*/false, /*mo=*/nullptr, variant) {
+    ring.prefill(engine, kPrefill);
+    ring.arm_threshold(engine, /*misses=*/1);
+    for (std::uint32_t t = 0; t < 4; ++t) logs.emplace_back(t);
+    // The prefill as a completed enqueue preceding every call.
+    logs[3].record(check::OpKind::kEnqueue, kPrefill, -2, -1);
+    occupancy.push_back(ring.peek_unclaimed(engine).size());
+    engine.spawn(0, [this](Proc& p) { return logged_deq(p, ring, logs[0]); });
+    engine.spawn(
+        0, [this](Proc& p) { return logged_enq(p, ring, kEnqueued, logs[1]); });
+    engine.spawn(0, [this](Proc& p) { return logged_deq(p, ring, logs[2]); });
+  }
+
+  void sample() {
+    occupancy.resize(engine.total_steps() + 1, occupancy.back());
+    occupancy.back() = ring.peek_unclaimed(engine).size();
+  }
+
+  /// An empty verdict whose call saw the ring hold an unclaimed item at
+  /// every instant from invocation to response, or nullptr.  The proof's
+  /// claim is the converse: at the tail read, tail <= head leaves no
+  /// ticket >= head that a deposit could occupy.
+  [[nodiscard]] const check::Event* empty_on_a_nonempty_ring(
+      const std::vector<check::Event>& history) const {
+    for (const check::Event& e : history) {
+      if (e.kind != check::OpKind::kDequeueEmpty) continue;
+      const auto first = occupancy.begin() + e.invoke_ns / 2;
+      const auto last = occupancy.begin() + e.response_ns / 2 + 1;
+      if (std::all_of(first, last, [](std::size_t n) { return n > 0; })) {
+        return &e;
+      }
+    }
+    return nullptr;
+  }
+};
+
+TEST(SimScqEmptyCheck, EveryScheduleIsLinearizableFifoWithNoLossOrDuplicate) {
+  std::unique_ptr<EmptyCheckWorld> world;
+  std::uint64_t checked = 0;
+  std::uint64_t read_only_empty_by[2] = {0, 0};  // p0, p2
+  DporConfig config;
+  config.max_steps_per_run = 4'000;
+  const DporResult result = explore_dpor(
+      config, /*process_count=*/3,
+      [&]() -> Engine& {
+        world = std::make_unique<EmptyCheckWorld>(
+            SimScqRing::Variant::kFaithful);
+        return world->engine;
+      },
+      [&](Engine&) { world->sample(); },
+      [&](Engine& engine) {
+        ASSERT_TRUE(engine.all_done()) << "a schedule wedged an SCQ op";
+        const auto history = check::merge_logs(world->logs);
+        const auto lin = check::check_linearizable_exact(history);
+        ASSERT_TRUE(lin.ok) << lin.diagnosis;
+        ASSERT_EQ(world->empty_on_a_nonempty_ring(history), nullptr);
+
+        // No loss, no duplicate: what was dequeued plus what the ring
+        // still holds is exactly {prefill, enqueued}.
+        std::vector<std::uint32_t> seen = world->ring.peek_unclaimed(engine);
+        bool got_prefill = false;
+        bool got_enqueued = false;
+        for (const check::Event& e : history) {
+          if (e.kind != check::OpKind::kDequeue) continue;
+          seen.push_back(static_cast<std::uint32_t>(e.value));
+          got_prefill |= e.value == EmptyCheckWorld::kPrefill;
+          got_enqueued |= e.value == EmptyCheckWorld::kEnqueued;
+        }
+        std::sort(seen.begin(), seen.end());
+        ASSERT_EQ(seen, (std::vector<std::uint32_t>{
+                            EmptyCheckWorld::kPrefill,
+                            EmptyCheckWorld::kEnqueued}));
+        // FIFO: the prefill went in strictly first, so it leaves first.
+        ASSERT_TRUE(got_prefill || !got_enqueued)
+            << "dequeued the later item while the earlier one stayed";
+        if (world->ring.stats().read_only_empties > 0) {
+          // The other dequeuer holds ticket 0 and so the prefill: the
+          // schedule's one empty verdict is the read-only one.
+          for (const check::Event& e : history) {
+            if (e.kind == check::OpKind::kDequeueEmpty) {
+              ++read_only_empty_by[e.thread == 0 ? 0 : 1];
+            }
+          }
+        }
+        ++checked;
+      });
+  EXPECT_FALSE(result.budget_exhausted);
+  EXPECT_EQ(checked, result.schedules_run);
+  EXPECT_GT(checked, 100u) << "DPOR covered suspiciously few schedules";
+  // Not vacuous: the read-only check returned empty on some schedules, and
+  // the world is symmetric in its two dequeuers, so each must be seen
+  // doing it (an explorer that loses traces sees only one).
+  EXPECT_GT(read_only_empty_by[0], 0u);
+  EXPECT_GT(read_only_empty_by[1], 0u);
+}
+
+TEST(SimScqEmptyCheck, ReadingTailBeforeHeadReportsANonEmptyRingEmpty) {
+  // Stop at the first schedule where the tail-first variant says empty
+  // while the ring held an unclaimed item throughout the call, and no
+  // linearization excuses it: A reads tail (1); C enqueues 2 (tail 2); B
+  // dequeues the prefill (head 1); A reads head (1), so tail <= head.
+  // (An empty verdict can also overlap a dequeue that is still running;
+  // that one linearizes before the verdict and is no witness.)
+  struct Found {};
+  std::unique_ptr<EmptyCheckWorld> world;
+  std::vector<check::Event> witness;
+  std::uint64_t schedules = 0;
+  DporConfig config;
+  config.max_steps_per_run = 4'000;
+  try {
+    (void)explore_dpor(
+        config, /*process_count=*/3,
+        [&]() -> Engine& {
+          world = std::make_unique<EmptyCheckWorld>(
+              SimScqRing::Variant::kTailFirst);
+          return world->engine;
+        },
+        [&](Engine&) { world->sample(); },
+        [&](Engine&) {
+          ++schedules;
+          const auto history = check::merge_logs(world->logs);
+          if (world->empty_on_a_nonempty_ring(history) != nullptr &&
+              !check::check_linearizable_exact(history).ok) {
+            witness = history;
+            throw Found{};
+          }
+        });
+  } catch (const Found&) {
+  }
+  ASSERT_FALSE(witness.empty())
+      << "no tail-first schedule hid an item across " << schedules
+      << " schedules";
+  // The witness is the choreography above: inside the empty call, the
+  // enqueue of 2 completes, then the dequeue of the prefill starts (its
+  // ticket draw is what moves head past the tail A read).
+  const auto event = [&](check::OpKind kind, std::uint64_t value) {
+    const auto it = std::find_if(
+        witness.begin(), witness.end(), [&](const check::Event& e) {
+          return e.kind == kind &&
+                 (kind == check::OpKind::kDequeueEmpty || e.value == value);
+        });
+    EXPECT_NE(it, witness.end());
+    return it == witness.end() ? check::Event{} : *it;
+  };
+  const check::Event empty = event(check::OpKind::kDequeueEmpty, 0);
+  const check::Event enq = event(check::OpKind::kEnqueue,
+                                 EmptyCheckWorld::kEnqueued);
+  const check::Event deq = event(check::OpKind::kDequeue,
+                                 EmptyCheckWorld::kPrefill);
+  EXPECT_LT(empty.invoke_ns, enq.invoke_ns);
+  EXPECT_LT(enq.response_ns, deq.invoke_ns);
+  EXPECT_LT(deq.invoke_ns, empty.response_ns);
 }
 
 // ---- single-proc sanity: init-full ring + FIFO through the remap -------

@@ -365,6 +365,7 @@ class ScqWorld final : public WorldBase {
  private:
   Task<void> producer(Proc& p, std::uint64_t n) {
     for (std::uint64_t v = 0; v < n; ++v) {
+      p.annotate("payload write");  // the ring's accesses label themselves
       co_await p.write(payload_ + v, 100 + v, check::MemOrder::kPlain);
       // half=1 only holds one index at a time, so value v+1 can need the
       // consumer to drain value v first; the FAA-round budget keeps
@@ -379,6 +380,7 @@ class ScqWorld final : public WorldBase {
     for (int a = 0; a < attempts; ++a) {
       const std::uint32_t v = co_await ring_.dequeue(p);
       if (v == SimScqRing::kBottom) continue;
+      p.annotate("payload read");
       const std::uint64_t seen =
           co_await p.read(payload_ + v, check::MemOrder::kPlain);
       if (seen != 100 + v) bad_payload_ = true;
