@@ -16,10 +16,11 @@
 //   segq    the same story at segment granularity (64 slots per node).
 //   ring    fixed 2^k slot array allocated at construction; full stop at
 //           capacity.  Bounded, but a stalled peer BLOCKS the matching op.
-//   scq     fixed data array + two 2n index rings allocated at
-//           construction; full stop at capacity, and lock-free in both
-//           directions (the bounded-memory + non-blocking combination the
-//           other five each give up half of).
+//   scq     one 2n-entry ring of 16-byte {meta, value} entries (32 B
+//           per slot) allocated at construction; a credit counter stops
+//           it at capacity, and it is lock-free in both directions (the
+//           bounded-memory + non-blocking combination the other five each
+//           give up half of).
 //   valois  reference-counted pool: one delayed reader holding a SafeRead
 //           reference pins every subsequently dequeued node (paper
 //           section 1 -- "we ran out of memory several times... using a

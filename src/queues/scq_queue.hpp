@@ -1,30 +1,36 @@
-// SCQ: the indirect bounded lock-free FIFO of Nikolaev's "A Scalable,
-// Portable, and Memory-Efficient Lock-Free FIFO Queue" (PAPERS.md), built
-// next to ring_queue.hpp as the memory-bounded answer to the MS queue's
-// unbounded nodes-in-flight.
+// SCQ: the bounded lock-free FIFO of Nikolaev's "A Scalable, Portable, and
+// Memory-Efficient Lock-Free FIFO Queue" (PAPERS.md), in the paper's
+// direct form: values live in the ring entries themselves.  Built next to
+// ring_queue.hpp as the memory-bounded answer to the MS queue's unbounded
+// nodes-in-flight.
 //
 // Where the MS queue allocates a node per element (a stalled consumer pins
 // an arbitrary amount of pool memory -- bench/fig_memory measures exactly
-// that), SCQ circulates a FIXED set of `n` data-array indices through two
-// index rings:
+// that), SCQ is ONE fixed ring of 2n 16-byte entries for n values:
 //
-//   fq  -- free indices, initialised full with {0..n-1}
-//   aq  -- allocated indices, initialised empty
+//   entry = {meta = cycle[63:32] | unsafe | full, value}
 //
-//   enqueue(v): i = fq.dequeue(); data[i] = v; aq.enqueue(i)
-//   dequeue():  i = aq.dequeue(); v = data[i]; fq.enqueue(i)
+//   enqueue(v): take a credit; t = FAA(tail); CAS16 entry -> {cycle, full, v}
+//   dequeue():  h = FAA(head); read value; clear full; return the credit
 //
-// so total memory is exactly `capacity` elements + two 2n-entry rings of
-// 64-bit words -- no node pool, no hazard pointers, no limbo lists.
+// so total memory is exactly 2n entries -- 32 B per value, no node pool,
+// no hazard pointers, no limbo lists, no index indirection.  Like the
+// paper's Figure 1 node, one structure per item: an op touches one entry.
 //
-// Each ring (ScqRing) is the paper's circular queue of indices:
-//  * 2n entries for n indices ("half full at most"), so a FAA-claimed
+//  * 2n entries for n values ("half full at most"), so a FAA-claimed
 //    enqueue ticket always has an empty entry within one lap -- this is
 //    what makes unconditional FAA workable where the segment queue needed
 //    hazard cells (see docs/ALGORITHMS.md).
-//  * an entry packs {cycle[63:32], unsafe-bit[31], index[30:0]}; the
-//    cycle tag (ticket / ring_size, compared wrap-safely) makes reuse
-//    ABA-proof, index 0x7FFFFFFF is the paper's bottom.
+//  * the CREDIT counter (starts at n) is what keeps the ring half full:
+//    an enqueue CAS-decrements it while it reads > 0 and refuses, with no
+//    RMW, when it reads 0; a dequeue returns its credit after consuming.
+//    So at most n values are deposited or in flight.  A read-only
+//    `tail - head >= n` check would be cheaper, but k concurrent
+//    enqueuers that all pass it overshoot by k-1 (tests/sim_scq_test.cpp
+//    finds the schedule).
+//  * the cycle tag (ticket / ring_size + 1, compared wrap-safely) makes
+//    reuse ABA-proof; a zeroed entry is cycle 0, older than every ticket
+//    of the first lap, so the ring starts as value-initialised memory.
 //  * dequeuers that overtake a slow enqueuer mark its entry UNSAFE; the
 //    enqueuer deposits into an unsafe entry only after re-checking that no
 //    live dequeuer ticket could still scan it (head <= its ticket).
@@ -44,93 +50,96 @@
 //    Without it every empty poll costs 4 RMWs (head FAA, entry CAS, tail
 //    catch-up CAS, threshold fetch_sub), two on lines the producer writes.
 //    The gate keeps the extra tail read off the path while dequeues
-//    succeed.  On the free ring the same check makes a refused enqueue on
-//    a full queue RMW-free.  tests/sim_scq_test.cpp proves it linearizable
-//    over every DPOR schedule of a 3-process world, and shows that reading
-//    tail before head can report a ring empty that held an item at every
+//    succeed.  tests/sim_scq_test.cpp proves it linearizable over every
+//    DPOR schedule of a 3-process world, and shows that reading tail
+//    before head can report a ring empty that held an item at every
 //    instant of the call.
+//
+// Entry access: readers load an entry as two 8-byte atomic loads
+// (AtomicDoubleWord::load_halves) and let the 16-byte deposit CAS validate
+// them -- the cell's whole-entry load() is a locked CAS(0, 0), a write.
+// Only the deposit writes both halves; the consume and the dequeuers'
+// cycle-advance/unsafe marks are 8-byte RMWs on `meta` alone.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
+#include <type_traits>
 
 #include "obs/probe.hpp"
 #include "port/cpu.hpp"
 #include "queues/queue_concept.hpp"
+#include "tagged/counted_ptr.hpp"
 
 namespace msq::queues {
 
-/// The paper's circular queue of indices (SCQ figure 5/6), reusable for
-/// both the free ring and the allocated ring.  Stores values in
-/// [0, 2^31 - 2]; kBottom is the reserved empty marker.
-class ScqRing {
- public:
-  static constexpr std::uint32_t kBottom = 0x7FFFFFFFu;
+/// SCQ: one ring of {meta, value} entries plus a credit counter.  Bounded
+/// at exactly `capacity` elements; lock-free in both directions (a stalled
+/// thread's entry is marked unsafe and skipped -- contrast RingQueue, whose
+/// slot handshake BLOCKS the matching op).
+template <typename T>
+class ScqQueue {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                    sizeof(T) <= sizeof(std::uint64_t),
+                "ScqQueue stores values in its 8-byte entry halves");
 
-  /// `half` = the number of indices the ring must hold (rounded up to a
-  /// power of two by the caller); the entry array is 2*half.  `full`
-  /// pre-populates with {0..half-1} (the free ring); otherwise empty.
-  explicit ScqRing(std::uint32_t half, bool full)
-      : half_(half),
-        size_(half * 2),
+ public:
+  using value_type = T;
+  static constexpr QueueTraits traits{
+      .progress = Progress::kNonBlocking,
+      .mpmc = true,
+      .pool_backed = true,  // bounded: enqueue refuses at capacity
+      .linearizable = true,
+  };
+
+  explicit ScqQueue(std::uint32_t capacity)
+      : capacity_(round_up_pow2(capacity < 1 ? 1 : capacity)),
+        size_(capacity_ * 2),
         mask_(size_ - 1),
         order_(log2_pow2(size_)),
         rot_(order_ < kMaxRot ? order_ : kMaxRot),
-        threshold_init_(3 * static_cast<std::int64_t>(half) - 1),
-        entries_(std::make_unique<std::atomic<std::uint64_t>[]>(size_)) {
-    for (std::uint32_t i = 0; i < size_; ++i) {
-      // Unused entries start at cycle -1 (0xFFFFFFFF): older than every
-      // real cycle under the wrap-safe compare, so both the ticket-0
-      // enqueuer (cycle 0) and the first recycling enqueuer (cycle >= 1
-      // after an init-full lap) can deposit into them.
-      // relaxed: construction is single-threaded (proof: test:tests/queue_concurrent_test.cpp)
-      entries_[i].store(make_entry(0xFFFFFFFFu, true, kBottom),
-                        std::memory_order_relaxed);
-    }
-    if (full) {
-      for (std::uint32_t i = 0; i < half_; ++i) {
-        // relaxed: construction is single-threaded (proof: test:tests/queue_concurrent_test.cpp)
-        entries_[remap(i)].store(make_entry(0, true, i),
-                                 std::memory_order_relaxed);
-      }
-      // relaxed: construction is single-threaded (proof: test:tests/queue_concurrent_test.cpp)
-      tail_.store(half_, std::memory_order_relaxed);
-      threshold_.store(threshold_init_, std::memory_order_relaxed);  // relaxed: ^
-    } else {
-      // Empty ring: threshold -1 arms the dequeue fast path immediately.
-      // relaxed: construction is single-threaded (proof: test:tests/queue_concurrent_test.cpp)
-      threshold_.store(-1, std::memory_order_relaxed);
-    }
-  }
+        threshold_init_(3 * static_cast<std::int64_t>(capacity_) - 1),
+        entries_(std::make_unique<Cell[]>(size_)),  // all cycle 0, empty
+        credits_(capacity_) {}
 
-  ScqRing(const ScqRing&) = delete;
-  ScqRing& operator=(const ScqRing&) = delete;
+  ScqQueue(const ScqQueue&) = delete;
+  ScqQueue& operator=(const ScqQueue&) = delete;
 
-  /// Deposit an index.  Loops until it lands; terminates because callers
-  /// (ScqQueue) never have more than `half` indices in flight, so some
-  /// entry within one lap is always depositable -- and is lock-free: a
-  /// failed lap means another thread's deposit or consume succeeded.
-  void enqueue(std::uint32_t idx) noexcept {
+  /// Returns false iff the queue holds `capacity()` undequeued items (no
+  /// credit left), with no RMW.  A credited enqueue loops until its
+  /// deposit lands: the credit guarantees a depositable entry within one
+  /// lap, and a failed lap means another thread's deposit or consume
+  /// succeeded (lock-free).
+  bool try_enqueue(T value) noexcept {
+    MSQ_PROBE("scq.enq");
+    if (!take_credit()) {
+      MSQ_COUNT(kPoolRefuse);  // the bounded analogue of a dry node pool
+      MSQ_COUNT(kQueueFull);   // backpressure signal (scenario shed policy)
+      return false;
+    }
+    const std::uint64_t v = to_word(value);
     for (;;) {
       MSQ_PROBE("scq.faa_enq");
       const std::uint64_t t = tail_.fetch_add(1, std::memory_order_acq_rel);
-      const std::uint32_t j = remap(t);
+      Cell& cell = entries_[remap(t)];
       const std::uint32_t cycle = ticket_cycle(t);
-      std::uint64_t e = entries_[j].load(std::memory_order_acquire);
+      Entry e = cell.load_halves(std::memory_order_acquire);
       for (;;) {
-        // Depositable: entry from an older cycle, no index parked in it,
+        // Depositable: entry from an older cycle, no value parked in it,
         // and either still safe or provably unscannable (every issued
         // dequeue ticket is past it: head <= t means no dequeuer with an
         // older ticket can still be about to scan this entry's old cycle).
-        if (cycle_less(entry_cycle(e), cycle) && entry_idx(e) == kBottom &&
-            (entry_safe(e) ||
+        if (cycle_less(meta_cycle(e.meta), cycle) && !meta_full(e.meta) &&
+            (meta_safe(e.meta) ||
              head_.load(std::memory_order_acquire) <= t)) {
           MSQ_PROBE_COUNT("scq.enq_cas", kCasAttempt);
-          if (!entries_[j].compare_exchange_weak(
-                  e, make_entry(cycle, true, idx), std::memory_order_acq_rel,
-                  std::memory_order_acquire)) {
+          // The publication edge: a torn load_halves guess fails here and
+          // comes back as the entry's true value.
+          if (!cell.compare_exchange(e, Entry{make_meta(cycle, true, true), v},
+                                     std::memory_order_acq_rel)) {
             MSQ_COUNT(kCasFail);
             continue;  // entry changed: re-test the same entry
           }
@@ -139,61 +148,173 @@ class ScqRing {
             threshold_.store(threshold_init_, std::memory_order_release);
             MSQ_COUNT(kScqThresholdReset);
           }
-          return;
+          MSQ_COUNT(kEnqueue);
+          return true;
         }
         break;  // entry not depositable this cycle: take a new ticket
       }
     }
   }
 
-  /// Take an index, or kBottom if the ring is (observably) empty.
+  /// Returns false iff the queue was observed empty (the scan budget ran
+  /// out, its fast path fired, or the read-only check saw tail <= head).
   /// Livelock-free via the threshold: at most threshold_init_+1 losing
   /// probes after the last deposit before every dequeuer reports empty.
-  [[nodiscard]] std::uint32_t dequeue() noexcept {
+  bool try_dequeue(T& out) noexcept {
+    MSQ_PROBE("scq.deq");
+    if (!take(out)) {
+      MSQ_COUNT(kDequeueEmpty);
+      return false;
+    }
+    MSQ_COUNT(kDequeue);
+    return true;
+  }
+
+  [[nodiscard]] std::optional<T> try_dequeue() noexcept {
+    T value;
+    if (try_dequeue(value)) return value;
+    return std::nullopt;
+  }
+
+  [[nodiscard]] std::uint32_t capacity() const noexcept { return capacity_; }
+
+  /// Per-element storage grain: its share of the 2n-entry ring, two
+  /// 16-byte entries (bench/fig_memory: peak_nodes x node_bytes).
+  [[nodiscard]] static constexpr std::size_t node_bytes() noexcept {
+    return 2 * sizeof(Cell);
+  }
+
+  /// Exposed for the memory bench: bytes of ring storage this queue will
+  /// EVER hold -- the bounded-memory claim, as a number.
+  [[nodiscard]] std::size_t resident_bytes() const noexcept {
+    return static_cast<std::size_t>(capacity_) * node_bytes();
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t meta;   // word 0: cycle[63:32] | unsafe | full
+    std::uint64_t value;  // word 1: the T, valid while `full` is set
+  };
+  using Cell = tagged::AtomicDoubleWord<Entry>;
+
+  static constexpr std::uint64_t kFullBit = 1;
+  static constexpr std::uint64_t kUnsafeBit = 2;
+  // Rotate ticket bits so consecutive tickets land kMaxRot entries apart
+  // (distinct cache lines); any bijection preserves correctness, and rings
+  // with <= 2^kMaxRot entries degrade to the identity map.
+  static constexpr std::uint32_t kMaxRot = 4;
+
+  static constexpr std::uint64_t make_meta(std::uint32_t cycle, bool safe,
+                                           bool full) noexcept {
+    return (static_cast<std::uint64_t>(cycle) << 32) |
+           (safe ? 0 : kUnsafeBit) | (full ? kFullBit : 0);
+  }
+  static constexpr std::uint32_t meta_cycle(std::uint64_t m) noexcept {
+    return static_cast<std::uint32_t>(m >> 32);
+  }
+  static constexpr bool meta_safe(std::uint64_t m) noexcept {
+    return (m & kUnsafeBit) == 0;
+  }
+  static constexpr bool meta_full(std::uint64_t m) noexcept {
+    return (m & kFullBit) != 0;
+  }
+  /// Wrap-safe cycle comparison (cycles are mod-2^32 lap counters).
+  static constexpr bool cycle_less(std::uint32_t a, std::uint32_t b) noexcept {
+    return static_cast<std::int32_t>(a - b) < 0;
+  }
+  static constexpr std::uint32_t log2_pow2(std::uint32_t n) noexcept {
+    std::uint32_t l = 0;
+    while ((1u << l) < n) ++l;
+    return l;
+  }
+  static std::uint32_t round_up_pow2(std::uint32_t n) noexcept {
+    std::uint32_t p = 1;
+    while (p < n) p <<= 1;
+    return p;
+  }
+  static std::uint64_t to_word(const T& value) noexcept {
+    std::uint64_t w = 0;
+    std::memcpy(&w, &value, sizeof(T));
+    return w;
+  }
+  static T from_word(std::uint64_t w) noexcept {
+    T value;
+    std::memcpy(&value, &w, sizeof(T));
+    return value;
+  }
+
+  /// Ticket t's lap, plus one so that the zeroed ring (cycle 0) is older
+  /// than every first-lap ticket.
+  [[nodiscard]] std::uint32_t ticket_cycle(std::uint64_t ticket) const
+      noexcept {
+    return static_cast<std::uint32_t>(ticket >> order_) + 1;
+  }
+  [[nodiscard]] std::uint32_t remap(std::uint64_t ticket) const noexcept {
+    const std::uint32_t i = static_cast<std::uint32_t>(ticket) & mask_;
+    return ((i << rot_) | (i >> (order_ - rot_))) & mask_;
+  }
+
+  /// One unit of capacity, or false with no RMW when none is left.  A
+  /// credit is a count, not a publication: the deposit CAS validates the
+  /// entry itself, so the orders here only keep the count's story simple.
+  bool take_credit() noexcept {
+    std::int64_t c = credits_.load(std::memory_order_acquire);
+    while (c > 0) {
+      if (credits_.compare_exchange_weak(c, c - 1, std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  bool take(T& out) noexcept {
     const std::int64_t threshold = threshold_.load(std::memory_order_acquire);
     if (threshold < 0) {
-      return kBottom;  // fast path: a prior exhausted scan proved emptiness
+      return false;  // fast path: a prior exhausted scan proved emptiness
     }
     if (threshold != threshold_init_) {
       // A dequeuer has missed since the last deposit: the ring is probably
       // still empty, so check with reads alone before taking a ticket (the
       // paper's D2-D7).  Head first: both counters only grow, so tail <=
-      // head at the tail read means every deposited index already has its
+      // head at the tail read means every deposited value already has its
       // dequeue ticket issued.  Read the other way round, a head that moved
       // past a fresh deposit after the tail read hides it.  While dequeues
       // succeed the threshold stays armed and the hot tail line is not read.
       const std::uint64_t h = head_.load(std::memory_order_acquire);
-      if (tail_.load(std::memory_order_acquire) <= h) return kBottom;
+      if (tail_.load(std::memory_order_acquire) <= h) return false;
     }
     for (;;) {
       MSQ_PROBE("scq.faa_deq");
       const std::uint64_t h = head_.fetch_add(1, std::memory_order_acq_rel);
-      const std::uint32_t j = remap(h);
+      Cell& cell = entries_[remap(h)];
       const std::uint32_t cycle = ticket_cycle(h);
-      std::uint64_t e = entries_[j].load(std::memory_order_acquire);
+      std::uint64_t m = cell.word(0).load(std::memory_order_acquire);
       for (;;) {
-        if (entry_cycle(e) == cycle) {
-          // A value was deposited for exactly this ticket: consume it by
-          // blanking the index bits (cycle and safe bit survive).  Only
-          // this ticket's owner can be here, so the fetch_or result's
-          // index is the deposited one.
-          const std::uint64_t prev =
-              entries_[j].fetch_or(kIdxMask, std::memory_order_acq_rel);
-          return entry_idx(prev);
+        if (meta_cycle(m) == cycle) {
+          // A value was deposited for exactly this ticket (a mark never
+          // writes our cycle: only our own mark could).  Until `full` is
+          // cleared no deposit can touch the value half, so read it, then
+          // consume -- the release orders the read before the entry's next
+          // deposit.  fetch_and keeps a later ticket's unsafe mark.
+          out = from_word(cell.word(1).load(std::memory_order_acquire));
+          cell.word(0).fetch_and(~kFullBit, std::memory_order_acq_rel);
+          credits_.fetch_add(1, std::memory_order_release);
+          return true;
         }
-        if (cycle_less(entry_cycle(e), cycle)) {
+        if (cycle_less(meta_cycle(m), cycle)) {
           // Older entry.  Empty entries get their cycle advanced so a
           // lagging enqueuer with an old ticket cannot deposit where we
-          // already scanned; occupied ones are marked unsafe for the same
-          // reason (their enqueuer must re-validate against head).
+          // already scanned; full ones are marked unsafe for the same
+          // reason (their enqueuer must re-validate against head).  The
+          // value half is left alone.
           const std::uint64_t desired =
-              entry_idx(e) == kBottom
-                  ? make_entry(cycle, entry_safe(e), kBottom)
-                  : (e | kUnsafeBit);
+              meta_full(m) ? (m | kUnsafeBit)
+                           : make_meta(cycle, meta_safe(m), false);
           MSQ_PROBE_COUNT("scq.deq_mark", kCasAttempt);
-          if (!entries_[j].compare_exchange_weak(e, desired,
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_acquire)) {
+          if (!cell.word(0).compare_exchange_weak(m, desired,
+                                                  std::memory_order_acq_rel,
+                                                  std::memory_order_acquire)) {
             MSQ_COUNT(kCasFail);
             continue;  // entry changed: re-test (it may now match our cycle)
           }
@@ -205,64 +326,15 @@ class ScqRing {
         if (t <= h + 1) {
           catch_up(t, h + 1);
           threshold_.fetch_sub(1, std::memory_order_acq_rel);
-          return kBottom;
+          return false;
         }
         MSQ_PROBE("scq.threshold");
         if (threshold_.fetch_sub(1, std::memory_order_acq_rel) <= 0) {
-          return kBottom;  // search budget exhausted: observably empty
+          return false;  // search budget exhausted: observably empty
         }
         break;  // budget remains: take a new ticket and keep scanning
       }
     }
-  }
-
-  [[nodiscard]] std::uint32_t half() const noexcept { return half_; }
-
-  /// Exposed for tests/benches: current threshold (negative = drained).
-  [[nodiscard]] std::int64_t threshold() const noexcept {
-    return threshold_.load(std::memory_order_acquire);
-  }
-
- private:
-  // Entry layout: {cycle[63:32], unsafe[31], index[30:0]}.
-  static constexpr std::uint64_t kIdxMask = 0x7FFFFFFFull;
-  static constexpr std::uint64_t kUnsafeBit = 0x80000000ull;
-  // Rotate ticket bits so consecutive tickets land kMaxRot entries apart
-  // (distinct cache lines); any bijection preserves correctness, and rings
-  // with <= 2^kMaxRot entries degrade to the identity map.
-  static constexpr std::uint32_t kMaxRot = 4;
-
-  static constexpr std::uint64_t make_entry(std::uint32_t cycle, bool safe,
-                                            std::uint32_t idx) noexcept {
-    return (static_cast<std::uint64_t>(cycle) << 32) |
-           (safe ? 0ull : kUnsafeBit) | idx;
-  }
-  static constexpr std::uint32_t entry_cycle(std::uint64_t e) noexcept {
-    return static_cast<std::uint32_t>(e >> 32);
-  }
-  static constexpr bool entry_safe(std::uint64_t e) noexcept {
-    return (e & kUnsafeBit) == 0;
-  }
-  static constexpr std::uint32_t entry_idx(std::uint64_t e) noexcept {
-    return static_cast<std::uint32_t>(e & kIdxMask);
-  }
-  /// Wrap-safe cycle comparison (cycles are mod-2^32 lap counters).
-  static constexpr bool cycle_less(std::uint32_t a, std::uint32_t b) noexcept {
-    return static_cast<std::int32_t>(a - b) < 0;
-  }
-  static constexpr std::uint32_t log2_pow2(std::uint32_t n) noexcept {
-    std::uint32_t l = 0;
-    while ((1u << l) < n) ++l;
-    return l;
-  }
-
-  [[nodiscard]] std::uint32_t ticket_cycle(std::uint64_t ticket) const
-      noexcept {
-    return static_cast<std::uint32_t>(ticket >> order_);
-  }
-  [[nodiscard]] std::uint32_t remap(std::uint64_t ticket) const noexcept {
-    const std::uint32_t i = static_cast<std::uint32_t>(ticket) & mask_;
-    return ((i << rot_) | (i >> (order_ - rot_))) & mask_;
   }
 
   /// The tail lags head+1: CAS it forward so deposits resume ahead of the
@@ -278,107 +350,18 @@ class ScqRing {
     }
   }
 
-  std::uint32_t half_;
+  std::uint32_t capacity_;
   std::uint32_t size_;
   std::uint32_t mask_;
   std::uint32_t order_;
   std::uint32_t rot_;
   std::int64_t threshold_init_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> entries_;
+  std::unique_ptr<Cell[]> entries_;
   alignas(port::kCacheLine) std::atomic<std::uint64_t> head_{0};
   alignas(port::kCacheLine) std::atomic<std::uint64_t> tail_{0};
-  alignas(port::kCacheLine) std::atomic<std::int64_t> threshold_{0};
-};
-
-/// SCQ proper: two index rings circulating indices into a caller-sized
-/// data array.  Bounded at exactly `capacity` elements; lock-free in both
-/// directions (a stalled thread's entry is marked unsafe and skipped --
-/// contrast RingQueue, whose slot handshake BLOCKS the matching op).
-template <typename T>
-class ScqQueue {
- public:
-  using value_type = T;
-  static constexpr QueueTraits traits{
-      .progress = Progress::kNonBlocking,
-      .mpmc = true,
-      .pool_backed = true,  // bounded: enqueue refuses at capacity
-      .linearizable = true,
-  };
-
-  explicit ScqQueue(std::uint32_t capacity)
-      : capacity_(round_up_pow2(capacity < 1 ? 1 : capacity)),
-        fq_(capacity_, /*full=*/true),
-        aq_(capacity_, /*full=*/false),
-        data_(std::make_unique<T[]>(capacity_)) {}
-
-  ScqQueue(const ScqQueue&) = delete;
-  ScqQueue& operator=(const ScqQueue&) = delete;
-
-  /// Returns false iff the queue holds `capacity()` undequeued items (the
-  /// free ring ran dry).  The data slot is exclusively owned between the
-  /// fq take and the aq deposit, so the store below is race-free: the aq
-  /// entry CAS releases it to exactly one consumer.
-  bool try_enqueue(T value) noexcept {
-    MSQ_PROBE("scq.enq");
-    const std::uint32_t idx = fq_.dequeue();
-    if (idx == ScqRing::kBottom) {
-      MSQ_COUNT(kPoolRefuse);  // the bounded analogue of a dry node pool
-      MSQ_COUNT(kQueueFull);   // backpressure signal (scenario shed policy)
-      return false;
-    }
-    data_[idx] = std::move(value);
-    aq_.enqueue(idx);
-    MSQ_COUNT(kEnqueue);
-    return true;
-  }
-
-  /// Returns false iff the queue was observed empty (the allocated ring's
-  /// scan budget ran out, its fast path fired, or its read-only check saw
-  /// tail <= head).
-  bool try_dequeue(T& out) noexcept {
-    MSQ_PROBE("scq.deq");
-    const std::uint32_t idx = aq_.dequeue();
-    if (idx == ScqRing::kBottom) {
-      MSQ_COUNT(kDequeueEmpty);
-      return false;
-    }
-    out = std::move(data_[idx]);
-    fq_.enqueue(idx);
-    MSQ_COUNT(kDequeue);
-    return true;
-  }
-
-  [[nodiscard]] std::optional<T> try_dequeue() noexcept {
-    T value;
-    if (try_dequeue(value)) return value;
-    return std::nullopt;
-  }
-
-  [[nodiscard]] std::uint32_t capacity() const noexcept { return capacity_; }
-
-  /// Per-element storage grain: one data slot plus its share of the two
-  /// 2n-entry index rings (bench/fig_memory: peak_nodes x node_bytes).
-  [[nodiscard]] static constexpr std::size_t node_bytes() noexcept {
-    return sizeof(T) + 4 * sizeof(std::uint64_t);
-  }
-
-  /// Exposed for the memory bench: bytes of element + ring storage this
-  /// queue will EVER hold -- the bounded-memory claim, as a number.
-  [[nodiscard]] std::size_t resident_bytes() const noexcept {
-    return static_cast<std::size_t>(capacity_) * node_bytes();
-  }
-
- private:
-  static std::uint32_t round_up_pow2(std::uint32_t n) noexcept {
-    std::uint32_t p = 1;
-    while (p < n) p <<= 1;
-    return p;
-  }
-
-  std::uint32_t capacity_;
-  ScqRing fq_;  // free indices, starts {0..capacity-1}
-  ScqRing aq_;  // allocated indices, starts empty
-  std::unique_ptr<T[]> data_;
+  // Empty ring: threshold -1 arms the dequeue fast path immediately.
+  alignas(port::kCacheLine) std::atomic<std::int64_t> threshold_{-1};
+  alignas(port::kCacheLine) std::atomic<std::int64_t> credits_;
 };
 
 }  // namespace msq::queues

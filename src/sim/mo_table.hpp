@@ -210,7 +210,22 @@ inline constexpr MoSite kMoSites[] = {
                 "reclamation cascade; ordered through refct_cas + the "
                 "pool mesh"),
 
-    // --- SCQ index ring (sim/scq_ring_sim.hpp; real: queues/scq_queue.hpp)
+    // --- SCQ ring (sim/scq_ring_sim.hpp; real: queues/scq_queue.hpp) -----
+    MSQ_MO_SITE("scq.credit_load", MoKind::kLoad, check::MemOrder::kAcquire,
+                false, false, true, false,
+                "the enqueue's first credit read (0 = refuse, no RMW): a "
+                "count, never a publication, but plain demotion races with "
+                "a consumer's credit return"),
+    MSQ_MO_SITE("scq.credit_take", MoKind::kRmw, check::MemOrder::kAcqRel,
+                false, false, false, false,
+                "credit CAS-decrement: the capacity bound is a property of "
+                "the counter's modification order, which every RMW keeps; "
+                "the deposit validates its entry by cycle and full bit, so "
+                "no payload rides the credit"),
+    MSQ_MO_SITE("scq.credit_return", MoKind::kRmw, check::MemOrder::kRelease,
+                false, false, false, false,
+                "credit fetch_add after the consume; see scq.credit_take -- "
+                "the entry's next deposit syncs with the consume itself"),
     MSQ_MO_SITE("scq.enq_faa_tail", MoKind::kRmw, check::MemOrder::kAcqRel,
                 false, false, false, false,
                 "ticket allocation; publication rides the entry CAS, and "
@@ -218,21 +233,23 @@ inline constexpr MoSite kMoSites[] = {
                 "whose own load re-acquires it"),
     MSQ_MO_SITE("scq.enq_entry_load", MoKind::kLoad, check::MemOrder::kAcquire,
                 false, false, true, false,
-                "pre-CAS read of an entry with concurrent CAS/fetch_or "
-                "writers: atomicity load-bearing, ordering masked by "
-                "enq_cas (failure re-reads through the CAS itself)"),
+                "pre-CAS read of an entry with concurrent CAS/fetch_and "
+                "writers (real: two 8-byte loads, meta then value): "
+                "atomicity load-bearing, ordering masked by enq_cas "
+                "(failure re-reads through the CAS itself)"),
     MSQ_MO_SITE("scq.enq_head_load", MoKind::kLoad, check::MemOrder::kAcquire,
                 false, false, true, false,
-                "the unsafe-entry deposit guard (head <= ticket): value "
-                "advisory, never dereferenced, but a sibling consumer's "
-                "head FAA races a plain read (world s reaches the guard; "
-                "the 1p1c world never does)"),
+                "the unsafe-entry deposit guard (head <= ticket) and the "
+                "catch-up losers' head reload: value advisory, never "
+                "dereferenced, but plain demotion races with a consumer's "
+                "head FAA"),
     MSQ_MO_SITE("scq.enq_cas", MoKind::kRmw, check::MemOrder::kAcqRel,
                 false, true, false, false,
-                "THE publication edge: releases the producer's plain "
-                "payload write to the consumer whose entry load/fetch_or "
-                "acquires it -- nothing masks it, unlike ms.E9 (there is "
-                "no pool mesh here; bounded rings reuse entries in place)"),
+                "THE publication edge, the 16-byte {cycle, full, value} "
+                "deposit: releases the producer's plain writes to the "
+                "consumer whose entry load/consume acquires it -- nothing "
+                "masks it, unlike ms.E9 (there is no pool mesh here; "
+                "bounded rings reuse entries in place)"),
     MSQ_MO_SITE("scq.threshold_check", MoKind::kLoad, check::MemOrder::kAcquire,
                 false, false, true, false,
                 "the threshold reads (dequeue fast path + enqueue "
@@ -253,20 +270,23 @@ inline constexpr MoSite kMoSites[] = {
                 "ticket allocation; see scq.enq_faa_tail"),
     MSQ_MO_SITE("scq.deq_entry_load", MoKind::kLoad, check::MemOrder::kAcquire,
                 false, false, true, false,
-                "entry probe with concurrent CAS writers: atomicity "
+                "entry probe with concurrent CAS writers (real: the meta "
+                "load, then the value load on a cycle match): atomicity "
                 "load-bearing; its acquire is mutually masked with the "
-                "consume fetch_or's (the payload index is taken from the "
-                "fetch_or RESULT, so either acquire alone suffices)"),
-    MSQ_MO_SITE("scq.deq_consume_or", MoKind::kRmw, check::MemOrder::kAcqRel,
+                "consume's (the sim takes the value from the consume "
+                "CAS's RESULT, so either acquire alone suffices)"),
+    MSQ_MO_SITE("scq.deq_consume_and", MoKind::kRmw, check::MemOrder::kAcqRel,
                 false, false, false, false,
-                "the consume (index |= bottom): its acquire is mutually "
+                "the consume, meta &= ~full: its acquire is mutually "
                 "masked with deq_entry_load's -- fl.pop_top/pop_cas all "
-                "over again; release protects nothing (the entry it blanks "
-                "is republished by the next enq_cas)"),
+                "over again; its release orders the real code's value "
+                "load before the entry's next deposit, which no sim world "
+                "can miss (one packed word: the value is read by the "
+                "consume itself)"),
     MSQ_MO_SITE("scq.deq_mark_cas", MoKind::kRmw, check::MemOrder::kAcqRel,
                 false, false, false, false,
-                "cycle-advance / unsafe-mark CAS: control-flow only, no "
-                "payload is published or consumed through it"),
+                "cycle-advance / unsafe-mark CAS on meta: control-flow "
+                "only, no payload is published or consumed through it"),
     MSQ_MO_SITE("scq.deq_tail_load", MoKind::kLoad, check::MemOrder::kAcquire,
                 false, false, true, false,
                 "the empty-verdict read (tail <= head+1): value advisory "

@@ -1,19 +1,27 @@
-// Simulated SCQ index ring, mirroring queues/scq_queue.hpp::ScqRing
-// op-for-op so DPOR schedules over this model transfer to the real code.
+// Simulated SCQ ring, mirroring queues/scq_queue.hpp::ScqQueue op-for-op
+// so DPOR schedules over this model transfer to the real code: one ring of
+// {cycle, unsafe, full, value} entries plus a credit counter.
 //
 // Word layout (simulated memory):
-//   entries_[0..2*half)  -- packed {cycle[63:32], unsafe[31], index[30:0]}
+//   entries_[0..2*half)  -- packed {cycle[63:32], unsafe[31], full[30],
+//                           value[29:0]}
 //   head_, tail_         -- FAA ticket counters
 //   threshold_           -- int64 search budget, stored as two's-complement
 //                           in the u64 word (faa with ~0ull decrements)
+//   credits_             -- enqueue credits, starts at `half`
 //
-// One divergence from the real header, annotated inline: the consume
-// fetch_or becomes a CAS loop (the engine has no fetch_or; equivalent
-// because only the unsafe bit can change under our feet).  The Variant
-// knob adds deliberately broken models that tests/sim_scq_test.cpp uses as
-// negative controls: one without the threshold EXHIBITS the livelock the
-// budget exists to kill, one whose read-only empty check reads tail before
-// head reports a non-empty ring empty.
+// Divergences from the real header, annotated inline: an entry is ONE
+// packed sim word, where the real entry is 16 bytes whose halves are read
+// with two 8-byte loads and validated by the 16-byte deposit CAS (a torn
+// read there fails the CAS exactly like a stale read here); and the
+// consume fetch_and becomes a CAS loop (the engine has no fetch_and;
+// equivalent because only the unsafe bit can change under our feet).  The
+// Variant knob adds deliberately broken models that tests/sim_scq_test.cpp
+// uses as negative controls: one without the threshold EXHIBITS the
+// livelock the budget exists to kill, one whose read-only empty check
+// reads tail before head reports a non-empty ring empty, and one that
+// replaces the credits with a read-only `tail - head >= n` check lets
+// concurrent enqueuers overfill the ring.
 #pragma once
 
 #include <cstdint>
@@ -27,12 +35,20 @@ namespace msq::sim {
 
 class SimScqRing {
  public:
-  static constexpr std::uint32_t kBottom = 0x7FFFFFFFu;
+  /// dequeue()'s "observed empty"; enqueued values must be below it.
+  static constexpr std::uint32_t kBottom = 0x3FFFFFFFu;
 
   enum class Variant {
-    kFaithful,     // op-for-op the real ScqRing
+    kFaithful,     // op-for-op the real ScqQueue
     kNoThreshold,  // no search budget (and so no gated empty check)
     kTailFirst,    // the gated empty check loads tail, then head
+    kNoCredits,    // refuse iff tail - head >= half, read-only; no credits
+  };
+
+  enum class Enq : std::uint8_t {
+    kDone,    // deposited
+    kFull,    // refused: no credit (kNoCredits: tail - head >= half)
+    kGaveUp,  // max_rounds ran out holding a credit, deposit pending
   };
 
   /// Per-dequeue progress accounting for the threshold-bound proof: the
@@ -46,8 +62,7 @@ class SimScqRing {
 
   // `mo` overrides the annotated orders (mutation sweeps); defaults mirror
   // queues/scq_queue.hpp -- rationale per site in sim/mo_table.hpp.
-  SimScqRing(Engine& engine, std::uint32_t half, bool full,
-             const MoTable* mo = nullptr,
+  SimScqRing(Engine& engine, std::uint32_t half, const MoTable* mo = nullptr,
              Variant variant = Variant::kFaithful)
       : half_(half),
         size_(half * 2),
@@ -61,6 +76,10 @@ class SimScqRing {
         head_(engine.memory().alloc(1)),
         tail_(engine.memory().alloc(1)),
         threshold_(engine.memory().alloc(1)),
+        credits_(engine.memory().alloc(1)),
+        mo_credit_load_(site(mo, "scq.credit_load")),
+        mo_credit_take_(site(mo, "scq.credit_take")),
+        mo_credit_return_(site(mo, "scq.credit_return")),
         mo_enq_faa_tail_(site(mo, "scq.enq_faa_tail")),
         mo_enq_entry_load_(site(mo, "scq.enq_entry_load")),
         mo_enq_head_load_(site(mo, "scq.enq_head_load")),
@@ -70,69 +89,79 @@ class SimScqRing {
         mo_threshold_faa_(site(mo, "scq.threshold_faa")),
         mo_deq_faa_head_(site(mo, "scq.deq_faa_head")),
         mo_deq_entry_load_(site(mo, "scq.deq_entry_load")),
-        mo_deq_consume_or_(site(mo, "scq.deq_consume_or")),
+        mo_deq_consume_and_(site(mo, "scq.deq_consume_and")),
         mo_deq_mark_cas_(site(mo, "scq.deq_mark_cas")),
         mo_deq_tail_load_(site(mo, "scq.deq_tail_load")),
         mo_catchup_cas_(site(mo, "scq.catchup_cas")),
         mo_empty_head_load_(site(mo, "scq.empty_head_load")),
         mo_empty_tail_load_(site(mo, "scq.empty_tail_load")) {
     // Construction is single-site: raw memory writes, no simulated cost
-    // (matches the real constructor's relaxed stores).
+    // (the real ring is value-initialised: every entry cycle 0, empty).
     SimMemory& mem = engine.memory();
-    for (std::uint32_t i = 0; i < size_; ++i) {
-      mem.word(entries_ + i) = make_entry(0xFFFFFFFFu, true, kBottom);
-    }
+    for (std::uint32_t i = 0; i < size_; ++i) mem.word(entries_ + i) = 0;
     mem.word(head_) = 0;
     mem.word(tail_) = 0;
-    if (full) {
-      for (std::uint32_t i = 0; i < half_; ++i) {
-        mem.word(entries_ + remap(i)) = make_entry(0, true, i);
-      }
-      mem.word(tail_) = half_;
-      mem.word(threshold_) = static_cast<std::uint64_t>(threshold_init_);
-    } else {
-      mem.word(threshold_) = static_cast<std::uint64_t>(std::int64_t{-1});
-    }
+    // Empty ring: threshold -1 arms the dequeue fast path immediately.
+    mem.word(threshold_) = static_cast<std::uint64_t>(std::int64_t{-1});
+    mem.word(credits_) = half_;
   }
 
-  /// Deposit `idx`.  `max_rounds` bounds the FAA-retry loop so DPOR worlds
-  /// that overfill the ring (or race a lagging consumer) stay finite;
-  /// 0 = unbounded, like the real code.  Returns false iff the budget ran
-  /// out with the deposit still pending.
-  Task<bool> enqueue(Proc& p, std::uint32_t idx, std::uint32_t max_rounds = 0) {
+  /// Take a credit, then deposit `v` (< kBottom).  `max_rounds` bounds the
+  /// FAA-retry loop so DPOR worlds that race a lagging consumer stay
+  /// finite; 0 = unbounded, like the real code.
+  Task<Enq> enqueue(Proc& p, std::uint32_t v, std::uint32_t max_rounds = 0) {
+    if (variant_ == Variant::kNoCredits) {
+      // The tempting read-only bound: every enqueuer that reads the ring
+      // below capacity goes ahead, however many do so at once.
+      const std::uint64_t t = co_await read(p, tail_, mo_empty_tail_load_);
+      const std::uint64_t h = co_await read(p, head_, mo_empty_head_load_);
+      if (t >= h + half_) co_return Enq::kFull;
+    } else {
+      std::uint64_t c = co_await read(p, credits_, mo_credit_load_);
+      for (;;) {
+        if (c == 0) co_return Enq::kFull;
+        const std::uint64_t seen =
+            co_await cas(p, credits_, c, c - 1, mo_credit_take_);
+        if (seen == c) break;
+        c = seen;
+      }
+    }
     for (std::uint32_t round = 0;; ++round) {
-      if (max_rounds != 0 && round == max_rounds) co_return false;
+      if (max_rounds != 0 && round == max_rounds) co_return Enq::kGaveUp;
       const std::uint64_t t = co_await faa(p, tail_, 1, mo_enq_faa_tail_);
       const Addr slot = entries_ + remap(t);
       const std::uint32_t cycle = ticket_cycle(t);
+      // Real code: two 8-byte loads (meta, then value); see the header.
       std::uint64_t e = co_await read(p, slot, mo_enq_entry_load_);
       for (;;) {
-        if (cycle_less(entry_cycle(e), cycle) && entry_idx(e) == kBottom &&
-            (entry_safe(e) ||
-             co_await read(p, head_, mo_enq_head_load_) <= t)) {
-          const std::uint64_t seen = co_await cas(
-              p, slot, e, make_entry(cycle, true, idx), mo_enq_cas_);
-          if (seen != e) {
-            e = seen;
-            continue;  // entry changed: re-test the same entry
-          }
-          if (threshold_enabled_) {
-            const auto th = static_cast<std::int64_t>(
-                co_await read(p, threshold_, mo_threshold_check_));
-            if (th != threshold_init_) {
-              co_await write(p, threshold_,
-                             static_cast<std::uint64_t>(threshold_init_),
-                             mo_threshold_store_);
-            }
-          }
-          co_return true;
+        bool depositable =
+            cycle_less(entry_cycle(e), cycle) && !entry_full(e);
+        if (depositable && !entry_safe(e)) {
+          const std::uint64_t h = co_await read(p, head_, mo_enq_head_load_);
+          depositable = h <= t;
         }
-        break;  // not depositable this cycle: take a new ticket
+        if (!depositable) break;  // take a new ticket
+        const std::uint64_t seen = co_await cas(
+            p, slot, e, make_entry(cycle, true, true, v), mo_enq_cas_);
+        if (seen != e) {
+          e = seen;
+          continue;  // entry changed: re-test the same entry
+        }
+        if (threshold_enabled_) {
+          const auto th = static_cast<std::int64_t>(
+              co_await read(p, threshold_, mo_threshold_check_));
+          if (th != threshold_init_) {
+            co_await write(p, threshold_,
+                           static_cast<std::uint64_t>(threshold_init_),
+                           mo_threshold_store_);
+          }
+        }
+        co_return Enq::kDone;
       }
     }
   }
 
-  /// Take an index, or kBottom if the ring is (observably) empty.
+  /// Take a value, or kBottom if the ring is (observably) empty.
   Task<std::uint32_t> dequeue(Proc& p) {
     if (threshold_enabled_) {
       const auto th = static_cast<std::int64_t>(
@@ -161,28 +190,34 @@ class SimScqRing {
       const std::uint64_t h = co_await faa(p, head_, 1, mo_deq_faa_head_);
       const Addr slot = entries_ + remap(h);
       const std::uint32_t cycle = ticket_cycle(h);
+      // Real code: the meta load; the value half is loaded on a match.
       std::uint64_t e = co_await read(p, slot, mo_deq_entry_load_);
       for (;;) {
         if (entry_cycle(e) == cycle) {
-          // Real code: fetch_or(kIdxMask).  The engine has no fetch_or, so
-          // CAS until it lands; between our load and the CAS only LATER
-          // dequeue tickets can touch a cycle-matching occupied entry, and
-          // all they can do is set the unsafe bit -- the index bits stay
-          // ours, so retrying with the seen value is the same fetch_or.
+          // Real code: fetch_and(~full) on meta.  The engine has no
+          // fetch_and, so CAS until it lands; between our load and the CAS
+          // only LATER dequeue tickets can touch a cycle-matching full
+          // entry, and all they can do is set the unsafe bit -- so
+          // retrying with the seen value is the same fetch_and.
           for (;;) {
-            const std::uint64_t seen =
-                co_await cas(p, slot, e, e | kIdxMask, mo_deq_consume_or_);
+            const std::uint64_t seen = co_await cas(
+                p, slot, e, e & ~kFullBit, mo_deq_consume_and_);
             if (seen == e) break;
             e = seen;
           }
+          if (variant_ != Variant::kNoCredits) {
+            (void)co_await faa(p, credits_, 1, mo_credit_return_);
+          }
           note_rounds(rounds);
-          co_return entry_idx(e);
+          co_return entry_value(e);
         }
         if (cycle_less(entry_cycle(e), cycle)) {
+          // The real mark is an 8-byte CAS on meta: the value half (here
+          // the value bits) rides along unchanged.
           const std::uint64_t desired =
-              entry_idx(e) == kBottom
-                  ? make_entry(cycle, entry_safe(e), kBottom)
-                  : (e | kUnsafeBit);
+              entry_full(e)
+                  ? (e | kUnsafeBit)
+                  : make_entry(cycle, entry_safe(e), false, entry_value(e));
           const std::uint64_t seen =
               co_await cas(p, slot, e, desired, mo_deq_mark_cas_);
           if (seen != e) {
@@ -229,7 +264,7 @@ class SimScqRing {
     return static_cast<std::int64_t>(e.memory().peek(threshold_));
   }
 
-  /// Indices deposited at tickets no dequeuer holds yet (>= head), in
+  /// Values deposited at tickets no dequeuer holds yet (>= head), in
   /// ticket order (no simulated cost).  An item whose ticket a dequeuer
   /// already drew is that dequeuer's, so these are what an empty verdict
   /// must not miss; at quiescence they are the ring's whole contents.
@@ -239,12 +274,21 @@ class SimScqRing {
     const std::uint64_t head = e.memory().peek(head_);
     for (std::uint64_t t = head; t < head + size_; ++t) {
       const std::uint64_t entry = e.memory().peek(entries_ + remap(t));
-      if (entry_cycle(entry) == ticket_cycle(t) &&
-          entry_idx(entry) != kBottom) {
-        items.push_back(entry_idx(entry));
+      if (entry_cycle(entry) == ticket_cycle(t) && entry_full(entry)) {
+        items.push_back(entry_value(entry));
       }
     }
     return items;
+  }
+
+  /// Deposited values not yet consumed, wherever they sit (no simulated
+  /// cost): the count the capacity bound limits to `half`.
+  [[nodiscard]] std::uint32_t peek_unconsumed(const Engine& e) const {
+    std::uint32_t n = 0;
+    for (std::uint32_t i = 0; i < size_; ++i) {
+      if (entry_full(e.memory().peek(entries_ + i))) ++n;
+    }
+    return n;
   }
 
   /// Pre-arm the search budget as if a deposit had just happened (models
@@ -256,18 +300,21 @@ class SimScqRing {
         static_cast<std::uint64_t>(threshold_init_ - misses);
   }
 
-  /// Deposit `idx` at the next tail ticket as a completed enqueue would,
-  /// re-arming the budget.  Construction-time only, raw writes.
-  void prefill(Engine& e, std::uint32_t idx) const {
+  /// Deposit `v` at the next tail ticket as a completed enqueue would,
+  /// spending a credit and re-arming the budget.  Construction-time only,
+  /// raw writes.
+  void prefill(Engine& e, std::uint32_t v) const {
     SimMemory& mem = e.memory();
     const std::uint64_t t = mem.word(tail_);
-    mem.word(entries_ + remap(t)) = make_entry(ticket_cycle(t), true, idx);
+    mem.word(entries_ + remap(t)) = make_entry(ticket_cycle(t), true, true, v);
     mem.word(tail_) = t + 1;
+    mem.word(credits_) -= 1;
     arm_threshold(e);
   }
 
  private:
-  static constexpr std::uint64_t kIdxMask = 0x7FFFFFFFull;
+  static constexpr std::uint64_t kValueMask = 0x3FFFFFFFull;
+  static constexpr std::uint64_t kFullBit = 0x40000000ull;
   static constexpr std::uint64_t kUnsafeBit = 0x80000000ull;
   static constexpr std::uint32_t kMaxRot = 4;
 
@@ -302,9 +349,11 @@ class SimScqRing {
   }
 
   static constexpr std::uint64_t make_entry(std::uint32_t cycle, bool safe,
-                                            std::uint32_t idx) noexcept {
+                                            bool full,
+                                            std::uint32_t v) noexcept {
     return (static_cast<std::uint64_t>(cycle) << 32) |
-           (safe ? 0ull : kUnsafeBit) | idx;
+           (safe ? 0ull : kUnsafeBit) | (full ? kFullBit : 0ull) |
+           (v & kValueMask);
   }
   static constexpr std::uint32_t entry_cycle(std::uint64_t e) noexcept {
     return static_cast<std::uint32_t>(e >> 32);
@@ -312,8 +361,11 @@ class SimScqRing {
   static constexpr bool entry_safe(std::uint64_t e) noexcept {
     return (e & kUnsafeBit) == 0;
   }
-  static constexpr std::uint32_t entry_idx(std::uint64_t e) noexcept {
-    return static_cast<std::uint32_t>(e & kIdxMask);
+  static constexpr bool entry_full(std::uint64_t e) noexcept {
+    return (e & kFullBit) != 0;
+  }
+  static constexpr std::uint32_t entry_value(std::uint64_t e) noexcept {
+    return static_cast<std::uint32_t>(e & kValueMask);
   }
   static constexpr bool cycle_less(std::uint32_t a, std::uint32_t b) noexcept {
     return static_cast<std::int32_t>(a - b) < 0;
@@ -324,9 +376,10 @@ class SimScqRing {
     return l;
   }
 
+  /// Ticket t's lap plus one, so the zeroed ring is older than lap one.
   [[nodiscard]] std::uint32_t ticket_cycle(std::uint64_t ticket) const
       noexcept {
-    return static_cast<std::uint32_t>(ticket >> order_);
+    return static_cast<std::uint32_t>(ticket >> order_) + 1;
   }
   [[nodiscard]] std::uint32_t remap(std::uint64_t ticket) const noexcept {
     const std::uint32_t i = static_cast<std::uint32_t>(ticket) & mask_;
@@ -361,6 +414,10 @@ class SimScqRing {
   Addr head_;
   Addr tail_;
   Addr threshold_;
+  Addr credits_;
+  Site mo_credit_load_;
+  Site mo_credit_take_;
+  Site mo_credit_return_;
   Site mo_enq_faa_tail_;
   Site mo_enq_entry_load_;
   Site mo_enq_head_load_;
@@ -370,7 +427,7 @@ class SimScqRing {
   Site mo_threshold_faa_;
   Site mo_deq_faa_head_;
   Site mo_deq_entry_load_;
-  Site mo_deq_consume_or_;
+  Site mo_deq_consume_and_;
   Site mo_deq_mark_cas_;
   Site mo_deq_tail_load_;
   Site mo_catchup_cas_;

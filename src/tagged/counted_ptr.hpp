@@ -5,19 +5,30 @@
 // either representation; the pointer itself is the link's target.
 //
 // AtomicDoubleWord is the one 16-byte atomic cell of the library: it holds
-// a CountedPtr link here and WfQueue's announcement words.  We use the
-// __sync builtin on unsigned __int128 rather than std::atomic<struct>,
-// because GCC lowers the latter to libatomic calls that may take a lock;
-// __sync_val_compare_and_swap with -mcx16 emits an inline cmpxchg16b, which
-// is the lock-free primitive the algorithms require.
+// a CountedPtr link here, WfQueue's announcement words and ScqQueue's
+// {meta, value} ring entries.  We use the __sync builtin on unsigned
+// __int128 rather than std::atomic<struct>, because GCC lowers the latter
+// to libatomic calls that may take a lock; __sync_val_compare_and_swap with
+// -mcx16 emits an inline cmpxchg16b, which is the lock-free primitive the
+// algorithms require.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
 
 #include "tagged/atomic_tagged.hpp"
+
+// Without -mcx16 the __sync builtins below compile to libatomic calls,
+// which may take a lock: every double-word CAS would silently stop being
+// lock-free.  Both CMakeLists pass the flag; this keeps a build that drops
+// it from compiling at all.
+#ifndef __GCC_HAVE_SYNC_COMPARE_AND_SWAP_16
+#error "16-byte CAS is not inline: build with -mcx16 (x86-64 cmpxchg16b)"
+#endif
 
 namespace msq::tagged {
 
@@ -51,6 +62,12 @@ class CountedPtr {
 /// 16-byte-aligned atomic cell for any trivially copyable 16-byte value,
 /// driven by cmpxchg16b.  A default-constructed cell holds the all-zero
 /// value (for CountedPtr: null, count 0).
+///
+/// Besides whole-cell operations, each 8-byte half is reachable as an
+/// atomic word of its own (`word(i)`; x86-64 is little-endian, so word 0
+/// holds the value's first 8 bytes).  That lets a reader load the cell
+/// without writing it and lets a writer RMW one field alone; a 16-byte
+/// compare_exchange still validates whatever the halves' readers assumed.
 template <typename V>
 class alignas(16) AtomicDoubleWord {
   static_assert(sizeof(V) == 16 && std::is_trivially_copyable_v<V>,
@@ -60,7 +77,8 @@ class alignas(16) AtomicDoubleWord {
   using value_type = V;
 
   AtomicDoubleWord() noexcept = default;
-  explicit AtomicDoubleWord(V initial) noexcept : bits_(pack(initial)) {}
+  explicit AtomicDoubleWord(V initial) noexcept
+      : words_(std::bit_cast<Words>(initial)) {}
   AtomicDoubleWord(const AtomicDoubleWord&) = delete;
   AtomicDoubleWord& operator=(const AtomicDoubleWord&) = delete;
 
@@ -72,22 +90,32 @@ class alignas(16) AtomicDoubleWord {
 
   /// Atomic 128-bit load.  Implemented as CAS(0, 0): on x86-64 there is no
   /// plain 16-byte atomic load pre-AVX guarantees, and the algorithms only
-  /// ever need a consistent snapshot, which this provides.
+  /// ever need a consistent snapshot, which this provides.  It is a locked
+  /// write, though: readers take the line exclusive.  See load_halves().
   [[nodiscard]] V load(std::memory_order order) const noexcept {
     static_cast<void>(order);  // full barrier regardless (see above)
-    return unpack(__sync_val_compare_and_swap(&bits_, 0, 0));
+    return unpack(__sync_val_compare_and_swap(bits(), 0, 0));
+  }
+
+  /// The cell as two 8-byte atomic loads, word 0 first.  Writes nothing,
+  /// but is NOT a snapshot: the halves may come from different values.  A
+  /// caller that acts on the result passes it to compare_exchange, which
+  /// fails on a torn guess and hands back the true value.
+  [[nodiscard]] V load_halves(std::memory_order order) const noexcept {
+    const Words w{word(0).load(order), word(1).load(order)};
+    return std::bit_cast<V>(w);
   }
 
   void store(V value, std::memory_order order) noexcept {
     static_cast<void>(order);  // full barrier regardless (see above)
     // Stores race with other threads' loads and CASes, so the value that
     // seeds the loop must itself be read atomically (CAS(0, 0)); a plain
-    // read of bits_ is a data race.
-    unsigned __int128 expected = __sync_val_compare_and_swap(&bits_, 0, 0);
+    // read of the cell is a data race.
+    unsigned __int128 expected = __sync_val_compare_and_swap(bits(), 0, 0);
     const unsigned __int128 desired = pack(value);
     for (;;) {
       const unsigned __int128 prev =
-          __sync_val_compare_and_swap(&bits_, expected, desired);
+          __sync_val_compare_and_swap(bits(), expected, desired);
       if (prev == expected) return;
       expected = prev;
     }
@@ -96,10 +124,38 @@ class alignas(16) AtomicDoubleWord {
   bool compare_and_swap(V expected, V desired,
                         std::memory_order order) noexcept {
     static_cast<void>(order);  // full barrier regardless (see above)
-    return __sync_bool_compare_and_swap(&bits_, pack(expected), pack(desired));
+    return __sync_bool_compare_and_swap(bits(), pack(expected), pack(desired));
+  }
+
+  /// compare_and_swap that, on failure, stores the value it found in
+  /// `expected` -- one locked instruction either way.
+  bool compare_exchange(V& expected, V desired,
+                        std::memory_order order) noexcept {
+    static_cast<void>(order);  // full barrier regardless (see above)
+    const unsigned __int128 want = pack(expected);
+    const unsigned __int128 prev =
+        __sync_val_compare_and_swap(bits(), want, pack(desired));
+    if (prev == want) return true;
+    expected = unpack(prev);
+    return false;
+  }
+
+  /// Half `i` (0 or 1) as an 8-byte atomic: loads and single-word RMWs on
+  /// a field that lives in one half.
+  [[nodiscard]] std::atomic_ref<std::uint64_t> word(std::size_t i) const
+      noexcept {
+    return std::atomic_ref<std::uint64_t>(words_[i]);
   }
 
  private:
+  using Words = std::array<std::uint64_t, 2>;
+  // cmpxchg16b addresses the two words as one; may_alias keeps that view
+  // of the array well-defined for the optimiser.
+  using Bits [[gnu::may_alias]] = unsigned __int128;
+
+  [[nodiscard]] Bits* bits() const noexcept {
+    return reinterpret_cast<Bits*>(words_.data());
+  }
   static unsigned __int128 pack(V v) noexcept {
     return std::bit_cast<unsigned __int128>(v);
   }
@@ -107,7 +163,7 @@ class alignas(16) AtomicDoubleWord {
     return std::bit_cast<V>(bits);
   }
 
-  mutable unsigned __int128 bits_ = 0;
+  alignas(16) mutable Words words_{};
 };
 
 static_assert(sizeof(AtomicDoubleWord<CountedPtr<int>>) == 16);

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <numeric>
 #include <set>
 #include <thread>
 #include <vector>
@@ -155,12 +156,14 @@ TEST(ScqEmptyCheck, AFullQueueRefusesThenAcceptsAfterOneDequeue) {
   for (std::uint64_t v = 0; v < kCapacity; ++v) {
     ASSERT_TRUE(queue.try_enqueue(v));
   }
-  // The free ring is empty: one ticketed refusal, then read-only ones.
+  // No credit is left: every refusal is a read of the credit counter, with
+  // no ticket, no entry CAS and no catch-up.
   const auto refusals = counted([&] {
     for (int i = 0; i < 4; ++i) EXPECT_FALSE(queue.try_enqueue(99));
   });
   EXPECT_EQ(refusals[obs::Counter::kQueueFull], 4u);
-  EXPECT_EQ(refusals[obs::Counter::kScqCatchup], 1u);
+  EXPECT_EQ(refusals[obs::Counter::kScqCatchup], 0u);
+  EXPECT_EQ(refusals[obs::Counter::kCasAttempt], 0u);
 
   std::uint64_t out = 0;
   ASSERT_TRUE(queue.try_dequeue(out));
@@ -174,10 +177,49 @@ TEST(ScqEmptyCheck, AFullQueueRefusesThenAcceptsAfterOneDequeue) {
   EXPECT_FALSE(queue.try_dequeue(out));
 }
 
+// The capacity bound under concurrency: with no dequeuer, racing
+// enqueuers together land exactly `capacity` values and every other call
+// is refused.  A check of tail - head before the ticket would let
+// concurrent enqueuers that all pass it overshoot; the credit counter
+// hands out exactly `capacity` deposits.
+TEST(ScqCapacity, ConcurrentFillAcceptsExactlyCapacity) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 200;
+  for (const std::uint32_t capacity : {1u, 2u, 4u, 64u}) {
+    queues::ScqQueue<std::uint64_t> queue(capacity);
+    std::atomic<bool> go{false};
+    std::vector<std::uint64_t> accepted(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) {
+        }
+        for (int i = 0; i < kPerThread; ++i) {
+          if (queue.try_enqueue(static_cast<std::uint64_t>(t * kPerThread + i))) {
+            ++accepted[t];
+          }
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread& th : threads) th.join();
+
+    std::set<std::uint64_t> drained;
+    std::uint64_t out = 0;
+    while (queue.try_dequeue(out)) {
+      EXPECT_TRUE(drained.insert(out).second) << "duplicate " << out;
+    }
+    EXPECT_EQ(std::accumulate(accepted.begin(), accepted.end(), 0ull),
+              capacity)
+        << "capacity " << capacity;
+    EXPECT_EQ(drained.size(), capacity) << "capacity " << capacity;
+  }
+}
+
 TEST(ScqEmptyCheck, EnqueuePollDequeueRoundsWrapTheRingInFifoOrder) {
-  // Each round spends 2 enqueue and 3 dequeue tickets on the allocated
-  // ring, so 3n rounds lap its 2n entries several times, each lap with
-  // both a ticketed and a read-only empty poll.
+  // Each round spends 2 enqueue and 3 dequeue tickets on the ring, so 3n
+  // rounds lap its 2n entries several times, each lap with both a
+  // ticketed and a read-only empty poll.
   queues::ScqQueue<std::uint64_t> queue(kCapacity);
   std::uint64_t next_in = 0;
   std::uint64_t next_out = 0;
@@ -200,10 +242,10 @@ TEST(ScqEmptyCheck, EnqueuePollDequeueRoundsWrapTheRingInFifoOrder) {
 // ---------------------------------------------------------------------------
 
 // Ordinary traffic crosses every window except the threshold budget: an
-// enqueue takes a free index (scq.faa_deq on the free ring) and deposits
-// it (scq.faa_enq + scq.enq_cas on the allocated ring); a dequeue mirrors
-// it; and a dequeue on a just-emptied queue advances a stale entry's
-// cycle (scq.deq_mark) then drags the lagging tail forward (scq.catchup).
+// enqueue takes a credit and deposits (scq.faa_enq + scq.enq_cas); a
+// dequeue takes a ticket (scq.faa_deq) and consumes; and a dequeue on a
+// just-emptied queue advances a stale entry's cycle (scq.deq_mark) then
+// drags the lagging tail forward (scq.catchup).
 TEST(ScqFaultWindows, OperationAndCatchupWindowsAreReachable) {
   queues::ScqQueue<std::uint64_t> queue(4);
   fault::FaultPlan plan;
@@ -240,7 +282,7 @@ TEST(ScqFaultWindows, OperationAndCatchupWindowsAreReachable) {
 // while both enqueuers are wedged, rather than spinning on their slots.
 TEST(ScqFaultWindows, ThresholdBudgetWindowIsReachable) {
   queues::ScqQueue<std::uint64_t> queue(4);
-  // Pre-arm the allocated ring's budget: a completed deposit resets it
+  // Pre-arm the ring's budget: a completed deposit resets it
   // (a fresh empty ring's -1 would short-circuit the scan entirely).
   ASSERT_TRUE(queue.try_enqueue(1));
   std::uint64_t out = 0;

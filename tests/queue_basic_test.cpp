@@ -150,6 +150,8 @@ TEST(QueueTraits, ProgressClassificationMatchesPaper) {
   // overtaking a stalled enqueuer marks the entry unsafe and moves on
   // instead of waiting on the slot handshake.
   EXPECT_EQ(ScqQueue<int>::traits.progress, Progress::kNonBlocking);
+  // Values live in the ring: two 16-byte {meta, value} entries per slot.
+  static_assert(ScqQueue<std::uint64_t>::node_bytes() == 32);
   // The helping wrapper upgrades the MS core's guarantee to wait-free
   // (ROADMAP item 3; the bound is proven over schedules in
   // tests/sim_wf_test.cpp).

@@ -1,5 +1,5 @@
-// The SCQ threshold-bound proof (src/sim/scq_ring_sim.hpp, mirroring
-// src/queues/scq_queue.hpp), in three movements:
+// The SCQ proofs (src/sim/scq_ring_sim.hpp, mirroring the direct ring of
+// src/queues/scq_queue.hpp), in five movements:
 //
 //  1. DPOR over a producer/consumer world: EVERY schedule terminates, and
 //     no dequeue call ever exceeds the derived round bound
@@ -27,6 +27,12 @@
 //     linearizability with empties, FIFO, no loss, no duplicate -- and its
 //     negative control: the same check reading tail BEFORE head reports
 //     empty on a ring that holds an item at every instant of the call.
+//
+//  5. The capacity bound: with capacity 1, two enqueuers and a dequeuer,
+//     no schedule ever holds more than one unconsumed value, and every
+//     schedule is linearizable with no loss or duplicate.  Its negative
+//     control: refusing on a read-only `tail - head >= n` instead of
+//     taking a credit lets both enqueuers pass the check and overfill.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -47,7 +53,7 @@ namespace {
 
 // ---- movement 1: DPOR termination + round bound ------------------------
 
-constexpr std::uint32_t kHalf = 1;          // ring of 2 entries, 1 index
+constexpr std::uint32_t kHalf = 1;          // ring of 2 entries, 1 value
 constexpr std::uint32_t kValues = 2;        // producer deposits {1, 2}
 constexpr std::uint32_t kAttempts = 3;      // consumer's bounded tries
 constexpr std::uint32_t kEnqBudget = 5;     // producer FAA-round budget
@@ -58,19 +64,20 @@ struct ScqWorld {
   bool enq_ok[kValues] = {false, false};
   std::vector<std::uint32_t> got;
 
-  ScqWorld() : ring(engine, kHalf, /*full=*/false) {
+  ScqWorld() : ring(engine, kHalf) {
     got.reserve(kAttempts);
     engine.spawn(0, [this](Proc& p) { return producer(p); });
     engine.spawn(0, [this](Proc& p) { return consumer(p); });
   }
 
-  // A half=1 ring only holds one index, so value 2's deposit can depend on
-  // the consumer draining value 1 first; the FAA-round budget keeps
-  // schedules where the consumer never does finite for DPOR.
+  // A half=1 ring has one credit, so value 2 is refused until the consumer
+  // drains value 1; the FAA-round budget keeps schedules where a consumer
+  // keeps advancing the producer's entry finite for DPOR.
   Task<void> producer(Proc& p) {
     for (std::uint32_t v = 0; v < kValues; ++v) {
-      enq_ok[v] = co_await ring.enqueue(p, v + 1, kEnqBudget);
-      if (!enq_ok[v]) break;  // budget ran dry: give up (tracked)
+      const SimScqRing::Enq r = co_await ring.enqueue(p, v + 1, kEnqBudget);
+      enq_ok[v] = r == SimScqRing::Enq::kDone;
+      if (!enq_ok[v]) break;  // refused or budget ran dry: give up
     }
   }
 
@@ -108,8 +115,8 @@ TEST(SimScqDpor, EveryScheduleTerminatesWithinTheThresholdRoundBound) {
         // schedules that never finish.
         ASSERT_TRUE(engine.all_done()) << "a schedule wedged an SCQ op";
         // The consumer saw a sub-multiset of {1, 2} in FIFO order.  (The
-        // producer may have given its bounded budget up on value 2, so
-        // only prefix-FIFO is guaranteed, not delivery.)
+        // producer may have been refused, or given its bounded budget up,
+        // on value 2, so only prefix-FIFO is guaranteed, not delivery.)
         ASSERT_LE(world->got.size(), kValues);
         for (std::size_t i = 0; i < world->got.size(); ++i) {
           ASSERT_EQ(world->got[i], i + 1)
@@ -132,8 +139,8 @@ TEST(SimScqDpor, EveryScheduleTerminatesWithinTheThresholdRoundBound) {
 // Free coroutine helpers: spawn() lambdas must NOT be coroutines
 // themselves (their captures would dangle with the temporary lambda);
 // plain lambdas calling these copy the arguments into the frame.
-Task<void> enq_into(Proc& p, SimScqRing& ring, std::uint32_t idx, bool& ok) {
-  ok = co_await ring.enqueue(p, idx);
+Task<void> enq_into(Proc& p, SimScqRing& ring, std::uint32_t v, bool& ok) {
+  ok = co_await ring.enqueue(p, v) == SimScqRing::Enq::kDone;
 }
 
 Task<void> deq_into(Proc& p, SimScqRing& ring, std::uint32_t& out) {
@@ -148,9 +155,10 @@ Task<void> drain_n(Proc& p, SimScqRing& ring, int n,
   }
 }
 
-/// half=1 world (2 entries): enqueuer E2 freezes right after its tail FAA
-/// (keeping tail >= head + 2 forever), enqueuer E1 chases a deposit,
-/// dequeuer D chases a value that is never deposited.
+/// half=2 world (4 entries, two credits, one for each enqueuer): enqueuer
+/// E2 freezes right after its tail FAA (keeping tail >= head + 2
+/// forever), enqueuer E1 chases a deposit, dequeuer D chases a value that
+/// is never deposited.
 struct ChaseWorld {
   Engine engine;
   SimScqRing ring;
@@ -164,7 +172,7 @@ struct ChaseWorld {
   static constexpr std::uint32_t kD = 2;
 
   explicit ChaseWorld(bool threshold_enabled)
-      : ring(engine, /*half=*/1, /*full=*/false, /*mo=*/nullptr,
+      : ring(engine, /*half=*/2, /*mo=*/nullptr,
              threshold_enabled ? SimScqRing::Variant::kFaithful
                                : SimScqRing::Variant::kNoThreshold) {
     if (threshold_enabled) {
@@ -190,11 +198,12 @@ struct ChaseWorld {
 TEST(SimScqLivelock, WithoutTheThresholdTheChaseNeverTerminates) {
   ChaseWorld w(/*threshold_enabled=*/false);
 
-  // Prologue: E2 takes ticket 0 and freezes (tail=1).  E1 takes ticket 1
-  // and loads its entry (tail=2).  D scans tickets 0 and 1, advancing both
-  // entries' cycles past E1's pending deposit.
-  w.step_n(ChaseWorld::kE2, 1);  // FAA tail -> 1, then frozen forever
-  w.step_n(ChaseWorld::kE1, 2);  // FAA (ticket 1), load entry
+  // Prologue: E2 takes a credit and ticket 0 and freezes (tail=1).  E1
+  // takes a credit and ticket 1 and loads its entry (tail=2).  D scans
+  // tickets 0 and 1, advancing both entries' cycles past E1's pending
+  // deposit.
+  w.step_n(ChaseWorld::kE2, 3);  // credit read + CAS, FAA tail -> 1, frozen
+  w.step_n(ChaseWorld::kE1, 4);  // credit read + CAS, FAA (ticket 1), load
   w.step_n(ChaseWorld::kD, 7);   // FAA h=0, load, advance; tail check;
                                  // FAA h=1, load, advance
 
@@ -219,12 +228,12 @@ TEST(SimScqLivelock, TheThresholdEndsTheSameChaseAndTheRingRecovers) {
   ChaseWorld w(/*threshold_enabled=*/true);
   const auto threshold_init =
       static_cast<std::uint64_t>(w.ring.threshold_init());
-  ASSERT_EQ(threshold_init, 2u);  // half=1: 3n-1
+  ASSERT_EQ(threshold_init, 5u);  // half=2: 3n-1
 
   // Same prologue as above; D pays one extra op for the fast-path read and
   // one per losing round for the budget decrement.
-  w.step_n(ChaseWorld::kE2, 1);
-  w.step_n(ChaseWorld::kE1, 2);
+  w.step_n(ChaseWorld::kE2, 3);
+  w.step_n(ChaseWorld::kE1, 4);
   w.step_n(ChaseWorld::kD, 9);  // fast-path read; round h=0 (+decrement);
                                 // round h=1
 
@@ -285,14 +294,20 @@ Task<void> logged_deq(Proc& p, SimScqRing& ring, check::ThreadLog& log) {
              r == SimScqRing::kBottom ? 0 : r, inv, returned_at(p));
 }
 
+/// Logs an accepted enqueue; a refusal leaves no event (the checker's
+/// queue is unbounded) and is counted in `refused` instead.
 Task<void> logged_enq(Proc& p, SimScqRing& ring, std::uint32_t v,
-                      check::ThreadLog& log) {
+                      check::ThreadLog& log, std::uint32_t* refused = nullptr) {
   const std::int64_t inv = invoked_at(p);
-  (void)co_await ring.enqueue(p, v);
-  log.record(check::OpKind::kEnqueue, v, inv, returned_at(p));
+  const SimScqRing::Enq r = co_await ring.enqueue(p, v);
+  if (r == SimScqRing::Enq::kDone) {
+    log.record(check::OpKind::kEnqueue, v, inv, returned_at(p));
+  } else if (refused != nullptr) {
+    ++*refused;
+  }
 }
 
-/// A 4-entry ring (room for 2 indices) prefilled with 1; p0 dequeues, p1
+/// A 4-entry ring (room for 2 values) prefilled with 1; p0 dequeues, p1
 /// enqueues 2, p2 dequeues.  The budget sits one miss below armed ("a
 /// dequeuer has missed since the last deposit"), so each dequeue opens
 /// with the read-only empty check.  Records the history for the exact
@@ -307,7 +322,7 @@ struct EmptyCheckWorld {
   std::vector<std::size_t> occupancy;  // [k]: unclaimed items after k ops
 
   explicit EmptyCheckWorld(SimScqRing::Variant variant)
-      : ring(engine, /*half=*/2, /*full=*/false, /*mo=*/nullptr, variant) {
+      : ring(engine, /*half=*/2, /*mo=*/nullptr, variant) {
     ring.prefill(engine, kPrefill);
     ring.arm_threshold(engine, /*misses=*/1);
     for (std::uint32_t t = 0; t < 4; ++t) logs.emplace_back(t);
@@ -461,31 +476,159 @@ TEST(SimScqEmptyCheck, ReadingTailBeforeHeadReportsANonEmptyRingEmpty) {
   EXPECT_LT(deq.invoke_ns, empty.response_ns);
 }
 
-// ---- single-proc sanity: init-full ring + FIFO through the remap -------
+// ---- movement 5: the capacity bound --------------------------------------
 
-Task<void> drain_lap(Proc& p, SimScqRing& ring,
-                     std::vector<std::uint32_t>& out) {
+/// Capacity 1 (two entries, one credit): p0 and p1 enqueue 1 and 2, p2
+/// dequeues twice.  Records the accepted history and, after every memory
+/// op, the most unconsumed values the ring ever held.
+struct CapacityWorld {
+  Engine engine;
+  SimScqRing ring;
+  std::vector<check::ThreadLog> logs;
+  std::uint32_t refused = 0;
+  std::uint32_t peak_unconsumed = 0;
+
+  explicit CapacityWorld(SimScqRing::Variant variant)
+      : ring(engine, /*half=*/1, /*mo=*/nullptr, variant) {
+    for (std::uint32_t t = 0; t < 3; ++t) logs.emplace_back(t);
+    engine.spawn(0, [this](Proc& p) {
+      return logged_enq(p, ring, 1, logs[0], &refused);
+    });
+    engine.spawn(0, [this](Proc& p) {
+      return logged_enq(p, ring, 2, logs[1], &refused);
+    });
+    engine.spawn(0, [this](Proc& p) { return drain_logged(p); });
+  }
+
+  Task<void> drain_logged(Proc& p) {
+    for (int i = 0; i < 2; ++i) co_await logged_deq(p, ring, logs[2]);
+  }
+
+  void sample() {
+    const std::uint32_t n = ring.peek_unconsumed(engine);
+    if (n > peak_unconsumed) peak_unconsumed = n;
+  }
+};
+
+TEST(SimScqCapacity, CreditsNeverLetTheRingHoldMoreThanCapacity) {
+  std::unique_ptr<CapacityWorld> world;
+  std::uint64_t checked = 0;
+  std::uint64_t with_refusal = 0;
+  std::uint64_t both_accepted = 0;
+  DporConfig config;
+  config.max_steps_per_run = 4'000;
+  const DporResult result = explore_dpor(
+      config, /*process_count=*/3,
+      [&]() -> Engine& {
+        world = std::make_unique<CapacityWorld>(
+            SimScqRing::Variant::kFaithful);
+        return world->engine;
+      },
+      [&](Engine&) { world->sample(); },
+      [&](Engine& engine) {
+        ASSERT_TRUE(engine.all_done()) << "a schedule wedged an SCQ op";
+        ASSERT_LE(world->peak_unconsumed, 1u) << "ring overfilled";
+        const auto history = check::merge_logs(world->logs);
+        const auto lin = check::check_linearizable_exact(history);
+        ASSERT_TRUE(lin.ok) << lin.diagnosis;
+
+        // No loss, no duplicate: dequeued plus still-held is exactly the
+        // accepted set.
+        std::vector<std::uint32_t> accepted;
+        std::vector<std::uint32_t> seen = world->ring.peek_unclaimed(engine);
+        for (const check::Event& e : history) {
+          if (e.kind == check::OpKind::kEnqueue) {
+            accepted.push_back(static_cast<std::uint32_t>(e.value));
+          } else if (e.kind == check::OpKind::kDequeue) {
+            seen.push_back(static_cast<std::uint32_t>(e.value));
+          }
+        }
+        std::sort(accepted.begin(), accepted.end());
+        std::sort(seen.begin(), seen.end());
+        ASSERT_EQ(seen, accepted);
+        ASSERT_EQ(accepted.size() + world->refused, 2u);
+        with_refusal += world->refused > 0 ? 1 : 0;
+        both_accepted += accepted.size() == 2 ? 1 : 0;
+        ++checked;
+      });
+  EXPECT_FALSE(result.budget_exhausted);
+  EXPECT_EQ(checked, result.schedules_run);
+  EXPECT_GT(checked, 100u) << "DPOR covered suspiciously few schedules";
+  // Not vacuous: some schedules refuse an enqueue at capacity, and some
+  // accept both because the dequeuer freed the slot in between.
+  EXPECT_GT(with_refusal, 0u);
+  EXPECT_GT(both_accepted, 0u);
+}
+
+TEST(SimScqCapacity, AReadOnlyTailMinusHeadCheckOverfillsTheRing) {
+  // Stop at the first schedule that holds two unconsumed values in a
+  // capacity-1 ring: both enqueuers read tail - head = 0 < 1 before
+  // either takes a ticket, then both deposit.
+  struct Found {};
+  std::unique_ptr<CapacityWorld> world;
+  std::uint64_t schedules = 0;
+  bool overfilled = false;
+  DporConfig config;
+  config.max_steps_per_run = 4'000;
+  try {
+    (void)explore_dpor(
+        config, /*process_count=*/3,
+        [&]() -> Engine& {
+          world = std::make_unique<CapacityWorld>(
+              SimScqRing::Variant::kNoCredits);
+          return world->engine;
+        },
+        [&](Engine&) { world->sample(); },
+        [&](Engine&) {
+          ++schedules;
+          if (world->peak_unconsumed > 1) {
+            overfilled = true;
+            throw Found{};
+          }
+        });
+  } catch (const Found&) {
+  }
+  EXPECT_TRUE(overfilled) << "no schedule overfilled the ring across "
+                          << schedules << " schedules";
+}
+
+// ---- single-proc sanity: fill, refuse, drain FIFO through the remap ------
+
+Task<void> fill_drain_lap(Proc& p, SimScqRing& ring,
+                          std::vector<SimScqRing::Enq>& enq,
+                          std::vector<std::uint32_t>& out) {
+  for (std::uint32_t v = 0; v < 5; ++v) {
+    enq.push_back(co_await ring.enqueue(p, v));
+  }
   for (int i = 0; i < 5; ++i) {
     out.push_back(co_await ring.dequeue(p));
   }
-  // Recycle one index and take it back: one full produce/consume lap.
-  (void)co_await ring.enqueue(p, 2);
+  // Refill one credit's worth and take it back: one more lap.
+  enq.push_back(co_await ring.enqueue(p, 9));
   out.push_back(co_await ring.dequeue(p));
 }
 
-TEST(SimScqRingBasic, InitFullRingDrainsInOrderAndRefusesWhenEmpty) {
+TEST(SimScqRingBasic, FillRefusesAtCapacityThenDrainsInOrder) {
   Engine engine;
-  SimScqRing ring(engine, /*half=*/4, /*full=*/true);
+  SimScqRing ring(engine, /*half=*/4);
+  std::vector<SimScqRing::Enq> enq;
   std::vector<std::uint32_t> out;
-  // 5 dequeues (the 5th refuses), then one recycle lap.
-  engine.spawn(0, [&](Proc& p) { return drain_lap(p, ring, out); });
+  // 5 enqueues (the 5th refuses), 5 dequeues (the 5th misses), one lap.
+  engine.spawn(0, [&](Proc& p) { return fill_drain_lap(p, ring, enq, out); });
   std::uint32_t guard = 0;
   while (engine.step_random()) ASSERT_LT(++guard, 2'000u);
   ASSERT_TRUE(engine.all_done());
+  ASSERT_EQ(enq.size(), 6u);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(enq[i], SimScqRing::Enq::kDone);
+  }
+  EXPECT_EQ(enq[4], SimScqRing::Enq::kFull);
+  EXPECT_EQ(enq[5], SimScqRing::Enq::kDone);
   ASSERT_EQ(out.size(), 6u);
   for (std::uint32_t i = 0; i < 4; ++i) EXPECT_EQ(out[i], i);
   EXPECT_EQ(out[4], SimScqRing::kBottom);
-  EXPECT_EQ(out[5], 2u);
+  EXPECT_EQ(out[5], 9u);
+  EXPECT_EQ(ring.peek_unconsumed(engine), 0u);
 }
 
 }  // namespace

@@ -142,6 +142,21 @@ TEST(AtomicCountedPtr, CasIsCountSensitive) {
   EXPECT_EQ(cell.load(std::memory_order_acquire).target(), &b);
 }
 
+// compare_exchange hands back what it found, so a caller can seed it with
+// a stale or torn load_halves() guess and retry; word(i) reaches one half
+// alone (CountedPtr keeps its pointer in word 0, its count in word 1).
+TEST(AtomicCountedPtr, CompareExchangeReportsTheValueFound) {
+  Dummy a{0}, b{1};
+  Cell cell{{&a, 10}};
+  CountedPtr<Dummy> guess{&a, 9};  // stale count
+  EXPECT_FALSE(cell.compare_exchange(guess, {&b, 11}, std::memory_order_acq_rel));
+  EXPECT_EQ(guess, (CountedPtr<Dummy>{&a, 10}));
+  EXPECT_TRUE(cell.compare_exchange(guess, {&b, 11}, std::memory_order_acq_rel));
+  EXPECT_EQ(cell.load_halves(std::memory_order_acquire), (CountedPtr<Dummy>{&b, 11}));
+  EXPECT_EQ(cell.word(1).fetch_add(1, std::memory_order_acq_rel), 11u);
+  EXPECT_EQ(cell.load(std::memory_order_acquire).count(), 12u);
+}
+
 TEST(AtomicCountedPtr, ConcurrentCountMonotonicity) {
   Cell cell{{nullptr, 0}};
   constexpr int kThreads = 4;

@@ -329,21 +329,23 @@ class MpWorld final : public WorldBase {
   MpLitmus litmus_;
 };
 
-// --- world S/s: the SCQ index ring with a plain-payload handshake -----------
+// --- world S/s: the SCQ ring with a plain-payload handshake ----------------
 //
-// Same shape as the MS worlds: producers plain-write a payload word keyed
-// by the ring value before depositing it, consumers plain-read it after
-// consuming.  The only publication edge between those plain accesses is
-// the ring's own entry CAS / consume chain, so severing it surfaces as an
-// hb race on the payload; atomicity demotions race on the ring words
-// themselves.  half=1 (two entries) keeps DPOR small while still forcing
-// cycle reuse, catch-up, and the threshold reset on every schedule.
+// Same shape as the MS worlds.  The ring stores values directly, so each
+// producer enqueues a HANDLE: the index of a plain sidecar payload word it
+// wrote first, which consumers plain-read after dequeuing the handle --
+// exactly what an ScqQueue of pointers relies on.  The only publication
+// edge between those plain accesses is the ring's own deposit CAS /
+// consume chain, so severing it surfaces as an hb race on the payload;
+// atomicity demotions race on the ring words themselves.  half=1 (two
+// entries, one credit) keeps DPOR small while its schedules still reach
+// cycle reuse, catch-up, credit return and the threshold reset.
 class ScqWorld final : public WorldBase {
  public:
   ScqWorld(const MoTable* mo, std::uint64_t values,
            std::vector<int> consumer_attempts)
       : engine_(sweep_config(/*weak=*/false, check::SyncModel::kOrders)),
-        ring_(engine_, /*half=*/1, /*full=*/false, mo),
+        ring_(engine_, /*half=*/1, mo),
         payload_(engine_.memory().alloc(8)) {
     engine_.spawn(0, [this, values](Proc& p) { return producer(p, values); });
     for (const int attempts : consumer_attempts) {
@@ -367,12 +369,16 @@ class ScqWorld final : public WorldBase {
     for (std::uint64_t v = 0; v < n; ++v) {
       p.annotate("payload write");  // the ring's accesses label themselves
       co_await p.write(payload_ + v, 100 + v, check::MemOrder::kPlain);
-      // half=1 only holds one index at a time, so value v+1 can need the
-      // consumer to drain value v first; the FAA-round budget keeps
-      // consumer-never-drains schedules finite for DPOR.
-      const bool ok = co_await ring_.enqueue(
-          p, static_cast<std::uint32_t>(v), /*max_rounds=*/5);
-      if (!ok) co_return;
+      // One credit: handle v+1 is refused until a consumer takes handle v,
+      // so retry a refusal once; the FAA-round budget keeps consumer-
+      // never-drains schedules finite for DPOR.
+      SimScqRing::Enq r = SimScqRing::Enq::kFull;
+      for (int attempt = 0; attempt < 2 && r == SimScqRing::Enq::kFull;
+           ++attempt) {
+        r = co_await ring_.enqueue(p, static_cast<std::uint32_t>(v),
+                                   /*max_rounds=*/5);
+      }
+      if (r != SimScqRing::Enq::kDone) co_return;
     }
   }
 
