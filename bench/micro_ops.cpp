@@ -7,15 +7,20 @@
 //   * 4-thread pair throughput (contended; where the host has fewer than 4
 //     cores this is also the preempted/multiprogrammed regime);
 //   * the empty<->nonempty transition (A5): the special case earlier
-//     algorithms got wrong, exercised a pair at a time on an empty queue.
+//     algorithms got wrong, exercised a pair at a time on an empty queue;
+//   * a polled handoff: one producer, three pollers on a mostly empty
+//     queue, and what their polls cost the producer's enqueue.
 // Rows are named BM_<bench>/<family>, so `--benchmark_filter='/msq(/|$)'`
 // selects one family's three rows.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
 
+#include "port/cpu.hpp"
 #include "queues/queues.hpp"
 
 namespace {
@@ -75,6 +80,59 @@ void BM_EmptyTransition(benchmark::State& state) {
   }
 }
 
+// --- polled handoff ------------------------------------------------------------
+
+// Thread 0 is the producer: 0.5 us of its own work, then one enqueue, so
+// the pollers keep the queue at zero or one item.  Threads 1-3 poll
+// try_dequeue without pause until the producer's last enqueue, so every
+// enqueue runs against three pollers racing for the item before it.  The
+// `enq_ns` counter is the producer's mean try_enqueue time, clock reads
+// included; items/s is the producer's rate.
+constexpr auto kHandoffWork = std::chrono::nanoseconds(500);
+
+template <typename Q>
+void BM_PolledHandoff(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  // Built and reset by thread 0 before the loop's start barrier, destroyed
+  // by it after the end barrier (see BM_ContendedPairs).
+  static std::unique_ptr<Q> queue;
+  // share-ok: written once per run; the pollers only read it
+  static std::atomic<bool> produced_all{false};
+  if (state.thread_index() == 0) {
+    queue = std::make_unique<Q>(1024);
+    produced_all.store(false, std::memory_order_release);
+  }
+  std::uint64_t out = 0;
+  if (state.thread_index() == 0) {
+    std::int64_t enq_ns = 0;
+    benchmark::IterationCount left = state.max_iterations;
+    for (auto _ : state) {
+      const Clock::time_point ready = Clock::now() + kHandoffWork;
+      while (Clock::now() < ready) msq::port::cpu_relax();
+      const Clock::time_point start = Clock::now();
+      // A full queue (the pollers stalled) makes room at the producer.
+      while (!queue->try_enqueue(1)) {
+        benchmark::DoNotOptimize(queue->try_dequeue(out));
+      }
+      enq_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    Clock::now() - start)
+                    .count();
+      if (--left == 0) produced_all.store(true, std::memory_order_release);
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["enq_ns"] = static_cast<double>(enq_ns) /
+                               static_cast<double>(state.iterations());
+  } else {
+    // The first iteration polls for the whole run; the rest are empty.
+    for (auto _ : state) {
+      while (!produced_all.load(std::memory_order_acquire)) {
+        benchmark::DoNotOptimize(queue->try_dequeue(out));
+      }
+    }
+  }
+  if (state.thread_index() == 0) queue.reset();
+}
+
 // --- related structures -------------------------------------------------------
 
 void BM_SpscRingPair(benchmark::State& state) {
@@ -127,6 +185,12 @@ void register_benchmarks() {
   MicroFamilies::for_each([]<typename F>() {
     benchmark::RegisterBenchmark(row_name<F>("BM_EmptyTransition").c_str(),
                                  &BM_EmptyTransition<typename F::type>);
+  });
+  MicroFamilies::for_each([]<typename F>() {
+    benchmark::RegisterBenchmark(row_name<F>("BM_PolledHandoff").c_str(),
+                                 &BM_PolledHandoff<typename F::type>)
+        ->Threads(4)
+        ->UseRealTime();
   });
   benchmark::RegisterBenchmark("BM_SpscRingPair", &BM_SpscRingPair);
   benchmark::RegisterBenchmark("BM_TreiberStackPair", &BM_TreiberStackPair);

@@ -12,6 +12,17 @@
 // machinery (counted pointers, E12/D9 helping) survives, but runs only on
 // the cold segment-append path, i.e. once every kSlots operations.
 //
+// The one-ticket claim: a dequeuer whose reads show exactly ONE claimable
+// ticket claims it with CAS(deq, d, d + 1) instead of fetch_add.  Of k
+// pollers racing for the last item, fetch_add would hand k - 1 of them
+// tickets past it, and each would kill a slot the producer is about to
+// fill (a failed fill CAS per loser, and a segment closed early).  With
+// the CAS a loser fails, re-reads and reports empty having written
+// nothing, as the paper's D12 loser does.  With two or more claimable
+// tickets every claimant finds an item, so fetch_add, which cannot fail,
+// stays.  A successful CAS hands out the ticket fetch_add would have, so
+// everything below is the same for both claim forms.
+//
 // Slot handshake (the ring_queue cell discipline, single-shot): each slot
 // is a {state, value} pair.  An enqueuer that won ticket t writes the value
 // and CASes state kEmpty -> kFilled (release).  A dequeuer that won ticket
@@ -229,8 +240,23 @@ class SegmentQueue {
         continue;
       }
       MSQ_PROBE("segq.faa_deq");
-      const std::uint64_t t = seg.deq.fetch_add(1, std::memory_order_acq_rel);
-      if (t >= kSlots) continue;  // overshoot: segment drained, re-examine
+      std::uint64_t t = d;
+      if (limit - d == 1) {
+        // The one-ticket claim (header comment): a loser re-reads to an
+        // empty verdict instead of killing the producer's next slot.
+        MSQ_COUNT(kCasAttempt);
+        if (!seg.deq.compare_exchange_strong(
+                t, d + 1, std::memory_order_acq_rel,
+                // relaxed: on failure the observed ticket is discarded; (proof: test:tests/sim_segment_test.cpp)
+                // the loop re-reads deq, enq and next afresh
+                std::memory_order_relaxed)) {
+          MSQ_COUNT(kCasFail);
+          continue;
+        }
+      } else {
+        t = seg.deq.fetch_add(1, std::memory_order_acq_rel);
+        if (t >= kSlots) continue;  // overshoot: segment drained, re-examine
+      }
       // Ticket t names a single dequeuer (us); once kFilled is visible its
       // single enqueuer is done with the slot, so the consume transition
       // needs no RMW -- a plain store suffices.  Only the kill race (an

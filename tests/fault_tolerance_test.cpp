@@ -34,6 +34,7 @@
 #include "fault/crash_sweep.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/watchdog.hpp"
+#include "obs/counters.hpp"
 #include "queues/queues.hpp"
 #include "sim/engine.hpp"
 #include "sim/queue_iface.hpp"
@@ -1121,6 +1122,66 @@ TEST(RealThreadFaults, StallRuleBindsOneStickyVictimAndAccountsTime) {
   }
   EXPECT_EQ(victims, 1) << "stall victim binding is not sticky-unique";
   plan.disarm();
+}
+
+// ---------------------------------------------------------------------------
+// segq's one-ticket claim: the loser of a one-item race writes nothing
+// ---------------------------------------------------------------------------
+
+// The split regime in one step: one item sits in the tail segment and two
+// pollers race for it.  The winner takes it.  The loser must answer empty
+// from reads alone, as in the paper's D2-D12, and leave the producer's next
+// slot alone.  A fetch_add claim gives the loser ticket 1 instead, and the
+// loser kills slot 1; the next enqueue's fill CAS then fails, and the
+// segment closes one item early.
+TEST(SegmentClaim, OneItemRaceLoserKillsNoSlot) {
+  using Seg = queues::SegmentQueue<std::uint64_t>;
+  fault::Watchdog watchdog(60s, "segq one-item claim race");
+  Seg queue(4 * Seg::kSlots);
+  // Appends the tail segment with the item in slot 0.
+  ASSERT_TRUE(queue.try_enqueue(7));
+
+  fault::FaultPlan plan;
+  plan.halt_at("segq.faa_deq");
+  plan.arm();
+  std::uint64_t a_out = 0;
+  std::atomic<bool> a_got{true};
+  // A reads deq 0 and enq 1, then parks ahead of its claim.
+  std::thread a([&] { a_got.store(queue.try_dequeue(a_out)); });
+  plan.wait_for_halted(1);
+  plan.disarm();  // A stays parked; B's own probes pass
+
+  // B takes the item.
+  std::uint64_t b_out = 0;
+  ASSERT_TRUE(queue.try_dequeue(b_out));
+  EXPECT_EQ(b_out, 7u);
+
+  // A resumes with a stale view of the one claimable ticket.
+  plan.release_halted();
+  a.join();
+  EXPECT_FALSE(a_got.load()) << "the race loser must report empty";
+
+  // The next enqueue lands in slot 1 at the first try, and the rest of
+  // the segment's kSlots - 1 free slots all fill without closing it.
+  obs::arm();
+  const obs::Snapshot before = obs::snapshot();
+  ASSERT_TRUE(queue.try_enqueue(100));
+  EXPECT_EQ((obs::snapshot() - before)[obs::Counter::kCasFail], 0u)
+      << "the loser killed the slot the producer filled next";
+  for (std::uint64_t i = 1; i < Seg::kSlots - 1; ++i) {
+    ASSERT_TRUE(queue.try_enqueue(100 + i));
+  }
+  EXPECT_EQ((obs::snapshot() - before)[obs::Counter::kSegClose], 0u)
+      << "a killed slot made the segment close early";
+  obs::disarm();
+
+  // Conservation and order over everything enqueued after the race.
+  std::uint64_t out = 0;
+  for (std::uint64_t i = 0; i < Seg::kSlots - 1; ++i) {
+    ASSERT_TRUE(queue.try_dequeue(out));
+    EXPECT_EQ(out, 100 + i);
+  }
+  EXPECT_FALSE(queue.try_dequeue(out));
 }
 
 }  // namespace
