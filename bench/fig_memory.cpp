@@ -17,8 +17,8 @@
 //   ring    fixed 2^k slot array allocated at construction; full stop at
 //           capacity.  Bounded, but a stalled peer BLOCKS the matching op.
 //   scq     one 2n-entry ring of 16-byte {meta, value} entries (32 B
-//           per slot) allocated at construction; a credit counter stops
-//           it at capacity, and it is lock-free in both directions (the
+//           per slot) allocated at construction; credits stop it at
+//           capacity, and it is lock-free in both directions (the
 //           bounded-memory + non-blocking combination the other five each
 //           give up half of).
 //   valois  reference-counted pool: one delayed reader holding a SafeRead

@@ -13,9 +13,11 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 
 #include "obs/probe.hpp"
 #include "port/cpu.hpp"
@@ -34,8 +36,12 @@ class RingQueue {
       .linearizable = true,
   };
 
+  /// Largest accepted capacity: the rounded-up size must fit 32 bits.
+  static constexpr std::uint32_t kMaxCapacity = std::uint32_t{1} << 31;
+
+  /// Throws std::length_error, before allocating, above kMaxCapacity.
   explicit RingQueue(std::uint32_t capacity)
-      : capacity_(round_up_pow2(capacity)),
+      : capacity_(checked_capacity(capacity)),
         mask_(capacity_ - 1),
         cells_(std::make_unique<Cell[]>(capacity_)) {
     for (std::uint32_t i = 0; i < capacity_; ++i) {
@@ -150,10 +156,11 @@ class RingQueue {
     T value{};
   };
 
-  static std::uint32_t round_up_pow2(std::uint32_t n) noexcept {
-    std::uint32_t p = 1;
-    while (p < n) p <<= 1;
-    return p;
+  static std::uint32_t checked_capacity(std::uint32_t n) {
+    if (n > kMaxCapacity) {
+      throw std::length_error("RingQueue capacity above 2^31");
+    }
+    return std::bit_ceil(n);
   }
 
   std::uint32_t capacity_;

@@ -13,21 +13,29 @@
 //   enqueue(v): take a credit; t = FAA(tail); CAS16 entry -> {cycle, full, v}
 //   dequeue():  h = FAA(head); read value; clear full; return the credit
 //
-// so total memory is exactly 2n entries -- 32 B per value, no node pool,
-// no hazard pointers, no limbo lists, no index indirection.  Like the
-// paper's Figure 1 node, one structure per item: an op touches one entry.
+// so total memory is the 2n entries -- 32 B per value -- plus a fixed
+// 17 cache lines of credit words, whatever n is: no node pool, no hazard
+// pointers, no limbo lists, no index indirection.  Like the paper's
+// Figure 1 node, one structure per item: an op touches one entry.
 //
 //  * 2n entries for n values ("half full at most"), so a FAA-claimed
 //    enqueue ticket always has an empty entry within one lap -- this is
 //    what makes unconditional FAA workable where the segment queue needed
 //    hazard cells (see docs/ALGORITHMS.md).
-//  * the CREDIT counter (starts at n) is what keeps the ring half full:
-//    an enqueue CAS-decrements it while it reads > 0 and refuses, with no
-//    RMW, when it reads 0; a dequeue returns its credit after consuming.
-//    So at most n values are deposited or in flight.  A read-only
-//    `tail - head >= n` check would be cheaper, but k concurrent
-//    enqueuers that all pass it overshoot by k-1 (tests/sim_scq_test.cpp
-//    finds the schedule).
+//  * the CREDITS are what keep the ring half full: n of them, each spare
+//    one in the shared depot word or in one of kSlots per-thread slot
+//    words, so depot + slots + credits held = n.  A dequeue returns its
+//    credit to its own slot (one RMW on a line no other thread writes in
+//    the common case) and spills half to the depot above kSpillAbove; an
+//    enqueue takes from its own slot, then the depot, then steals from the
+//    other slots.  It refuses, with no RMW, only when a double collect
+//    shows an instant at which the depot and every slot held zero -- each
+//    word's version bumps on every increase, so a word that reads the same
+//    zero twice held zero between the reads.  So at most n values are
+//    deposited or in flight.  A read-only `tail - head >= n` check would
+//    be cheaper, but k concurrent enqueuers that all pass it overshoot by
+//    k-1 (tests/sim_scq_test.cpp finds the schedule, and shows that a
+//    single collect can refuse while a credit is free).
 //  * the cycle tag (ticket / ring_size + 1, compared wrap-safely) makes
 //    reuse ABA-proof; a zeroed entry is cycle 0, older than every ticket
 //    of the first lap, so the ring starts as value-initialised memory.
@@ -62,11 +70,14 @@
 // cycle-advance/unsafe marks are 8-byte RMWs on `meta` alone.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <type_traits>
 
 #include "obs/probe.hpp"
@@ -76,7 +87,7 @@
 
 namespace msq::queues {
 
-/// SCQ: one ring of {meta, value} entries plus a credit counter.  Bounded
+/// SCQ: one ring of {meta, value} entries plus the credit words.  Bounded
 /// at exactly `capacity` elements; lock-free in both directions (a stalled
 /// thread's entry is marked unsafe and skipped -- contrast RingQueue, whose
 /// slot handshake BLOCKS the matching op).
@@ -95,15 +106,19 @@ class ScqQueue {
       .linearizable = true,
   };
 
+  /// Largest accepted capacity: the 2n-entry ring size must fit 32 bits.
+  static constexpr std::uint32_t kMaxCapacity = std::uint32_t{1} << 30;
+
+  /// Throws std::length_error, before allocating, above kMaxCapacity.
   explicit ScqQueue(std::uint32_t capacity)
-      : capacity_(round_up_pow2(capacity < 1 ? 1 : capacity)),
+      : capacity_(checked_capacity(capacity)),
         size_(capacity_ * 2),
         mask_(size_ - 1),
-        order_(log2_pow2(size_)),
+        order_(static_cast<std::uint32_t>(std::countr_zero(size_))),
         rot_(order_ < kMaxRot ? order_ : kMaxRot),
         threshold_init_(3 * static_cast<std::int64_t>(capacity_) - 1),
         entries_(std::make_unique<Cell[]>(size_)),  // all cycle 0, empty
-        credits_(capacity_) {}
+        depot_(capacity_) {}
 
   ScqQueue(const ScqQueue&) = delete;
   ScqQueue& operator=(const ScqQueue&) = delete;
@@ -184,10 +199,11 @@ class ScqQueue {
     return 2 * sizeof(Cell);
   }
 
-  /// Exposed for the memory bench: bytes of ring storage this queue will
-  /// EVER hold -- the bounded-memory claim, as a number.
+  /// Exposed for the memory bench: bytes of ring and credit storage this
+  /// queue will EVER hold -- the bounded-memory claim, as a number.
   [[nodiscard]] std::size_t resident_bytes() const noexcept {
-    return static_cast<std::size_t>(capacity_) * node_bytes();
+    return static_cast<std::size_t>(capacity_) * node_bytes() +
+           port::kCacheLine + sizeof(slots_);  // the depot's line, the slots
   }
 
  private:
@@ -203,6 +219,11 @@ class ScqQueue {
   // (distinct cache lines); any bijection preserves correctness, and rings
   // with <= 2^kMaxRot entries degrade to the identity map.
   static constexpr std::uint32_t kMaxRot = 4;
+  // Credit slots: a power of two (ordinal mask), like MagazineAllocator's
+  // kMagazines; a slot above kSpillAbove spills all but half of that.
+  static constexpr std::uint32_t kSlots = 16;
+  static constexpr std::uint32_t kSpillAbove = 32;
+  static constexpr std::uint64_t kBump = std::uint64_t{1} << 32;
 
   static constexpr std::uint64_t make_meta(std::uint32_t cycle, bool safe,
                                            bool full) noexcept {
@@ -222,15 +243,11 @@ class ScqQueue {
   static constexpr bool cycle_less(std::uint32_t a, std::uint32_t b) noexcept {
     return static_cast<std::int32_t>(a - b) < 0;
   }
-  static constexpr std::uint32_t log2_pow2(std::uint32_t n) noexcept {
-    std::uint32_t l = 0;
-    while ((1u << l) < n) ++l;
-    return l;
-  }
-  static std::uint32_t round_up_pow2(std::uint32_t n) noexcept {
-    std::uint32_t p = 1;
-    while (p < n) p <<= 1;
-    return p;
+  static std::uint32_t checked_capacity(std::uint32_t n) {
+    if (n > kMaxCapacity) {
+      throw std::length_error("ScqQueue capacity above 2^30");
+    }
+    return std::bit_ceil(n < 1 ? 1 : n);
   }
   static std::uint64_t to_word(const T& value) noexcept {
     std::uint64_t w = 0;
@@ -254,18 +271,72 @@ class ScqQueue {
     return ((i << rot_) | (i >> (order_ - rot_))) & mask_;
   }
 
+  /// Credit word i in take order: the caller's slot, the depot, then the
+  /// other slots from the caller's onward.
+  [[nodiscard]] std::atomic<std::uint64_t>& credit_word(
+      std::uint32_t own, std::uint32_t i) noexcept {
+    if (i == 1) return depot_;
+    return slots_[(own + (i == 0 ? 0 : i - 1)) & (kSlots - 1)].value;
+  }
+
+  static constexpr std::uint32_t credit_count(std::uint64_t w) noexcept {
+    return static_cast<std::uint32_t>(w);
+  }
+
   /// One unit of capacity, or false with no RMW when none is left.  A
   /// credit is a count, not a publication: the deposit CAS validates the
   /// entry itself, so the orders here only keep the count's story simple.
+  ///
+  /// The first pass takes from the first word it reads nonzero.  If every
+  /// word read zero, the second pass re-reads them all: a word that reads
+  /// the same {version, 0} twice was never increased in between (every
+  /// increase bumps the version) and so held zero throughout, and every
+  /// first read precedes every second read.  So if nothing moved, there
+  /// was an instant, between the passes, at which the depot and every slot
+  /// held zero: every credit was held by an item or a call in progress,
+  /// and the refusal linearizes there.  If something moved, another call
+  /// returned a credit: take it.
   bool take_credit() noexcept {
-    std::int64_t c = credits_.load(std::memory_order_acquire);
-    while (c > 0) {
-      if (credits_.compare_exchange_weak(c, c - 1, std::memory_order_acq_rel,
+    const std::uint32_t own = port::thread_ordinal() & (kSlots - 1);
+    std::array<std::uint64_t, kSlots + 1> seen;
+    for (;;) {
+      for (std::uint32_t i = 0; i <= kSlots; ++i) {
+        auto& word = credit_word(own, i);
+        std::uint64_t w = word.load(std::memory_order_acquire);
+        while (credit_count(w) != 0) {
+          if (i >= 2) MSQ_PROBE_COUNT("scq.credit_steal", kCasAttempt);
+          if (word.compare_exchange_weak(w, w - 1, std::memory_order_acq_rel,
                                          std::memory_order_acquire)) {
-        return true;
+            return true;
+          }
+          if (i >= 2) MSQ_COUNT(kCasFail);
+        }
+        seen[i] = w;
+      }
+      MSQ_PROBE("scq.credit_collect");
+      bool moved = false;
+      for (std::uint32_t i = 0; i <= kSlots && !moved; ++i) {
+        moved = credit_word(own, i).load(std::memory_order_acquire) != seen[i];
+      }
+      if (!moved) return false;
+    }
+  }
+
+  /// Back to the caller's slot.  A slot above kSpillAbove keeps
+  /// kSpillAbove / 2 and moves the rest to the depot, where enqueuers on
+  /// other threads look before they steal.
+  void return_credit() noexcept {
+    auto& slot = slots_[port::thread_ordinal() & (kSlots - 1)].value;
+    std::uint64_t w =
+        slot.fetch_add(kBump + 1, std::memory_order_release) + kBump + 1;
+    while (credit_count(w) > kSpillAbove) {
+      const std::uint32_t spill = credit_count(w) - kSpillAbove / 2;
+      if (slot.compare_exchange_weak(w, w - spill, std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+        depot_.fetch_add(kBump + spill, std::memory_order_release);
+        return;
       }
     }
-    return false;
   }
 
   bool take(T& out) noexcept {
@@ -299,7 +370,7 @@ class ScqQueue {
           // deposit.  fetch_and keeps a later ticket's unsafe mark.
           out = from_word(cell.word(1).load(std::memory_order_acquire));
           cell.word(0).fetch_and(~kFullBit, std::memory_order_acq_rel);
-          credits_.fetch_add(1, std::memory_order_release);
+          return_credit();
           return true;
         }
         if (cycle_less(meta_cycle(m), cycle)) {
@@ -361,7 +432,12 @@ class ScqQueue {
   alignas(port::kCacheLine) std::atomic<std::uint64_t> tail_{0};
   // Empty ring: threshold -1 arms the dequeue fast path immediately.
   alignas(port::kCacheLine) std::atomic<std::int64_t> threshold_{-1};
-  alignas(port::kCacheLine) std::atomic<std::int64_t> credits_;
+  // Credit words: {version[63:32], count[31:0]}.  Every increase adds
+  // kBump with its count, so a word read twice with the same value was
+  // never increased between the reads (short of 2^32 increases inside one
+  // refusing call); a take is a plain count decrement.
+  alignas(port::kCacheLine) std::atomic<std::uint64_t> depot_;
+  std::array<port::CacheAligned<std::atomic<std::uint64_t>>, kSlots> slots_{};
 };
 
 }  // namespace msq::queues

@@ -213,19 +213,40 @@ inline constexpr MoSite kMoSites[] = {
     // --- SCQ ring (sim/scq_ring_sim.hpp; real: queues/scq_queue.hpp) -----
     MSQ_MO_SITE("scq.credit_load", MoKind::kLoad, check::MemOrder::kAcquire,
                 false, false, true, false,
-                "the enqueue's first credit read (0 = refuse, no RMW): a "
-                "count, never a publication, but plain demotion races with "
-                "a consumer's credit return"),
+                "the taking pass's read of each credit word (own slot, "
+                "depot, other slots): a count, never a publication, but "
+                "plain demotion races with a consumer's credit return"),
     MSQ_MO_SITE("scq.credit_take", MoKind::kRmw, check::MemOrder::kAcqRel,
                 false, false, false, false,
-                "credit CAS-decrement: the capacity bound is a property of "
-                "the counter's modification order, which every RMW keeps; "
-                "the deposit validates its entry by cycle and full bit, so "
-                "no payload rides the credit"),
+                "credit CAS-decrement on the own slot or the depot: the "
+                "capacity bound is a property of each word's modification "
+                "order, which every RMW keeps; the deposit validates its "
+                "entry by cycle and full bit, so no payload rides the "
+                "credit"),
+    MSQ_MO_SITE("scq.credit_steal", MoKind::kRmw, check::MemOrder::kAcqRel,
+                false, false, false, false,
+                "credit CAS-decrement on another thread's slot; see "
+                "scq.credit_take"),
+    MSQ_MO_SITE("scq.credit_collect", MoKind::kLoad, check::MemOrder::kAcquire,
+                false, false, true, false,
+                "the refusal's second pass, compared with the first: the "
+                "refusal argument rests on each word's modification order "
+                "and the version bump, not on ordering (tests/"
+                "sim_scq_test.cpp's refusal worlds); plain demotion races "
+                "with a consumer's credit return"),
     MSQ_MO_SITE("scq.credit_return", MoKind::kRmw, check::MemOrder::kRelease,
                 false, false, false, false,
-                "credit fetch_add after the consume; see scq.credit_take -- "
-                "the entry's next deposit syncs with the consume itself"),
+                "credit fetch_add to the own slot after the consume; see "
+                "scq.credit_take -- the entry's next deposit syncs with "
+                "the consume itself"),
+    MSQ_MO_SITE("scq.credit_spill_cas", MoKind::kRmw, check::MemOrder::kAcqRel,
+                false, false, false, false,
+                "a full slot's CAS-decrement before the spill; a count, "
+                "see scq.credit_take"),
+    MSQ_MO_SITE("scq.credit_spill_add", MoKind::kRmw, check::MemOrder::kRelease,
+                false, false, false, false,
+                "the spill's fetch_add to the depot; a count, see "
+                "scq.credit_return"),
     MSQ_MO_SITE("scq.enq_faa_tail", MoKind::kRmw, check::MemOrder::kAcqRel,
                 false, false, false, false,
                 "ticket allocation; publication rides the entry CAS, and "

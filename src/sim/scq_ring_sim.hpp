@@ -1,6 +1,6 @@
 // Simulated SCQ ring, mirroring queues/scq_queue.hpp::ScqQueue op-for-op
 // so DPOR schedules over this model transfer to the real code: one ring of
-// {cycle, unsafe, full, value} entries plus a credit counter.
+// {cycle, unsafe, full, value} entries plus the credit words.
 //
 // Word layout (simulated memory):
 //   entries_[0..2*half)  -- packed {cycle[63:32], unsafe[31], full[30],
@@ -8,20 +8,29 @@
 //   head_, tail_         -- FAA ticket counters
 //   threshold_           -- int64 search budget, stored as two's-complement
 //                           in the u64 word (faa with ~0ull decrements)
-//   credits_             -- enqueue credits, starts at `half`
+//   depot_               -- spare credits, {version[63:32], count[31:0]};
+//                           starts at {0, half}
+//   slots_[0..kSlots)    -- per-process spare credits, same layout; a
+//                           process owns slot id % kSlots
 //
 // Divergences from the real header, annotated inline: an entry is ONE
 // packed sim word, where the real entry is 16 bytes whose halves are read
 // with two 8-byte loads and validated by the 16-byte deposit CAS (a torn
-// read there fails the CAS exactly like a stale read here); and the
-// consume fetch_and becomes a CAS loop (the engine has no fetch_and;
-// equivalent because only the unsafe bit can change under our feet).  The
-// Variant knob adds deliberately broken models that tests/sim_scq_test.cpp
-// uses as negative controls: one without the threshold EXHIBITS the
-// livelock the budget exists to kill, one whose read-only empty check
-// reads tail before head reports a non-empty ring empty, and one that
-// replaces the credits with a read-only `tail - head >= n` check lets
-// concurrent enqueuers overfill the ring.
+// read there fails the CAS exactly like a stale read here); the consume
+// fetch_and becomes a CAS loop (the engine has no fetch_and; equivalent
+// because only the unsafe bit can change under our feet); and the credit
+// slots are scaled down -- kSlots 3 and kSpillAbove 1 where the real queue
+// has 16 and 32 -- so that worlds of three processes and capacity two
+// reach every credit path: own slot, depot, steal, spill, and both passes
+// of the refusal's double collect.  The Variant knob adds deliberately
+// broken models that tests/sim_scq_test.cpp and
+// tests/sim_scq_credit_test.cpp use as negative controls:
+// one without the threshold EXHIBITS the livelock the budget exists to
+// kill, one whose read-only empty check reads tail before head reports a
+// non-empty ring empty, one that replaces the credits with a read-only
+// `tail - head >= n` check lets concurrent enqueuers overfill the ring,
+// and one that refuses after a single collect, or after a double collect
+// over unversioned words, refuses while a credit is free.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +52,13 @@ class SimScqRing {
     kNoThreshold,  // no search budget (and so no gated empty check)
     kTailFirst,    // the gated empty check loads tail, then head
     kNoCredits,    // refuse iff tail - head >= half, read-only; no credits
+    kSingleCollect,  // refuse when one pass reads every credit word zero
+    kNoVersion,      // credit increases leave the version alone
   };
+
+  /// Credit slots and the spill bound (the real queue: 16 and 32).
+  static constexpr std::uint32_t kSlots = 3;
+  static constexpr std::uint32_t kSpillAbove = 1;
 
   enum class Enq : std::uint8_t {
     kDone,    // deposited
@@ -51,13 +66,17 @@ class SimScqRing {
     kGaveUp,  // max_rounds ran out holding a credit, deposit pending
   };
 
-  /// Per-dequeue progress accounting for the threshold-bound proof: the
-  /// engine runs coroutines cooperatively on one OS thread, so plain
-  /// (non-simulated) members are race-free.
+  /// Progress accounting for the threshold-bound proof, and credit-path
+  /// counts that show a DPOR world reached each path: the engine runs
+  /// coroutines cooperatively on one OS thread, so plain (non-simulated)
+  /// members are race-free.
   struct Stats {
     std::uint64_t last_deq_rounds = 0;  // FAA rounds of the latest dequeue
     std::uint64_t max_deq_rounds = 0;   // worst dequeue seen on this ring
     std::uint64_t read_only_empties = 0;  // verdicts of the gated check
+    std::uint64_t steals = 0;      // credits taken from another's slot
+    std::uint64_t spills = 0;      // slot overflows moved to the depot
+    std::uint64_t recollects = 0;  // second passes that saw a word move
   };
 
   // `mo` overrides the annotated orders (mutation sweeps); defaults mirror
@@ -76,10 +95,15 @@ class SimScqRing {
         head_(engine.memory().alloc(1)),
         tail_(engine.memory().alloc(1)),
         threshold_(engine.memory().alloc(1)),
-        credits_(engine.memory().alloc(1)),
+        depot_(engine.memory().alloc(1)),
+        slots_(engine.memory().alloc(kSlots)),
         mo_credit_load_(site(mo, "scq.credit_load")),
         mo_credit_take_(site(mo, "scq.credit_take")),
+        mo_credit_steal_(site(mo, "scq.credit_steal")),
+        mo_credit_collect_(site(mo, "scq.credit_collect")),
         mo_credit_return_(site(mo, "scq.credit_return")),
+        mo_credit_spill_cas_(site(mo, "scq.credit_spill_cas")),
+        mo_credit_spill_add_(site(mo, "scq.credit_spill_add")),
         mo_enq_faa_tail_(site(mo, "scq.enq_faa_tail")),
         mo_enq_entry_load_(site(mo, "scq.enq_entry_load")),
         mo_enq_head_load_(site(mo, "scq.enq_head_load")),
@@ -103,7 +127,8 @@ class SimScqRing {
     mem.word(tail_) = 0;
     // Empty ring: threshold -1 arms the dequeue fast path immediately.
     mem.word(threshold_) = static_cast<std::uint64_t>(std::int64_t{-1});
-    mem.word(credits_) = half_;
+    mem.word(depot_) = half_;
+    for (std::uint32_t i = 0; i < kSlots; ++i) mem.word(slots_ + i) = 0;
   }
 
   /// Take a credit, then deposit `v` (< kBottom).  `max_rounds` bounds the
@@ -117,14 +142,8 @@ class SimScqRing {
       const std::uint64_t h = co_await read(p, head_, mo_empty_head_load_);
       if (t >= h + half_) co_return Enq::kFull;
     } else {
-      std::uint64_t c = co_await read(p, credits_, mo_credit_load_);
-      for (;;) {
-        if (c == 0) co_return Enq::kFull;
-        const std::uint64_t seen =
-            co_await cas(p, credits_, c, c - 1, mo_credit_take_);
-        if (seen == c) break;
-        c = seen;
-      }
+      const bool credited = co_await take_credit(p);
+      if (!credited) co_return Enq::kFull;
     }
     for (std::uint32_t round = 0;; ++round) {
       if (max_rounds != 0 && round == max_rounds) co_return Enq::kGaveUp;
@@ -205,9 +224,7 @@ class SimScqRing {
             if (seen == e) break;
             e = seen;
           }
-          if (variant_ != Variant::kNoCredits) {
-            (void)co_await faa(p, credits_, 1, mo_credit_return_);
-          }
+          if (variant_ != Variant::kNoCredits) co_await return_credit(p);
           note_rounds(rounds);
           co_return entry_value(e);
         }
@@ -264,6 +281,17 @@ class SimScqRing {
     return static_cast<std::int64_t>(e.memory().peek(threshold_));
   }
 
+  /// Spare credits: the depot's count plus every slot's (no simulated
+  /// cost).  Credits held by items and by calls in progress make up the
+  /// rest of `half`.
+  [[nodiscard]] std::uint32_t peek_free_credits(const Engine& e) const {
+    std::uint32_t n = count(e.memory().peek(depot_));
+    for (std::uint32_t i = 0; i < kSlots; ++i) {
+      n += count(e.memory().peek(slots_ + i));
+    }
+    return n;
+  }
+
   /// Values deposited at tickets no dequeuer holds yet (>= head), in
   /// ticket order (no simulated cost).  An item whose ticket a dequeuer
   /// already drew is that dequeuer's, so these are what an empty verdict
@@ -308,8 +336,16 @@ class SimScqRing {
     const std::uint64_t t = mem.word(tail_);
     mem.word(entries_ + remap(t)) = make_entry(ticket_cycle(t), true, true, v);
     mem.word(tail_) = t + 1;
-    mem.word(credits_) -= 1;
+    mem.word(depot_) -= 1;
     arm_threshold(e);
+  }
+
+  /// Move one depot credit into `slot`, as a dequeue on a thread that
+  /// owns it would have returned one.  Construction-time only, raw writes.
+  void park_credit(Engine& e, std::uint32_t slot) const {
+    SimMemory& mem = e.memory();
+    mem.word(depot_) -= 1;
+    mem.word(slots_ + slot % kSlots) += kBump + 1;
   }
 
  private:
@@ -317,6 +353,7 @@ class SimScqRing {
   static constexpr std::uint64_t kFullBit = 0x40000000ull;
   static constexpr std::uint64_t kUnsafeBit = 0x80000000ull;
   static constexpr std::uint32_t kMaxRot = 4;
+  static constexpr std::uint64_t kBump = std::uint64_t{1} << 32;
 
   /// One annotated access: its sim/mo_table.hpp site and resolved order.
   /// The accessors below tag the process with the site name (zero cost)
@@ -370,6 +407,9 @@ class SimScqRing {
   static constexpr bool cycle_less(std::uint32_t a, std::uint32_t b) noexcept {
     return static_cast<std::int32_t>(a - b) < 0;
   }
+  static constexpr std::uint32_t count(std::uint64_t credit_word) noexcept {
+    return static_cast<std::uint32_t>(credit_word);
+  }
   static constexpr std::uint32_t log2_pow2(std::uint32_t n) noexcept {
     std::uint32_t l = 0;
     while ((1u << l) < n) ++l;
@@ -384,6 +424,65 @@ class SimScqRing {
   [[nodiscard]] std::uint32_t remap(std::uint64_t ticket) const noexcept {
     const std::uint32_t i = static_cast<std::uint32_t>(ticket) & mask_;
     return ((i << rot_) | (i >> (order_ - rot_))) & mask_;
+  }
+
+  /// Credit word i in take order: the caller's slot, the depot, then the
+  /// other slots from the caller's onward.
+  [[nodiscard]] Addr credit_word(std::uint32_t own, std::uint32_t i) const {
+    if (i == 1) return depot_;
+    return slots_ + (own + (i == 0 ? 0 : i - 1)) % kSlots;
+  }
+
+  /// The real take_credit: a taking pass, then (unless kSingleCollect) a
+  /// read-only pass that refuses only if every word still holds the value
+  /// the taking pass last read.
+  Task<bool> take_credit(Proc& p) {
+    const std::uint32_t own = p.id() % kSlots;
+    std::uint64_t seen[kSlots + 1] = {};
+    for (;;) {
+      for (std::uint32_t i = 0; i <= kSlots; ++i) {
+        const Addr word = credit_word(own, i);
+        std::uint64_t w = co_await read(p, word, mo_credit_load_);
+        while (count(w) != 0) {
+          const std::uint64_t got = co_await cas(
+              p, word, w, w - 1, i >= 2 ? mo_credit_steal_ : mo_credit_take_);
+          if (got == w) {
+            if (i >= 2) ++stats_.steals;
+            co_return true;
+          }
+          w = got;
+        }
+        seen[i] = w;
+      }
+      if (variant_ == Variant::kSingleCollect) co_return false;
+      bool moved = false;
+      for (std::uint32_t i = 0; i <= kSlots && !moved; ++i) {
+        moved = co_await read(p, credit_word(own, i), mo_credit_collect_) !=
+                seen[i];
+      }
+      if (!moved) co_return false;
+      ++stats_.recollects;
+    }
+  }
+
+  /// The real return_credit: bump the caller's slot; a slot above
+  /// kSpillAbove keeps kSpillAbove / 2 and moves the rest to the depot.
+  Task<void> return_credit(Proc& p) {
+    const Addr slot = slots_ + p.id() % kSlots;
+    const std::uint64_t bump = variant_ == Variant::kNoVersion ? 0 : kBump;
+    std::uint64_t w =
+        co_await faa(p, slot, bump + 1, mo_credit_return_) + bump + 1;
+    while (count(w) > kSpillAbove) {
+      const std::uint32_t spill = count(w) - kSpillAbove / 2;
+      const std::uint64_t got =
+          co_await cas(p, slot, w, w - spill, mo_credit_spill_cas_);
+      if (got == w) {
+        (void)co_await faa(p, depot_, bump + spill, mo_credit_spill_add_);
+        ++stats_.spills;
+        co_return;
+      }
+      w = got;
+    }
   }
 
   Task<void> catch_up(Proc& p, std::uint64_t t, std::uint64_t h) {
@@ -414,10 +513,15 @@ class SimScqRing {
   Addr head_;
   Addr tail_;
   Addr threshold_;
-  Addr credits_;
+  Addr depot_;
+  Addr slots_;
   Site mo_credit_load_;
   Site mo_credit_take_;
+  Site mo_credit_steal_;
+  Site mo_credit_collect_;
   Site mo_credit_return_;
+  Site mo_credit_spill_cas_;
+  Site mo_credit_spill_add_;
   Site mo_enq_faa_tail_;
   Site mo_enq_entry_load_;
   Site mo_enq_head_load_;

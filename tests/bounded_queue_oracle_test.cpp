@@ -6,6 +6,11 @@
 // runs an identical single-threaded script against both and diffs the
 // OBSERVABLE story: accepted counts, refusal counts, counter deltas.
 //
+// Then SCQ's credit slots on real threads: credits cached in the slots of
+// threads that have exited stay usable, threads sharing slots conserve
+// credits, a credit returned on one thread is stolen by another, and a
+// refusal spends no RMW.
+//
 // The second half pins down the reachability of every scq fault window
 // (tools/fault_sites_lint.py closes the loop): the plain operation sites
 // fire on ordinary traffic, and the threshold-budget window -- which only
@@ -17,11 +22,13 @@
 #include <cstdint>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
 #include "obs/counters.hpp"
+#include "port/cpu.hpp"
 #include "queues/queues.hpp"
 
 namespace msq {
@@ -156,8 +163,8 @@ TEST(ScqEmptyCheck, AFullQueueRefusesThenAcceptsAfterOneDequeue) {
   for (std::uint64_t v = 0; v < kCapacity; ++v) {
     ASSERT_TRUE(queue.try_enqueue(v));
   }
-  // No credit is left: every refusal is a read of the credit counter, with
-  // no ticket, no entry CAS and no catch-up.
+  // No credit is left: every refusal is two passes of reads over the
+  // credit words, with no ticket, no entry CAS and no catch-up.
   const auto refusals = counted([&] {
     for (int i = 0; i < 4; ++i) EXPECT_FALSE(queue.try_enqueue(99));
   });
@@ -180,8 +187,8 @@ TEST(ScqEmptyCheck, AFullQueueRefusesThenAcceptsAfterOneDequeue) {
 // The capacity bound under concurrency: with no dequeuer, racing
 // enqueuers together land exactly `capacity` values and every other call
 // is refused.  A check of tail - head before the ticket would let
-// concurrent enqueuers that all pass it overshoot; the credit counter
-// hands out exactly `capacity` deposits.
+// concurrent enqueuers that all pass it overshoot; the credits
+// hand out exactly `capacity` deposits.
 TEST(ScqCapacity, ConcurrentFillAcceptsExactlyCapacity) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 200;
@@ -214,6 +221,163 @@ TEST(ScqCapacity, ConcurrentFillAcceptsExactlyCapacity) {
         << "capacity " << capacity;
     EXPECT_EQ(drained.size(), capacity) << "capacity " << capacity;
   }
+}
+
+TEST(BoundedQueueCapacity, AboveTheLimitThrowsBeforeAllocating) {
+  // The rounded-up ring would not fit 32 bits; rounding used to loop
+  // forever here.  Nothing is allocated: the check runs first.
+  using Scq = queues::ScqQueue<std::uint64_t>;
+  using Ring = queues::RingQueue<std::uint64_t>;
+  EXPECT_THROW(Scq(Scq::kMaxCapacity + 1), std::length_error);
+  EXPECT_THROW(Scq(UINT32_MAX), std::length_error);
+  EXPECT_THROW(Ring(Ring::kMaxCapacity + 1), std::length_error);
+  EXPECT_THROW(Ring(UINT32_MAX), std::length_error);
+  EXPECT_EQ(Scq(kCapacity - 1).capacity(), kCapacity);
+  EXPECT_EQ(Ring(kCapacity - 1).capacity(), kCapacity);
+}
+
+// ---------------------------------------------------------------------------
+// SCQ's credit slots.  A dequeue returns its credit to its own thread's
+// slot and an enqueue takes from its own slot, the depot, then the other
+// slots, so credits wander between threads; capacity must stay exact.
+// ---------------------------------------------------------------------------
+
+/// Enqueue on the calling thread until refused; the count accepted.
+std::uint32_t fill(queues::ScqQueue<std::uint64_t>& queue) {
+  std::uint32_t accepted = 0;
+  while (queue.try_enqueue(accepted)) ++accepted;
+  return accepted;
+}
+
+/// fill() on a fresh thread, whose slot holds nothing.
+std::uint32_t fill_on_fresh_thread(queues::ScqQueue<std::uint64_t>& queue) {
+  std::uint32_t accepted = 0;
+  std::thread([&] { accepted = fill(queue); }).join();
+  return accepted;
+}
+
+TEST(ScqCredits, CreditsCachedByExitedThreadsStayUsable) {
+  // {capacity, draining threads}: 64/4 leaves 16 credits in each of four
+  // slots; 128/2 pushes each slot past the spill bound.
+  for (const auto& [capacity, drainers] :
+       {std::pair{64u, 4u}, std::pair{128u, 2u}}) {
+    queues::ScqQueue<std::uint64_t> queue(capacity);
+    ASSERT_EQ(fill(queue), capacity);
+    std::vector<std::thread> threads;
+    for (std::uint32_t t = 0; t < drainers; ++t) {
+      threads.emplace_back([&] {
+        std::uint64_t out = 0;
+        for (std::uint32_t i = 0; i < capacity / drainers; ++i) {
+          ASSERT_TRUE(queue.try_dequeue(out));
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    // Every credit now sits in an exited thread's slot or the depot.
+    EXPECT_EQ(fill_on_fresh_thread(queue), capacity) << "capacity " << capacity;
+    const auto refusals = counted([&] { EXPECT_FALSE(queue.try_enqueue(0)); });
+    EXPECT_EQ(refusals[obs::Counter::kCasAttempt], 0u);
+  }
+}
+
+TEST(ScqCredits, TwentyThreadsSharingSixteenSlotsConserveCredits) {
+  // More threads than slots, so some slots take returns and steals from
+  // two threads at once.  Afterwards every credit must be back: the
+  // queue's contents plus a fresh fill make up exactly the capacity.
+  constexpr std::uint32_t kCap = 64;
+  constexpr int kThreads = 20;
+  constexpr int kRounds = 2'000;
+  queues::ScqQueue<std::uint64_t> queue(kCap);
+  std::atomic<bool> go{false};
+  std::vector<std::uint64_t> enqueued(kThreads, 0);
+  std::vector<std::uint64_t> dequeued(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      std::uint64_t out = 0;
+      for (int i = 0; i < kRounds; ++i) {
+        // Bursts of up to four, drained by one or two dequeues, so the
+        // queue fills, refuses and drains in every slot pattern.
+        for (int b = 0; b <= (i + t) % 4; ++b) {
+          if (queue.try_enqueue(static_cast<std::uint64_t>(t))) ++enqueued[t];
+        }
+        for (int b = 0; b <= i % 2; ++b) {
+          if (queue.try_dequeue(out)) ++dequeued[t];
+        }
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& th : threads) th.join();
+
+  const std::uint64_t left =
+      std::accumulate(enqueued.begin(), enqueued.end(), 0ull) -
+      std::accumulate(dequeued.begin(), dequeued.end(), 0ull);
+  ASSERT_LE(left, kCap);
+  EXPECT_EQ(fill_on_fresh_thread(queue), kCap - left);
+  std::uint64_t out = 0;
+  std::uint64_t drained = 0;
+  while (queue.try_dequeue(out)) ++drained;
+  EXPECT_EQ(drained, kCap);
+}
+
+TEST(ScqCredits, ACreditReturnedOnAnotherThreadIsStolen) {
+  queues::ScqQueue<std::uint64_t> queue(1);
+  ASSERT_TRUE(queue.try_enqueue(1));  // the depot's only credit
+  std::uint64_t out = 0;
+  std::thread([&] { EXPECT_TRUE(queue.try_dequeue(out)); }).join();
+  EXPECT_EQ(out, 1u);
+
+  // The credit sits in the dequeuer's slot; a fresh thread's own slot and
+  // the depot are empty, so its enqueue succeeds only by stealing.
+  fault::FaultPlan plan;
+  plan.delay_at("scq.credit_steal", /*yields=*/1);
+  plan.arm();
+  bool ok = false;
+  std::thread([&] { ok = queue.try_enqueue(2); }).join();
+  plan.disarm();
+  EXPECT_TRUE(ok);
+  EXPECT_GT(plan.hits("scq.credit_steal"), 0u);
+  EXPECT_FALSE(queue.try_enqueue(3));
+}
+
+TEST(ScqCredits, ACreditReturnedBetweenTheCollectsIsTaken) {
+  // Park a refusing enqueuer between its two passes, return a credit on
+  // this thread, and let it go: the second pass sees this thread's slot
+  // move, so the enqueue goes back and takes the credit instead of
+  // refusing on the first pass's stale zeros.
+  constexpr std::uint32_t kCap = 2;
+  queues::ScqQueue<std::uint64_t> queue(kCap);
+  ASSERT_EQ(fill(queue), kCap);
+
+  fault::FaultPlan plan;
+  plan.halt_at("scq.credit_collect", /*skip=*/0, /*victims=*/1);
+  plan.delay_at("scq.credit_steal", /*yields=*/1);
+  plan.arm();
+  std::atomic<bool> ok{false};
+  std::atomic<std::uint32_t> ordinal{0};
+  std::thread enqueuer([&] {
+    ordinal.store(port::thread_ordinal());
+    ok.store(queue.try_enqueue(9));
+  });
+  plan.wait_for_halted(1);  // first pass read every word zero
+
+  std::uint64_t out = 0;
+  ASSERT_TRUE(queue.try_dequeue(out));  // the credit lands in our slot
+  plan.release_halted();
+  enqueuer.join();
+  plan.disarm();
+  EXPECT_TRUE(ok.load());
+  // Unless both ordinals map to one of the 16 slots, the credit was
+  // stolen.
+  if ((ordinal.load() ^ port::thread_ordinal()) % 16 != 0) {
+    EXPECT_GT(plan.hits("scq.credit_steal"), 0u);
+  }
+  std::uint64_t drained = 0;
+  while (queue.try_dequeue(out)) ++drained;
+  EXPECT_EQ(drained, kCap);
 }
 
 TEST(ScqEmptyCheck, EnqueuePollDequeueRoundsWrapTheRingInFifoOrder) {

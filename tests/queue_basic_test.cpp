@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <optional>
 
+#include "port/cpu.hpp"
 #include "queue_families.hpp"
 #include "queues/queues.hpp"
 
@@ -152,6 +153,10 @@ TEST(QueueTraits, ProgressClassificationMatchesPaper) {
   EXPECT_EQ(ScqQueue<int>::traits.progress, Progress::kNonBlocking);
   // Values live in the ring: two 16-byte {meta, value} entries per slot.
   static_assert(ScqQueue<std::uint64_t>::node_bytes() == 32);
+  // Plus the credit words, fixed whatever the capacity: the depot's cache
+  // line and sixteen per-thread slot lines.
+  EXPECT_EQ(ScqQueue<std::uint64_t>(1024).resident_bytes(),
+            1024 * 32 + 17 * port::kCacheLine);
   // The helping wrapper upgrades the MS core's guarantee to wait-free
   // (ROADMAP item 3; the bound is proven over schedules in
   // tests/sim_wf_test.cpp).

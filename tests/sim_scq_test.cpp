@@ -29,10 +29,12 @@
 //     empty on a ring that holds an item at every instant of the call.
 //
 //  5. The capacity bound: with capacity 1, two enqueuers and a dequeuer,
-//     no schedule ever holds more than one unconsumed value, and every
-//     schedule is linearizable with no loss or duplicate.  Its negative
+//     no schedule ever holds more than one unconsumed value, every
+//     schedule is linearizable with no loss or duplicate, and the credit
+//     (depot, per-process slots, steal) is conserved.  Its negative
 //     control: refusing on a read-only `tail - head >= n` instead of
 //     taking a credit lets both enqueuers pass the check and overfill.
+//     (tests/sim_scq_credit_test.cpp proves every refusal justified.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -201,9 +203,10 @@ TEST(SimScqLivelock, WithoutTheThresholdTheChaseNeverTerminates) {
   // Prologue: E2 takes a credit and ticket 0 and freezes (tail=1).  E1
   // takes a credit and ticket 1 and loads its entry (tail=2).  D scans
   // tickets 0 and 1, advancing both entries' cycles past E1's pending
-  // deposit.
-  w.step_n(ChaseWorld::kE2, 3);  // credit read + CAS, FAA tail -> 1, frozen
-  w.step_n(ChaseWorld::kE1, 4);  // credit read + CAS, FAA (ticket 1), load
+  // deposit.  Each credit comes from the depot: the enqueuer reads its
+  // own (empty) slot, then the depot, then CASes the depot.
+  w.step_n(ChaseWorld::kE2, 4);  // credit: slot, depot, CAS; FAA tail -> 1
+  w.step_n(ChaseWorld::kE1, 5);  // credit: slot, depot, CAS; FAA; load
   w.step_n(ChaseWorld::kD, 7);   // FAA h=0, load, advance; tail check;
                                  // FAA h=1, load, advance
 
@@ -232,8 +235,8 @@ TEST(SimScqLivelock, TheThresholdEndsTheSameChaseAndTheRingRecovers) {
 
   // Same prologue as above; D pays one extra op for the fast-path read and
   // one per losing round for the budget decrement.
-  w.step_n(ChaseWorld::kE2, 3);
-  w.step_n(ChaseWorld::kE1, 4);
+  w.step_n(ChaseWorld::kE2, 4);
+  w.step_n(ChaseWorld::kE1, 5);
   w.step_n(ChaseWorld::kD, 9);  // fast-path read; round h=0 (+decrement);
                                 // round h=1
 
@@ -547,6 +550,11 @@ TEST(SimScqCapacity, CreditsNeverLetTheRingHoldMoreThanCapacity) {
         std::sort(seen.begin(), seen.end());
         ASSERT_EQ(seen, accepted);
         ASSERT_EQ(accepted.size() + world->refused, 2u);
+        // Conservation at quiescence: spare credits (depot and slots)
+        // plus queued items make up the capacity.
+        ASSERT_EQ(world->ring.peek_free_credits(engine) +
+                      world->ring.peek_unconsumed(engine),
+                  1u);
         with_refusal += world->refused > 0 ? 1 : 0;
         both_accepted += accepted.size() == 2 ? 1 : 0;
         ++checked;

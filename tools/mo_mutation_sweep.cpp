@@ -339,13 +339,15 @@ class MpWorld final : public WorldBase {
 // consume chain, so severing it surfaces as an hb race on the payload;
 // atomicity demotions race on the ring words themselves.  half=1 (two
 // entries, one credit) keeps DPOR small while its schedules still reach
-// cycle reuse, catch-up, credit return and the threshold reset.
+// cycle reuse, catch-up, credit return, the credit steal, the refusal's
+// second pass and the threshold reset; half=2 lets a consumer's slot
+// overflow and spill to the depot.
 class ScqWorld final : public WorldBase {
  public:
   ScqWorld(const MoTable* mo, std::uint64_t values,
-           std::vector<int> consumer_attempts)
+           std::vector<int> consumer_attempts, std::uint32_t half = 1)
       : engine_(sweep_config(/*weak=*/false, check::SyncModel::kOrders)),
-        ring_(engine_, /*half=*/1, mo),
+        ring_(engine_, half, mo),
         payload_(engine_.memory().alloc(8)) {
     engine_.spawn(0, [this, values](Proc& p) { return producer(p, values); });
     for (const int attempts : consumer_attempts) {
@@ -411,6 +413,7 @@ class ScqWorld final : public WorldBase {
 //  H  MP litmus (SC)             h  MP litmus (weak memory)
 //  W  MS 1 producer (1 value) + 1 consumer, weak memory (TSO baseline)
 //  S  SCQ ring 1p1c               s  SCQ ring 1p2c (consume contention)
+//  P  SCQ ring 1p1c, capacity 2 (a consumer's credit slot spills)
 struct WorldSpec {
   char id;
   const char* name;
@@ -434,6 +437,7 @@ struct WorldSpec {
     case 'W': return {'W', "MS 1p1c (weak)", 2, {6'000, 400'000}};
     case 'S': return {'S', "SCQ ring 1p1c", 2, {8'000, 400'000}};
     case 's': return {'s', "SCQ ring 1p2c", 3, {10'000, 600'000}};
+    case 'P': return {'P', "SCQ spill 1p1c", 2, {8'000, 400'000}};
     default: throw std::logic_error("unknown world id");
   }
 }
@@ -455,6 +459,7 @@ struct WorldSpec {
     case 'W': return std::make_unique<MsWorld>(mo, true, 1, 1, std::vector<int>{2});
     case 'S': return std::make_unique<ScqWorld>(mo, 2, std::vector<int>{3});
     case 's': return std::make_unique<ScqWorld>(mo, 2, std::vector<int>{2, 2});
+    case 'P': return std::make_unique<ScqWorld>(mo, 2, std::vector<int>{2}, 2);
     default: throw std::logic_error("unknown world id");
   }
 }
@@ -536,6 +541,10 @@ struct WorldSpec {
     return {'F'};
   }
   if (std::strncmp(s.name, "scq.", 4) == 0) {
+    // Only a capacity-2 ring lets a slot overflow.
+    if (site_is(s, {"scq.credit_spill_cas", "scq.credit_spill_add"})) {
+      return {'P'};
+    }
     // Plain demotions of the probe loads need a SECOND concurrent actor
     // on the same word (a sibling consumer's head FAA / mark CAS) to form
     // the racing pair in schedules the 1p1c world cannot reach.
@@ -570,7 +579,8 @@ int main() {
   // ---- 1. unmutated baselines must be clean --------------------------------
   std::printf("== baselines (annotated orders, no mutation) ==\n");
   for (const char id :
-       {'A', 'B', 'C', 'D', 'E', 'F', 'V', 'G', 'g', 'H', 'h', 'W', 'S', 's'}) {
+       {'A', 'B', 'C', 'D', 'E', 'F', 'V', 'G', 'g', 'H', 'h', 'W', 'S', 's',
+        'P'}) {
     const WorldSpec spec = world_spec(id);
     const RunOutcome out = run_world(id, nullptr, /*early_exit=*/false);
     const char* verdict = out.caught() ? "VIOLATION" : "clean";
