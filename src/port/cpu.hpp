@@ -11,6 +11,20 @@
 #include <cstdint>
 #include <new>
 
+// The model build (MSQ_MODEL=1, test targets only): the atomics seam
+// (port/atomic.hpp) turns each port::Atomic access into one sim::Engine
+// step, run by a fiber process.  Normal builds leave it 0.
+#ifndef MSQ_MODEL
+#define MSQ_MODEL 0
+#endif
+
+#if MSQ_MODEL
+namespace msq::sim::model {
+/// The running fiber process's id, or ~0u off a fiber (sim/engine.cpp).
+std::uint32_t fiber_ordinal() noexcept;
+}  // namespace msq::sim::model
+#endif
+
 namespace msq::port {
 
 /// Size of a coherence granule.  Shared variables that must not false-share
@@ -38,8 +52,14 @@ inline void cpu_relax() noexcept {
 /// (magazines, hazard cells, wait-free announcement slots, shard hints,
 /// fault-plan breadcrumbs), taken modulo the slot count; two threads on
 /// one slot are harmless, since the slot's claim CAS arbitrates.  Backoff
-/// jitter is seeded from it too (sync/backoff.hpp).
+/// jitter is seeded from it too (sync/backoff.hpp).  In the model build a
+/// fiber process's ordinal is its process id.
 inline std::uint32_t thread_ordinal() noexcept {
+#if MSQ_MODEL
+  if (const std::uint32_t id = sim::model::fiber_ordinal(); id != ~0u) {
+    return id;
+  }
+#endif
   // share-ok: touched once per thread lifetime (ordinal assignment)
   static std::atomic<std::uint32_t> next{0};
   thread_local const std::uint32_t ordinal =

@@ -68,10 +68,16 @@
 // them -- the cell's whole-entry load() is a locked CAS(0, 0), a write.
 // Only the deposit writes both halves; the consume and the dequeuers'
 // cycle-advance/unsafe marks are 8-byte RMWs on `meta` alone.
+//
+// Every shared word goes through the atomics seam (port/atomic.hpp), and
+// every access names its sim/mo_table.hpp row with MSQ_MO.  In the model
+// build (MSQ_MODEL=1) the DPOR explorer runs THIS header: each access is
+// one step, each MSQ_PROBE a label, and the MSQ_MUTANT hooks switch
+// in the negative controls of tests/sim_scq_test.cpp and
+// tests/sim_scq_credit_test.cpp.  Normal builds compile the seam away.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -81,6 +87,7 @@
 #include <type_traits>
 
 #include "obs/probe.hpp"
+#include "port/atomic.hpp"
 #include "port/cpu.hpp"
 #include "queues/queue_concept.hpp"
 #include "tagged/counted_ptr.hpp"
@@ -138,10 +145,12 @@ class ScqQueue {
     const std::uint64_t v = to_word(value);
     for (;;) {
       MSQ_PROBE("scq.faa_enq");
-      const std::uint64_t t = tail_.fetch_add(1, std::memory_order_acq_rel);
+      const std::uint64_t t = tail_.fetch_add(
+          1, MSQ_MO("scq.enq_faa_tail", std::memory_order_acq_rel));
       Cell& cell = entries_[remap(t)];
       const std::uint32_t cycle = ticket_cycle(t);
-      Entry e = cell.load_halves(std::memory_order_acquire);
+      Entry e = cell.load_halves(
+          MSQ_MO("scq.enq_entry_load", std::memory_order_acquire));
       for (;;) {
         // Depositable: entry from an older cycle, no value parked in it,
         // and either still safe or provably unscannable (every issued
@@ -149,18 +158,25 @@ class ScqQueue {
         // older ticket can still be about to scan this entry's old cycle).
         if (cycle_less(meta_cycle(e.meta), cycle) && !meta_full(e.meta) &&
             (meta_safe(e.meta) ||
-             head_.load(std::memory_order_acquire) <= t)) {
+             head_.load(MSQ_MO("scq.enq_head_load",
+                               std::memory_order_acquire)) <= t)) {
           MSQ_PROBE_COUNT("scq.enq_cas", kCasAttempt);
           // The publication edge: a torn load_halves guess fails here and
           // comes back as the entry's true value.
-          if (!cell.compare_exchange(e, Entry{make_meta(cycle, true, true), v},
-                                     std::memory_order_acq_rel)) {
+          if (!cell.compare_exchange(
+                  e, Entry{make_meta(cycle, true, true), v},
+                  MSQ_MO("scq.enq_cas", std::memory_order_acq_rel))) {
             MSQ_COUNT(kCasFail);
             continue;  // entry changed: re-test the same entry
           }
           // Deposit landed: re-arm the dequeuers' search budget.
-          if (threshold_.load(std::memory_order_acquire) != threshold_init_) {
-            threshold_.store(threshold_init_, std::memory_order_release);
+          if (!MSQ_MUTANT("scq.no_threshold") &&
+              threshold_.load(MSQ_MO("scq.threshold_check",
+                                     std::memory_order_acquire)) !=
+                  threshold_init_) {
+            threshold_.store(threshold_init_,
+                             MSQ_MO("scq.threshold_store",
+                                    std::memory_order_release));
             MSQ_COUNT(kScqThresholdReset);
           }
           MSQ_COUNT(kEnqueue);
@@ -207,6 +223,8 @@ class ScqQueue {
   }
 
  private:
+  friend struct ScqInspector;  // the model build's tests read state
+
   struct Entry {
     std::uint64_t meta;   // word 0: cycle[63:32] | unsafe | full
     std::uint64_t value;  // word 1: the T, valid while `full` is set
@@ -220,9 +238,12 @@ class ScqQueue {
   // with <= 2^kMaxRot entries degrade to the identity map.
   static constexpr std::uint32_t kMaxRot = 4;
   // Credit slots: a power of two (ordinal mask), like MagazineAllocator's
-  // kMagazines; a slot above kSpillAbove spills all but half of that.
-  static constexpr std::uint32_t kSlots = 16;
-  static constexpr std::uint32_t kSpillAbove = 32;
+  // kMagazines; a slot above kSpillAbove spills all but half of that.  The
+  // model build shrinks both so that worlds of three processes and
+  // capacity two reach every credit path: own slot, depot, steal, spill,
+  // and both passes of the refusal's double collect.
+  static constexpr std::uint32_t kSlots = MSQ_MODEL ? 4 : 16;
+  static constexpr std::uint32_t kSpillAbove = MSQ_MODEL ? 1 : 32;
   static constexpr std::uint64_t kBump = std::uint64_t{1} << 32;
 
   static constexpr std::uint64_t make_meta(std::uint32_t cycle, bool safe,
@@ -273,7 +294,7 @@ class ScqQueue {
 
   /// Credit word i in take order: the caller's slot, the depot, then the
   /// other slots from the caller's onward.
-  [[nodiscard]] std::atomic<std::uint64_t>& credit_word(
+  [[nodiscard]] port::Atomic<std::uint64_t>& credit_word(
       std::uint32_t own, std::uint32_t i) noexcept {
     if (i == 1) return depot_;
     return slots_[(own + (i == 0 ? 0 : i - 1)) & (kSlots - 1)].value;
@@ -296,27 +317,45 @@ class ScqQueue {
   /// held zero: every credit was held by an item or a call in progress,
   /// and the refusal linearizes there.  If something moved, another call
   /// returned a credit: take it.
+  ///
+  /// The "scq.no_credits" control replaces all this with the tempting
+  /// read-only bound, which k enqueuers that read it at once overshoot by
+  /// k - 1; "scq.single_collect" refuses after the first pass.
   bool take_credit() noexcept {
+    if (MSQ_MUTANT("scq.no_credits")) {
+      const std::uint64_t t =
+          tail_.load(MSQ_MO("scq.empty_tail_load", std::memory_order_acquire));
+      return t < head_.load(MSQ_MO("scq.empty_head_load",
+                                   std::memory_order_acquire)) +
+                     capacity_;
+    }
     const std::uint32_t own = port::thread_ordinal() & (kSlots - 1);
     std::array<std::uint64_t, kSlots + 1> seen;
     for (;;) {
       for (std::uint32_t i = 0; i <= kSlots; ++i) {
         auto& word = credit_word(own, i);
-        std::uint64_t w = word.load(std::memory_order_acquire);
+        std::uint64_t w = word.load(
+            MSQ_MO("scq.credit_load", std::memory_order_acquire));
         while (credit_count(w) != 0) {
           if (i >= 2) MSQ_PROBE_COUNT("scq.credit_steal", kCasAttempt);
-          if (word.compare_exchange_weak(w, w - 1, std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
+          if (word.compare_exchange_weak(
+                  w, w - 1,
+                  i >= 2 ? MSQ_MO("scq.credit_steal", std::memory_order_acq_rel)
+                         : MSQ_MO("scq.credit_take", std::memory_order_acq_rel),
+                  std::memory_order_acquire)) {
             return true;
           }
           if (i >= 2) MSQ_COUNT(kCasFail);
         }
         seen[i] = w;
       }
+      if (MSQ_MUTANT("scq.single_collect")) return false;
       MSQ_PROBE("scq.credit_collect");
       bool moved = false;
       for (std::uint32_t i = 0; i <= kSlots && !moved; ++i) {
-        moved = credit_word(own, i).load(std::memory_order_acquire) != seen[i];
+        moved = credit_word(own, i).load(MSQ_MO(
+                    "scq.credit_collect", std::memory_order_acquire)) !=
+                seen[i];
       }
       if (!moved) return false;
     }
@@ -324,43 +363,73 @@ class ScqQueue {
 
   /// Back to the caller's slot.  A slot above kSpillAbove keeps
   /// kSpillAbove / 2 and moves the rest to the depot, where enqueuers on
-  /// other threads look before they steal.
+  /// other threads look before they steal.  The "scq.no_version" control
+  /// leaves the version alone, which fools the refusal's double collect.
   void return_credit() noexcept {
+    if (MSQ_MUTANT("scq.no_credits")) return;
+    const std::uint64_t bump = MSQ_MUTANT("scq.no_version") ? 0 : kBump;
     auto& slot = slots_[port::thread_ordinal() & (kSlots - 1)].value;
     std::uint64_t w =
-        slot.fetch_add(kBump + 1, std::memory_order_release) + kBump + 1;
+        slot.fetch_add(bump + 1, MSQ_MO("scq.credit_return",
+                                        std::memory_order_release)) +
+        bump + 1;
     while (credit_count(w) > kSpillAbove) {
       const std::uint32_t spill = credit_count(w) - kSpillAbove / 2;
-      if (slot.compare_exchange_weak(w, w - spill, std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-        depot_.fetch_add(kBump + spill, std::memory_order_release);
+      if (slot.compare_exchange_weak(
+              w, w - spill,
+              MSQ_MO("scq.credit_spill_cas", std::memory_order_acq_rel),
+              std::memory_order_acquire)) {
+        depot_.fetch_add(bump + spill, MSQ_MO("scq.credit_spill_add",
+                                              std::memory_order_release));
         return;
       }
     }
   }
 
   bool take(T& out) noexcept {
-    const std::int64_t threshold = threshold_.load(std::memory_order_acquire);
-    if (threshold < 0) {
-      return false;  // fast path: a prior exhausted scan proved emptiness
-    }
-    if (threshold != threshold_init_) {
-      // A dequeuer has missed since the last deposit: the ring is probably
-      // still empty, so check with reads alone before taking a ticket (the
-      // paper's D2-D7).  Head first: both counters only grow, so tail <=
-      // head at the tail read means every deposited value already has its
-      // dequeue ticket issued.  Read the other way round, a head that moved
-      // past a fresh deposit after the tail read hides it.  While dequeues
-      // succeed the threshold stays armed and the hot tail line is not read.
-      const std::uint64_t h = head_.load(std::memory_order_acquire);
-      if (tail_.load(std::memory_order_acquire) <= h) return false;
+    // The "scq.no_threshold" control runs the ring without its search
+    // budget, and so without the gated empty check: tests/sim_scq_test.cpp
+    // replays the livelock it lets back in.
+    if (!MSQ_MUTANT("scq.no_threshold")) {
+      const std::int64_t threshold = threshold_.load(
+          MSQ_MO("scq.threshold_check", std::memory_order_acquire));
+      if (threshold < 0) {
+        return false;  // fast path: a prior exhausted scan proved emptiness
+      }
+      if (threshold != threshold_init_) {
+        // A dequeuer has missed since the last deposit: the ring is
+        // probably still empty, so check with reads alone before taking a
+        // ticket (the paper's D2-D7).  Head first: both counters only grow,
+        // so tail <= head at the tail read means every deposited value
+        // already has its dequeue ticket issued.  Read the other way round
+        // -- the "scq.tail_first" control -- a head that moved past a fresh
+        // deposit after the tail read hides it.  While dequeues succeed the
+        // threshold stays armed and the hot tail line is not read.
+        if (MSQ_MUTANT("scq.tail_first")) {
+          const std::uint64_t t = tail_.load(
+              MSQ_MO("scq.empty_tail_load", std::memory_order_acquire));
+          if (t <= head_.load(MSQ_MO("scq.empty_head_load",
+                                     std::memory_order_acquire))) {
+            return false;
+          }
+        } else {
+          const std::uint64_t h = head_.load(
+              MSQ_MO("scq.empty_head_load", std::memory_order_acquire));
+          if (tail_.load(MSQ_MO("scq.empty_tail_load",
+                                std::memory_order_acquire)) <= h) {
+            return false;
+          }
+        }
+      }
     }
     for (;;) {
       MSQ_PROBE("scq.faa_deq");
-      const std::uint64_t h = head_.fetch_add(1, std::memory_order_acq_rel);
+      const std::uint64_t h = head_.fetch_add(
+          1, MSQ_MO("scq.deq_faa_head", std::memory_order_acq_rel));
       Cell& cell = entries_[remap(h)];
       const std::uint32_t cycle = ticket_cycle(h);
-      std::uint64_t m = cell.word(0).load(std::memory_order_acquire);
+      std::uint64_t m = cell.word(0).load(
+          MSQ_MO("scq.deq_entry_load", std::memory_order_acquire));
       for (;;) {
         if (meta_cycle(m) == cycle) {
           // A value was deposited for exactly this ticket (a mark never
@@ -368,8 +437,10 @@ class ScqQueue {
           // cleared no deposit can touch the value half, so read it, then
           // consume -- the release orders the read before the entry's next
           // deposit.  fetch_and keeps a later ticket's unsafe mark.
-          out = from_word(cell.word(1).load(std::memory_order_acquire));
-          cell.word(0).fetch_and(~kFullBit, std::memory_order_acq_rel);
+          out = from_word(cell.word(1).load(
+              MSQ_MO("scq.deq_entry_load", std::memory_order_acquire)));
+          cell.word(0).fetch_and(
+              ~kFullBit, MSQ_MO("scq.deq_consume_and", std::memory_order_acq_rel));
           return_credit();
           return true;
         }
@@ -383,9 +454,10 @@ class ScqQueue {
               meta_full(m) ? (m | kUnsafeBit)
                            : make_meta(cycle, meta_safe(m), false);
           MSQ_PROBE_COUNT("scq.deq_mark", kCasAttempt);
-          if (!cell.word(0).compare_exchange_weak(m, desired,
-                                                  std::memory_order_acq_rel,
-                                                  std::memory_order_acquire)) {
+          if (!cell.word(0).compare_exchange_weak(
+                  m, desired,
+                  MSQ_MO("scq.deq_mark_cas", std::memory_order_acq_rel),
+                  std::memory_order_acquire)) {
             MSQ_COUNT(kCasFail);
             continue;  // entry changed: re-test (it may now match our cycle)
           }
@@ -393,14 +465,20 @@ class ScqQueue {
         // No value for this ticket.  If the tail is at or behind our scan
         // point the ring is empty: drag the tail up to head+1 so future
         // enqueuers start ahead of everything already scanned.
-        const std::uint64_t t = tail_.load(std::memory_order_acquire);
+        const std::uint64_t t =
+            tail_.load(MSQ_MO("scq.deq_tail_load", std::memory_order_acquire));
         if (t <= h + 1) {
           catch_up(t, h + 1);
-          threshold_.fetch_sub(1, std::memory_order_acq_rel);
+          if (!MSQ_MUTANT("scq.no_threshold")) {
+            threshold_.fetch_sub(
+                1, MSQ_MO("scq.threshold_faa", std::memory_order_acq_rel));
+          }
           return false;
         }
         MSQ_PROBE("scq.threshold");
-        if (threshold_.fetch_sub(1, std::memory_order_acq_rel) <= 0) {
+        if (!MSQ_MUTANT("scq.no_threshold") &&
+            threshold_.fetch_sub(1, MSQ_MO("scq.threshold_faa",
+                                           std::memory_order_acq_rel)) <= 0) {
           return false;  // search budget exhausted: observably empty
         }
         break;  // budget remains: take a new ticket and keep scanning
@@ -413,10 +491,12 @@ class ScqQueue {
   void catch_up(std::uint64_t t, std::uint64_t h) noexcept {
     MSQ_PROBE("scq.catchup");
     MSQ_COUNT(kScqCatchup);
-    while (!tail_.compare_exchange_weak(t, h, std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-      h = head_.load(std::memory_order_acquire);
-      t = tail_.load(std::memory_order_acquire);
+    while (!tail_.compare_exchange_weak(
+        t, h, MSQ_MO("scq.catchup_cas", std::memory_order_acq_rel),
+        std::memory_order_acquire)) {
+      // The losers' head reload shares the enqueue's head-word load site.
+      h = head_.load(MSQ_MO("scq.enq_head_load", std::memory_order_acquire));
+      t = tail_.load(MSQ_MO("scq.deq_tail_load", std::memory_order_acquire));
       if (t >= h) break;
     }
   }
@@ -428,16 +508,16 @@ class ScqQueue {
   std::uint32_t rot_;
   std::int64_t threshold_init_;
   std::unique_ptr<Cell[]> entries_;
-  alignas(port::kCacheLine) std::atomic<std::uint64_t> head_{0};
-  alignas(port::kCacheLine) std::atomic<std::uint64_t> tail_{0};
+  alignas(port::kCacheLine) port::Atomic<std::uint64_t> head_{0};
+  alignas(port::kCacheLine) port::Atomic<std::uint64_t> tail_{0};
   // Empty ring: threshold -1 arms the dequeue fast path immediately.
-  alignas(port::kCacheLine) std::atomic<std::int64_t> threshold_{-1};
+  alignas(port::kCacheLine) port::Atomic<std::int64_t> threshold_{-1};
   // Credit words: {version[63:32], count[31:0]}.  Every increase adds
   // kBump with its count, so a word read twice with the same value was
   // never increased between the reads (short of 2^32 increases inside one
   // refusing call); a take is a plain count decrement.
-  alignas(port::kCacheLine) std::atomic<std::uint64_t> depot_;
-  std::array<port::CacheAligned<std::atomic<std::uint64_t>>, kSlots> slots_{};
+  alignas(port::kCacheLine) port::Atomic<std::uint64_t> depot_;
+  std::array<port::CacheAligned<port::Atomic<std::uint64_t>>, kSlots> slots_{};
 };
 
 }  // namespace msq::queues

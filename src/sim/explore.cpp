@@ -192,14 +192,18 @@ ExploreResult explore_schedules(const ExploreConfig& config,
 
 namespace {
 
+/// One step's shared access: `words` adjacent words from `addr` (two for
+/// a 16-byte CAS, which conflicts with an access to either half).
 struct DporAccess {
   bool valid = false;
   Addr addr = 0;
+  std::uint8_t words = 1;
   bool is_write = false;
 };
 
 bool dpor_conflict(const DporAccess& a, const DporAccess& b) noexcept {
-  return a.valid && b.valid && a.addr == b.addr && (a.is_write || b.is_write);
+  return a.valid && b.valid && a.addr < b.addr + b.words &&
+         b.addr < a.addr + a.words && (a.is_write || b.is_write);
 }
 
 using DporClock = std::vector<std::uint64_t>;
@@ -422,24 +426,26 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
         pending_clocks[q].erase(pending_clocks[q].begin());
       }
 
-      const DporAccess a{la.valid, la.addr, la.is_write};
+      const DporAccess a{la.valid, la.addr, la.words, la.is_write};
       node.access = a;
 
       if (a.valid) {
-        // Race rule: find earlier conflicting accesses not ordered before
-        // p (by the happens-before of the trace so far) and plant
-        // backtrack points where they were scheduled.
-        if (a.addr >= mem.size()) mem.resize(a.addr + 1);
-        DporAddrTrace& t = mem[a.addr];
-        if (t.reads.size() < agent_count) t.reads.resize(agent_count);
+        // Race rule, per word touched: find earlier conflicting accesses
+        // not ordered before p (by the happens-before of the trace so far)
+        // and plant backtrack points where they were scheduled.
+        if (a.addr + a.words > mem.size()) mem.resize(a.addr + a.words);
         // This step's happens-before clock: ordered after every earlier
         // dependent access (reads after the last write; writes after the
         // last write and the reads since it).
         joined = vc[p];
-        if (t.has_write) clock_join(joined, t.w_clock);
-        if (a.is_write) {
-          for (const DporRead& r : t.reads) {
-            if (r.valid) clock_join(joined, r.clock);
+        for (Addr w = a.addr; w < a.addr + a.words; ++w) {
+          DporAddrTrace& t = mem[w];
+          if (t.reads.size() < agent_count) t.reads.resize(agent_count);
+          if (t.has_write) clock_join(joined, t.w_clock);
+          if (a.is_write) {
+            for (const DporRead& r : t.reads) {
+              if (r.valid) clock_join(joined, r.clock);
+            }
           }
         }
         joined[p] += 1;
@@ -457,30 +463,36 @@ DporResult explore_dpor(const DporConfig& config, std::uint32_t process_count,
             }
           }
         };
-        if (t.has_write && t.w_proc != p &&
-            t.w_clock[t.w_proc] > vc[p][t.w_proc]) {
-          plant(t.w_index);
-        }
-        if (a.is_write) {
-          for (std::uint32_t q = 0; q < agent_count; ++q) {
-            const DporRead& r = t.reads[q];
-            if (r.valid && q != p && r.clock[q] > vc[p][q]) plant(r.index);
+        for (Addr w = a.addr; w < a.addr + a.words; ++w) {
+          const DporAddrTrace& t = mem[w];
+          if (t.has_write && t.w_proc != p &&
+              t.w_clock[t.w_proc] > vc[p][t.w_proc]) {
+            plant(t.w_index);
+          }
+          if (a.is_write) {
+            for (std::uint32_t q = 0; q < agent_count; ++q) {
+              const DporRead& r = t.reads[q];
+              if (r.valid && q != p && r.clock[q] > vc[p][q]) plant(r.index);
+            }
           }
         }
 
         DporClock& c = vc[p];
         c = joined;
-        if (a.is_write) {
-          t.has_write = true;
-          t.w_proc = p;
-          t.w_index = depth;
-          t.w_clock = c;
-          for (DporRead& r : t.reads) r.valid = false;
-        } else {
-          DporRead& r = t.reads[p];
-          r.valid = true;
-          r.index = depth;
-          r.clock = c;
+        for (Addr w = a.addr; w < a.addr + a.words; ++w) {
+          DporAddrTrace& t = mem[w];
+          if (a.is_write) {
+            t.has_write = true;
+            t.w_proc = p;
+            t.w_index = depth;
+            t.w_clock = c;
+            for (DporRead& r : t.reads) r.valid = false;
+          } else {
+            DporRead& r = t.reads[p];
+            r.valid = true;
+            r.index = depth;
+            r.clock = c;
+          }
         }
       } else {
         vc[p][p] += 1;  // label/work/final step: independent of everything

@@ -5,7 +5,11 @@
 //
 // Each site names one access in a sim model (sim/ms_queue_sim.hpp,
 // sim/valois_queue_sim.hpp, sim/sim_freelist.hpp, sim/sim_lock.hpp, or the
-// litmus worlds in tools/mo_mutation_sweep.cpp).  The mutation sweep
+// litmus worlds in tools/mo_mutation_sweep.cpp) -- or, for the scq.* rows,
+// an access of the real queues/scq_queue.hpp itself: the header labels it
+// `MSQ_MO("scq.<site>", order)` (port/atomic.hpp), and the model build runs
+// the header under the explorer with the row's override applied, so there
+// is no model to keep in step.  The mutation sweep
 // weakens each site one notch at a time and asserts the explorer's verdict
 // matches the site's needs_* flags:
 //
@@ -22,8 +26,10 @@
 // docs/ALGORITHMS.md "Memory orders" and tools/mo_mutation_sweep.cpp.
 //
 // tools/atomics_lint.py parses this table (the MSQ_MO_SITE rows) to
-// validate `proof: mo-sweep:<site>` references in the real sources, so
-// site names are part of the repo's lint contract: rename with care.
+// validate `proof: mo-sweep:<site>` references in the real sources, and to
+// check that every MSQ_MO call passes its row's annotated order to an
+// access of its row's kind; site names are part of the repo's lint
+// contract: rename with care.
 #pragma once
 
 #include <cassert>
@@ -210,7 +216,7 @@ inline constexpr MoSite kMoSites[] = {
                 "reclamation cascade; ordered through refct_cas + the "
                 "pool mesh"),
 
-    // --- SCQ ring (sim/scq_ring_sim.hpp; real: queues/scq_queue.hpp) -----
+    // --- SCQ ring (the MSQ_MO labels of queues/scq_queue.hpp) ------------
     MSQ_MO_SITE("scq.credit_load", MoKind::kLoad, check::MemOrder::kAcquire,
                 false, false, true, false,
                 "the taking pass's read of each credit word (own slot, "
@@ -255,7 +261,7 @@ inline constexpr MoSite kMoSites[] = {
     MSQ_MO_SITE("scq.enq_entry_load", MoKind::kLoad, check::MemOrder::kAcquire,
                 false, false, true, false,
                 "pre-CAS read of an entry with concurrent CAS/fetch_and "
-                "writers (real: two 8-byte loads, meta then value): "
+                "writers (load_halves: two 8-byte loads, meta then value): "
                 "atomicity load-bearing, ordering masked by enq_cas "
                 "(failure re-reads through the CAS itself)"),
     MSQ_MO_SITE("scq.enq_head_load", MoKind::kLoad, check::MemOrder::kAcquire,
@@ -291,19 +297,19 @@ inline constexpr MoSite kMoSites[] = {
                 "ticket allocation; see scq.enq_faa_tail"),
     MSQ_MO_SITE("scq.deq_entry_load", MoKind::kLoad, check::MemOrder::kAcquire,
                 false, false, true, false,
-                "entry probe with concurrent CAS writers (real: the meta "
-                "load, then the value load on a cycle match): atomicity "
+                "entry probe with concurrent CAS writers (the meta load, "
+                "then the value load on a cycle match): atomicity "
                 "load-bearing; its acquire is mutually masked with the "
-                "consume's (the sim takes the value from the consume "
-                "CAS's RESULT, so either acquire alone suffices)"),
+                "consume's (the consume reads-from the same deposit, so "
+                "either acquire alone orders the payload)"),
     MSQ_MO_SITE("scq.deq_consume_and", MoKind::kRmw, check::MemOrder::kAcqRel,
                 false, false, false, false,
                 "the consume, meta &= ~full: its acquire is mutually "
                 "masked with deq_entry_load's -- fl.pop_top/pop_cas all "
-                "over again; its release orders the real code's value "
-                "load before the entry's next deposit, which no sim world "
-                "can miss (one packed word: the value is read by the "
-                "consume itself)"),
+                "over again; its release orders the value-half load "
+                "before the entry's next deposit, but both are atomic, so "
+                "losing it is no data race, and each sweep payload word is "
+                "written once"),
     MSQ_MO_SITE("scq.deq_mark_cas", MoKind::kRmw, check::MemOrder::kAcqRel,
                 false, false, false, false,
                 "cycle-advance / unsafe-mark CAS on meta: control-flow "
@@ -379,6 +385,17 @@ class MoTable {
       if (std::strcmp(name, site) == 0) return order;
     }
     return s->annotated;
+  }
+
+  /// The override of `site`, else `declared` -- the order the access
+  /// itself names (the model build's seam: tools/atomics_lint.py keeps
+  /// that equal to the site's `annotated` row).
+  [[nodiscard]] check::MemOrder resolve_or(
+      const char* site, check::MemOrder declared) const noexcept {
+    for (const auto& [name, order] : overrides_) {
+      if (std::strcmp(name, site) == 0) return order;
+    }
+    return declared;
   }
 
   /// Override one site (the sweep's single-mutation entry point).

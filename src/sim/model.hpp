@@ -1,0 +1,124 @@
+// The model side of the atomics seam (port/atomic.hpp): simulated words
+// that a real queue header reaches through port::Atomic / AtomicRef when it
+// is compiled with MSQ_MODEL=1.
+//
+// A model word is the address of one word of the newest sim::Engine's
+// memory on this thread (the engine that is live when the queue is built;
+// construction writes the initial value raw, at no simulated cost, like
+// the coroutine models' constructors).  Each operation on it is one step
+// of the fiber process that runs it (Engine::spawn_fiber):
+//
+//   load -> kRead   store -> kWrite   fetch_add/fetch_sub -> kFaa
+//   fetch_and -> kAnd   compare_exchange_weak -> kCas
+//
+// and AtomicDoubleWord's 16-byte CAS is one kCas2 over its two words.  The
+// order is the call's own, or the engine's MoTable override of its site;
+// the site name becomes the process label, so a race report names it.  A
+// weak compare-exchange never fails spuriously: that would only add
+// schedules that repeat an existing one.
+//
+// The runtime below is compiled into every build (sim/engine.cpp); only
+// the MSQ_MODEL=1 build points port::Atomic at it.
+#pragma once
+
+#include <array>
+#include <atomic>
+#include <cstdint>
+#include <span>
+#include <type_traits>
+
+#include "port/cpu.hpp"
+#include "sim/engine.hpp"
+
+namespace msq::sim::model {
+
+/// A memory order labelled with its sim/mo_table.hpp site: what
+/// MSQ_MO(site, order) is in the model build.  A bare order converts to an
+/// unlabelled one.
+struct Site {
+  const char* name;
+  std::memory_order order;
+
+  constexpr Site(const char* site, std::memory_order o) noexcept
+      : name(site), order(o) {}
+  // NOLINTNEXTLINE(google-explicit-constructor): bare orders pass through
+  constexpr Site(std::memory_order o) noexcept : name(""), order(o) {}
+};
+
+// The runtime (sim/engine.cpp).
+std::uint32_t fiber_ordinal() noexcept;
+void probe(const char* site) noexcept;
+/// Is `name` the mutant the running fiber's engine was configured with?
+bool mutant(const char* name) noexcept;
+/// Fresh words of the newest engine's memory, holding `initial`.
+Addr alloc(std::span<const std::uint64_t> initial);
+/// `op` as the running fiber's next step, its order taken from `site`.
+std::uint64_t access(PendingOp op, const Site& site,
+                     std::uint64_t* high = nullptr);
+
+/// An atomic view of one simulated 8-byte word: the std::atomic operations
+/// the seamed headers use.
+template <typename T>
+class AtomicRef {
+  static_assert(std::is_integral_v<T> && sizeof(T) == sizeof(std::uint64_t),
+                "model words are 8-byte integers");
+
+ public:
+  explicit AtomicRef(Addr addr) noexcept : addr_(addr) {}
+
+  T load(Site s) const { return from(access({OpKind::kRead, addr_}, s)); }
+  void store(T v, Site s) const {
+    (void)access({OpKind::kWrite, addr_, to(v)}, s);
+  }
+  T fetch_add(T d, Site s) const {
+    return from(access({OpKind::kFaa, addr_, to(d)}, s));
+  }
+  T fetch_sub(T d, Site s) const {
+    return from(access({OpKind::kFaa, addr_, 0 - to(d)}, s));
+  }
+  T fetch_and(T mask, Site s) const {
+    return from(access({OpKind::kAnd, addr_, to(mask)}, s));
+  }
+  bool compare_exchange_weak(T& expected, T desired, Site s,
+                             std::memory_order /*failure*/) const {
+    const std::uint64_t old =
+        access({OpKind::kCas, addr_, to(expected), to(desired)}, s);
+    if (old == to(expected)) return true;
+    expected = from(old);
+    return false;
+  }
+
+  [[nodiscard]] Addr addr() const noexcept { return addr_; }
+
+ private:
+  static std::uint64_t to(T v) noexcept { return static_cast<std::uint64_t>(v); }
+  static T from(std::uint64_t w) noexcept { return static_cast<T>(w); }
+
+  Addr addr_;
+};
+
+/// A simulated std::atomic<T>: owns one word of the newest engine.
+template <typename T>
+class Atomic : public AtomicRef<T> {
+ public:
+  Atomic() : Atomic(T{}) {}
+  // NOLINTNEXTLINE(google-explicit-constructor): std::atomic<T>(T) is too
+  Atomic(T initial)
+      : AtomicRef<T>(alloc(std::array{static_cast<std::uint64_t>(initial)})) {}
+  Atomic(const Atomic&) = delete;
+  Atomic& operator=(const Atomic&) = delete;
+};
+
+}  // namespace msq::sim::model
+
+#if MSQ_MODEL
+namespace msq::port {
+
+template <typename T>
+using Atomic = sim::model::Atomic<T>;
+template <typename T>
+using AtomicRef = sim::model::AtomicRef<T>;
+using MemoryOrder = sim::model::Site;
+
+}  // namespace msq::port
+#endif

@@ -11,6 +11,11 @@
 // to libatomic calls that may take a lock; __sync_val_compare_and_swap with
 // -mcx16 emits an inline cmpxchg16b, which is the lock-free primitive the
 // algorithms require.
+//
+// The cell reaches memory through the atomics seam (port/atomic.hpp): its
+// halves are port::AtomicRef words, and in the model build (MSQ_MODEL=1)
+// the whole cell is two adjacent simulated words whose 16-byte CAS is one
+// sim::Engine kCas2 step (sim/model.hpp).
 #pragma once
 
 #include <array>
@@ -20,6 +25,7 @@
 #include <cstdint>
 #include <type_traits>
 
+#include "port/atomic.hpp"
 #include "tagged/atomic_tagged.hpp"
 
 // Without -mcx16 the __sync builtins below compile to libatomic calls,
@@ -78,7 +84,13 @@ class alignas(16) AtomicDoubleWord {
 
   AtomicDoubleWord() noexcept = default;
   explicit AtomicDoubleWord(V initial) noexcept
-      : words_(std::bit_cast<Words>(initial)) {}
+#if MSQ_MODEL
+      : base_(sim::model::alloc(std::bit_cast<Words>(initial)))
+#else
+      : words_(std::bit_cast<Words>(initial))
+#endif
+  {
+  }
   AtomicDoubleWord(const AtomicDoubleWord&) = delete;
   AtomicDoubleWord& operator=(const AtomicDoubleWord&) = delete;
 
@@ -92,49 +104,43 @@ class alignas(16) AtomicDoubleWord {
   /// plain 16-byte atomic load pre-AVX guarantees, and the algorithms only
   /// ever need a consistent snapshot, which this provides.  It is a locked
   /// write, though: readers take the line exclusive.  See load_halves().
-  [[nodiscard]] V load(std::memory_order order) const noexcept {
-    static_cast<void>(order);  // full barrier regardless (see above)
-    return unpack(__sync_val_compare_and_swap(bits(), 0, 0));
+  [[nodiscard]] V load(port::MemoryOrder order) const noexcept {
+    return unpack(swap_if(0, 0, order));
   }
 
   /// The cell as two 8-byte atomic loads, word 0 first.  Writes nothing,
   /// but is NOT a snapshot: the halves may come from different values.  A
   /// caller that acts on the result passes it to compare_exchange, which
   /// fails on a torn guess and hands back the true value.
-  [[nodiscard]] V load_halves(std::memory_order order) const noexcept {
+  [[nodiscard]] V load_halves(port::MemoryOrder order) const noexcept {
     const Words w{word(0).load(order), word(1).load(order)};
     return std::bit_cast<V>(w);
   }
 
-  void store(V value, std::memory_order order) noexcept {
-    static_cast<void>(order);  // full barrier regardless (see above)
+  void store(V value, port::MemoryOrder order) noexcept {
     // Stores race with other threads' loads and CASes, so the value that
     // seeds the loop must itself be read atomically (CAS(0, 0)); a plain
     // read of the cell is a data race.
-    unsigned __int128 expected = __sync_val_compare_and_swap(bits(), 0, 0);
+    unsigned __int128 expected = swap_if(0, 0, order);
     const unsigned __int128 desired = pack(value);
     for (;;) {
-      const unsigned __int128 prev =
-          __sync_val_compare_and_swap(bits(), expected, desired);
+      const unsigned __int128 prev = swap_if(expected, desired, order);
       if (prev == expected) return;
       expected = prev;
     }
   }
 
   bool compare_and_swap(V expected, V desired,
-                        std::memory_order order) noexcept {
-    static_cast<void>(order);  // full barrier regardless (see above)
-    return __sync_bool_compare_and_swap(bits(), pack(expected), pack(desired));
+                        port::MemoryOrder order) noexcept {
+    return swapped_if(pack(expected), pack(desired), order);
   }
 
   /// compare_and_swap that, on failure, stores the value it found in
   /// `expected` -- one locked instruction either way.
   bool compare_exchange(V& expected, V desired,
-                        std::memory_order order) noexcept {
-    static_cast<void>(order);  // full barrier regardless (see above)
+                        port::MemoryOrder order) noexcept {
     const unsigned __int128 want = pack(expected);
-    const unsigned __int128 prev =
-        __sync_val_compare_and_swap(bits(), want, pack(desired));
+    const unsigned __int128 prev = swap_if(want, pack(desired), order);
     if (prev == want) return true;
     expected = unpack(prev);
     return false;
@@ -142,20 +148,18 @@ class alignas(16) AtomicDoubleWord {
 
   /// Half `i` (0 or 1) as an 8-byte atomic: loads and single-word RMWs on
   /// a field that lives in one half.
-  [[nodiscard]] std::atomic_ref<std::uint64_t> word(std::size_t i) const
+  [[nodiscard]] port::AtomicRef<std::uint64_t> word(std::size_t i) const
       noexcept {
+#if MSQ_MODEL
+    return port::AtomicRef<std::uint64_t>(base_ + static_cast<sim::Addr>(i));
+#else
     return std::atomic_ref<std::uint64_t>(words_[i]);
+#endif
   }
 
  private:
   using Words = std::array<std::uint64_t, 2>;
-  // cmpxchg16b addresses the two words as one; may_alias keeps that view
-  // of the array well-defined for the optimiser.
-  using Bits [[gnu::may_alias]] = unsigned __int128;
 
-  [[nodiscard]] Bits* bits() const noexcept {
-    return reinterpret_cast<Bits*>(words_.data());
-  }
   static unsigned __int128 pack(V v) noexcept {
     return std::bit_cast<unsigned __int128>(v);
   }
@@ -163,10 +167,55 @@ class alignas(16) AtomicDoubleWord {
     return std::bit_cast<V>(bits);
   }
 
+#if MSQ_MODEL
+  // The 16-byte CAS, returning the previous value / whether it swapped.
+  unsigned __int128 swap_if(unsigned __int128 expected,
+                            unsigned __int128 desired,
+                            port::MemoryOrder order) const noexcept {
+    std::uint64_t high = 0;
+    const std::uint64_t low = sim::model::access(
+        {sim::OpKind::kCas2, base_, static_cast<std::uint64_t>(expected),
+         static_cast<std::uint64_t>(expected >> 64), 0, {},
+         static_cast<std::uint64_t>(desired),
+         static_cast<std::uint64_t>(desired >> 64)},
+        order, &high);
+    return (static_cast<unsigned __int128>(high) << 64) | low;
+  }
+  bool swapped_if(unsigned __int128 expected, unsigned __int128 desired,
+                  port::MemoryOrder order) const noexcept {
+    return swap_if(expected, desired, order) == expected;
+  }
+
+  // Two adjacent words of the newest sim::Engine, word 0 first.
+  sim::Addr base_ = sim::model::alloc(Words{});
+#else
+  // The 16-byte CAS, returning the previous value / whether it swapped.
+  // The order is documentation: cmpxchg16b is a full barrier (see above).
+  unsigned __int128 swap_if(unsigned __int128 expected,
+                            unsigned __int128 desired,
+                            std::memory_order /*order*/) const noexcept {
+    return __sync_val_compare_and_swap(bits(), expected, desired);
+  }
+  bool swapped_if(unsigned __int128 expected, unsigned __int128 desired,
+                  std::memory_order /*order*/) const noexcept {
+    return __sync_bool_compare_and_swap(bits(), expected, desired);
+  }
+
+  // cmpxchg16b addresses the two words as one; may_alias keeps that view
+  // of the array well-defined for the optimiser.
+  using Bits [[gnu::may_alias]] = unsigned __int128;
+
+  [[nodiscard]] Bits* bits() const noexcept {
+    return reinterpret_cast<Bits*>(words_.data());
+  }
+
   alignas(16) mutable Words words_{};
+#endif
 };
 
+#if !MSQ_MODEL
 static_assert(sizeof(AtomicDoubleWord<CountedPtr<int>>) == 16);
+#endif
 
 /// The two counted-link representations of paper section 1 ("a double-word
 /// compare_and_swap, or else ... array indices"), as the `cell` type of a

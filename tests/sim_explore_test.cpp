@@ -234,5 +234,76 @@ TEST_P(ExploreAllAlgos, InvariantsAndLinearizabilityOnEverySchedule) {
   // genuinely wedged schedules if any arise.  No assertion either way.
 }
 
+// --- two-word accesses under DPOR --------------------------------------------
+//
+// A 16-byte CAS touches both words of its pair, so the explorer must order
+// it against an access to either half.  ScqQueue reads an entry as two
+// 8-byte loads (AtomicDoubleWord::load_halves) and lets the deposit CAS
+// validate them: a rival CAS that lands between the two loads makes a torn
+// guess, which the deposit CAS must then fail.  An explorer that saw only
+// the CAS's first word would take the rival CAS to commute with the second
+// load, and never run the torn schedule.
+
+struct TornWorld {
+  Engine engine;
+  Addr cell = engine.memory().alloc(2);  // {meta, value}, both zero
+  std::uint64_t seen[2] = {};
+  bool deposited = false;
+
+  static PendingOp cas2(Addr a, std::uint64_t lo, std::uint64_t hi,
+                        std::uint64_t new_lo, std::uint64_t new_hi) {
+    return {OpKind::kCas2, a, lo, hi, 0, MemOrder::kSeqCst, new_lo, new_hi};
+  }
+
+  TornWorld() {
+    // The reader: load_halves, then the deposit CAS from what it saw.
+    engine.spawn_fiber(0, [this](Proc& p) {
+      seen[0] = p.perform({OpKind::kRead, cell});
+      seen[1] = p.perform({OpKind::kRead, cell + 1});
+      std::uint64_t high = 0;
+      const std::uint64_t low = p.perform(cas2(cell, seen[0], seen[1], 2, 2),
+                                          &high);
+      deposited = low == seen[0] && high == seen[1];
+    });
+    // The rival: one 16-byte CAS {0, 0} -> {1, 1}.
+    engine.spawn_fiber(
+        0, [this](Proc& p) { (void)p.perform(cas2(cell, 0, 0, 1, 1)); });
+  }
+};
+
+TEST(ExploreDpor, ATornLoadHalvesMeetsTheRivalCasAndTheDepositFails) {
+  std::unique_ptr<TornWorld> world;
+  std::uint64_t torn = 0;
+  std::uint64_t two_word_steps = 0;
+  const DporResult result = explore_dpor(
+      DporConfig{}, /*process_count=*/2,
+      [&]() -> Engine& {
+        world = std::make_unique<TornWorld>();
+        return world->engine;
+      },
+      [&](Engine& e) {
+        const Engine::LastAccess& a = e.last_access();
+        if (a.valid && a.kind == OpKind::kCas2) {
+          EXPECT_EQ(a.words, 2);
+          ++two_word_steps;
+        }
+      },
+      [&](Engine& e) {
+        ASSERT_TRUE(e.all_done());
+        if (world->seen[0] == 0 && world->seen[1] == 1) {
+          ++torn;
+          EXPECT_FALSE(world->deposited) << "a torn guess was deposited";
+          EXPECT_EQ(e.memory().peek(world->cell), 1u);
+          EXPECT_EQ(e.memory().peek(world->cell + 1), 1u);
+        }
+      });
+  // The rival CAS conflicts with each of the reader's three steps, so
+  // there are four traces -- one per place it can land -- and one of them
+  // puts it between the two loads.
+  EXPECT_EQ(result.schedules_run, 4u);
+  EXPECT_EQ(torn, 1u);
+  EXPECT_GT(two_word_steps, 0u);
+}
+
 }  // namespace
 }  // namespace msq::sim

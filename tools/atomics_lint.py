@@ -2,7 +2,7 @@
 """Atomics-discipline lint for the C++ sources (CI-enforced).
 
 Weak-memory bugs are invisible to review unless every ordering decision is
-explicit and justified at the site.  Four rules, over .hpp/.cpp files:
+explicit and justified at the site.  Five rules, over .hpp/.cpp files:
 
 1. explicit-order: calls to atomic operations (std::atomic methods and the
    repo wrappers AtomicTagged/AtomicDoubleWord: load, store, exchange,
@@ -28,7 +28,8 @@ explicit and justified at the site.  Four rules, over .hpp/.cpp files:
    exempt.
 
 3. aligned-shared-atomics: a `std::atomic<...>`/`std::atomic_flag` member
-   or global declaration must be cache-line aligned -- `alignas(...)` on
+   or global declaration -- or a `port::Atomic<...>` one, the atomics seam
+   of port/atomic.hpp -- must be cache-line aligned -- `alignas(...)` on
    the declaration, a `port::CacheAligned` wrapper at the use site, or an
    explicit `// share-ok: <why>` waiver (e.g. node fields that are packed
    by design, or fields padded as a group) on the same line or one of the
@@ -36,6 +37,14 @@ explicit and justified at the site.  Four rules, over .hpp/.cpp files:
 
 4. no-volatile: `volatile` is banned -- it is not a synchronization
    primitive in C++.  Inline assembly (`asm volatile`) is exempt.
+
+5. mo-site-match: every `MSQ_MO("<site>", <order>)` (port/atomic.hpp: the
+   order of an access, labelled with its mutation-sweep row) must name an
+   MSQ_MO_SITE row of src/sim/mo_table.hpp whose `annotated` order is
+   <order> and whose kind matches the call it is passed to (load /
+   load_halves: kLoad; store: kStore; every read-modify-write: kRmw).  The
+   model build resolves the access through that row, so a header order
+   that drifted from its row would be swept under the wrong claim.
 
 Known limits (by design, this is a grep-class linter, not a parser):
 operator sugar on atomics (`++x`, `x = v`) and `atomic_flag::clear()` are
@@ -61,7 +70,7 @@ CALL_RE = re.compile(r"[.>](" + "|".join(ATOMIC_METHODS) + r")\s*\(")
 RELAXED_RE = re.compile(r"memory_order_relaxed|memory_order::relaxed")
 ATOMIC_DECL_RE = re.compile(
     r"^\s*(?:mutable\s+)?(?:static\s+)?(?:inline\s+)?(?:alignas\s*\([^)]*\)\s*)?"
-    r"(?:std::)?atomic(?:_flag\b|\s*<)")
+    r"(?:(?:std::)?atomic(?:_flag\b|\s*<)|(?:(?:::)?msq::)?(?:port::)?Atomic\s*<)")
 VOLATILE_RE = re.compile(r"\bvolatile\b")
 ASM_RE = re.compile(r"\basm\b|__asm__")
 ORDER_TOKEN_RE = re.compile(r"memory_order|[A-Za-z_]*order[A-Za-z_]*")
@@ -173,23 +182,33 @@ def repo_root():
     return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-_MO_SITES_CACHE = []
+MO_ROW_RE = re.compile(
+    r'MSQ_MO_SITE\("([^"]+)",\s*MoKind::k(\w+),\s*check::MemOrder::k(\w+)')
+_MO_ROWS_CACHE = []
 
 
-def mo_sweep_sites():
-    """Site names parsed from the MSQ_MO_SITE rows of sim/mo_table.hpp, or
-    None when the table is unreadable (validation is then skipped)."""
-    if not _MO_SITES_CACHE:
+def mo_rows():
+    """{site: (kind, annotated order)} parsed from the MSQ_MO_SITE rows of
+    sim/mo_table.hpp, or None when the table is unreadable (validation is
+    then skipped)."""
+    if not _MO_ROWS_CACHE:
         path = os.path.join(repo_root(), "src", "sim", "mo_table.hpp")
         try:
             with open(path, encoding="utf-8") as f:
                 text = f.read()
         except OSError:
-            _MO_SITES_CACHE.append(None)
+            _MO_ROWS_CACHE.append(None)
             return None
-        sites = set(re.findall(r'MSQ_MO_SITE\("([^"]+)"', text))
-        _MO_SITES_CACHE.append(sites or None)
-    return _MO_SITES_CACHE[0]
+        rows = {m.group(1): (m.group(2), m.group(3))
+                for m in MO_ROW_RE.finditer(text)}
+        _MO_ROWS_CACHE.append(rows or None)
+    return _MO_ROWS_CACHE[0]
+
+
+def mo_sweep_sites():
+    """Site names of the MSQ_MO_SITE rows, or None (see mo_rows)."""
+    rows = mo_rows()
+    return set(rows) if rows else None
 
 
 def check_relaxed_proof(path, lines, out):
@@ -247,6 +266,63 @@ def check_aligned_atomics(path, lines, out):
             "port::CacheAligned, or waive with `// share-ok: <why>`"))
 
 
+MO_CALL_RE = re.compile(
+    r'MSQ_MO\(\s*"([^"]*)"\s*,\s*(?:std::)?memory_order_(\w+)\s*\)')
+ORDER_NAMES = {"relaxed": "Relaxed", "consume": "Acquire", "acquire": "Acquire",
+               "release": "Release", "acq_rel": "AcqRel", "seq_cst": "SeqCst"}
+
+
+def enclosing_call(text, offset):
+    """Name of the call whose argument list contains `offset`, or None."""
+    depth = 0
+    for i in range(offset - 1, -1, -1):
+        c = text[i]
+        if c == ")":
+            depth += 1
+        elif c == "(":
+            if depth == 0:
+                m = re.search(r"([A-Za-z_][A-Za-z0-9_]*)\s*$", text[:i])
+                return m.group(1) if m else None
+            depth -= 1
+    return None
+
+
+def check_mo_sites(path, lines, out, rows=None):
+    rows = rows if rows is not None else mo_rows()
+    if rows is None:
+        return
+    text = "\n".join(strip_comment(l) for l in lines)
+    calls = len(re.findall(r"(?<!define )\bMSQ_MO\(", text))
+    if calls != len(MO_CALL_RE.findall(text)):
+        out.append(Violation(
+            path, 1, "mo-site-match",
+            "an MSQ_MO call without a literal site and memory_order_*"))
+    for m in MO_CALL_RE.finditer(text):
+        line_no = text.count("\n", 0, m.start()) + 1
+        site, order = m.group(1), m.group(2)
+        if site not in rows:
+            out.append(Violation(
+                path, line_no, "mo-site-match",
+                f"MSQ_MO site '{site}' is not an MSQ_MO_SITE row in "
+                f"src/sim/mo_table.hpp"))
+            continue
+        kind, annotated = rows[site]
+        if ORDER_NAMES.get(order) != annotated:
+            out.append(Violation(
+                path, line_no, "mo-site-match",
+                f"MSQ_MO('{site}') passes memory_order_{order}, but its row "
+                f"is annotated k{annotated}"))
+        method = enclosing_call(text, m.start())
+        want = ("Load" if method in ("load", "load_halves") else
+                "Store" if method == "store" else "Rmw")
+        if method in ATOMIC_METHODS + ("load_halves", "compare_exchange") \
+                and kind != want:
+            out.append(Violation(
+                path, line_no, "mo-site-match",
+                f"MSQ_MO('{site}') labels a {method}() ({want}), but its row "
+                f"is a k{kind}"))
+
+
 def check_no_volatile(path, lines, out):
     for i, line in enumerate(lines):
         code = strip_comment(line)
@@ -269,6 +345,7 @@ def lint_file(path):
     check_relaxed_proof(path, lines, out)
     check_aligned_atomics(path, lines, out)
     check_no_volatile(path, lines, out)
+    check_mo_sites(path, lines, out)
     return out
 
 
@@ -367,6 +444,37 @@ int f(Shared& s) { return s.hot.load(std::memory_order_acquire); }
     "no-volatile": """
 volatile int spin_flag = 0;
 """,
+    "aligned-shared-atomics (seam)": """
+#include "port/atomic.hpp"
+struct Shared {
+  msq::port::Atomic<int> hot{0};
+};
+""",
+}
+
+# Rule 5 fixtures, checked against a fixed two-row table.
+FIXTURE_ROWS = {"q.tail_faa": ("Rmw", "AcqRel"), "q.head_load": ("Load", "Acquire")}
+
+GOOD_MO_SNIPPET = """
+std::uint64_t f() {
+  head_.load(MSQ_MO("q.head_load", std::memory_order_acquire));
+  return tail_.fetch_add(1, MSQ_MO("q.tail_faa", std::memory_order_acq_rel));
+}
+"""
+
+BAD_MO_SNIPPETS = {
+    "unknown site": """
+int f() { return head_.load(MSQ_MO("q.no_such_site", std::memory_order_acquire)); }
+""",
+    "mismatched order": """
+int f() { return head_.load(MSQ_MO("q.head_load", std::memory_order_relaxed)); }
+""",
+    "mismatched kind": """
+void f() { head_.store(1, MSQ_MO("q.head_load", std::memory_order_acquire)); }
+""",
+    "non-literal order": """
+int f(std::memory_order o) { return head_.load(MSQ_MO("q.head_load", o)); }
+""",
 }
 
 
@@ -387,7 +495,8 @@ def self_test():
     if good:
         failures.append("clean snippet flagged: " +
                         "; ".join(str(v) for v in good))
-    for rule, snippet in BAD_SNIPPETS.items():
+    for name, snippet in BAD_SNIPPETS.items():
+        rule = name.split(" ")[0]
         got = lint_text(f"bad_{rule}.hpp", snippet)
         if not any(v.rule == rule for v in got):
             failures.append(f"seeded {rule} violation NOT detected")
@@ -408,11 +517,24 @@ def self_test():
         if unexpected:
             failures.append(f"bad proof snippet ({name}) also tripped: " +
                             "; ".join(str(v) for v in unexpected))
+    good_mo = []
+    check_mo_sites("good_mo.hpp", GOOD_MO_SNIPPET.splitlines(), good_mo,
+                   FIXTURE_ROWS)
+    if good_mo:
+        failures.append("clean MSQ_MO snippet flagged: " +
+                        "; ".join(str(v) for v in good_mo))
+    for name, snippet in BAD_MO_SNIPPETS.items():
+        got = []
+        check_mo_sites("bad_mo.hpp", snippet.splitlines(), got, FIXTURE_ROWS)
+        if not any(v.rule == "mo-site-match" for v in got):
+            failures.append(f"seeded mo-site-match violation ({name}) "
+                            f"NOT detected")
     for f in failures:
         print(f"self-test FAIL: {f}", file=sys.stderr)
     if not failures:
-        print("self-test ok: clean snippets pass, all 4 seeded rule "
-              "violations and all 3 seeded proof violations detected")
+        print("self-test ok: clean snippets pass, all 5 seeded rule "
+              "violations, all 3 seeded proof violations and all 4 seeded "
+              "MSQ_MO violations detected")
     return 1 if failures else 0
 
 
