@@ -18,6 +18,7 @@
 
 #include "mem/node_pool.hpp"
 #include "obs/counters.hpp"
+#include "port/atomic.hpp"
 #include "port/cpu.hpp"
 #include "tagged/atomic_tagged.hpp"
 
@@ -53,13 +54,17 @@ class FreeList {
   /// steps; a retry implies another thread completed a push or pop.
   [[nodiscard]] Target try_allocate() noexcept {
     for (;;) {
-      const Link top = top_.load(std::memory_order_acquire);
+      const Link top =
+          top_.load(MSQ_MO("fl.pop_top", std::memory_order_acquire));
       if (top.is_null()) {
         MSQ_COUNT(kPoolRefuse);
         return kNull;
       }
-      const Link next = pool_[top.target()].next.load(std::memory_order_acquire);
-      if (top_.compare_and_swap(top, top.successor(next.target()), std::memory_order_acq_rel)) {
+      const Link next = pool_[top.target()].next.load(
+          MSQ_MO("fl.pop_next", std::memory_order_acquire));
+      if (top_.compare_and_swap(
+              top, successor(top, next.target()),
+              MSQ_MO("fl.pop_cas", std::memory_order_acq_rel))) {
         MSQ_COUNT(kPoolGet);
         MSQ_POOL_GAUGE(1);
         return top.target();
@@ -88,7 +93,7 @@ class FreeList {
         out[n++] = it.target();
         it = pool_[it.target()].next.load(std::memory_order_acquire);
       }
-      if (top_.compare_and_swap(top, top.successor(it.target()), std::memory_order_acq_rel)) {
+      if (top_.compare_and_swap(top, successor(top, it.target()), std::memory_order_acq_rel)) {
         MSQ_COUNT_N(kPoolGet, n);
         MSQ_POOL_GAUGE(n);
         return n;
@@ -125,7 +130,7 @@ class FreeList {
     for (;;) {
       const Link top = top_.load(std::memory_order_acquire);
       pool_[tail].next.store(Link(top.target(), count), std::memory_order_release);
-      if (top_.compare_and_swap(top, top.successor(head), std::memory_order_acq_rel)) return;
+      if (top_.compare_and_swap(top, successor(top, head), std::memory_order_acq_rel)) return;
       MSQ_COUNT(kPoolCasRetry);
     }
   }
@@ -155,10 +160,23 @@ class FreeList {
       const Link top = top_.load(std::memory_order_acquire);
       // Link the node above the current top.  The node is private to us
       // here, so a plain store is enough.
-      pool_[node].next.store(Link(top.target(), count), std::memory_order_release);
-      if (top_.compare_and_swap(top, top.successor(node), std::memory_order_acq_rel)) return;
+      pool_[node].next.store(Link(top.target(), count),
+                             MSQ_MO("fl.push_link", std::memory_order_release));
+      if (top_.compare_and_swap(
+              top, successor(top, node),
+              MSQ_MO("fl.push_cas", std::memory_order_acq_rel))) {
+        return;
+      }
       MSQ_COUNT(kPoolCasRetry);
     }
+  }
+
+  /// The top a CAS over `top` installs: `target`, counted one past top.
+  /// The "fl.no_count" control keeps top's count, making the top a bare
+  /// pointer, which ABA corrupts (paper section 1; tests/sim_aba_test.cpp).
+  static Link successor(Link top, Target target) noexcept {
+    return MSQ_MUTANT("fl.no_count") ? Link(target, top.count())
+                                     : top.successor(target);
   }
 
   NodePool<Node>& pool_;

@@ -38,6 +38,60 @@ thread_local Engine* t_newest = nullptr;
 /// included.
 constexpr std::size_t kFiberStack = 256 * 1024;
 
+/// `op`'s effect on `memory` (a kWork has none): its result in out[0], a
+/// kCas2's old high word in out[1].  True iff it wrote (a failed CAS does
+/// not).
+bool apply(SimMemory& memory, const PendingOp& op, std::uint64_t* out) {
+  out[0] = 0;
+  if (op.kind == OpKind::kWork) return false;
+  std::uint64_t& w = memory.word(op.addr);
+  switch (op.kind) {
+    case OpKind::kRead:
+      out[0] = w;
+      return false;
+    case OpKind::kWrite:
+      w = op.operand_a;
+      return true;
+    case OpKind::kCas:
+      out[0] = w;  // old value; success iff old == expected
+      if (w != op.operand_a) return false;
+      w = op.operand_b;
+      return true;
+    case OpKind::kFaa:
+      out[0] = w;
+      w += op.operand_a;
+      return true;
+    case OpKind::kSwap:
+      out[0] = w;
+      w = op.operand_a;
+      return true;
+    case OpKind::kAnd:
+      out[0] = w;
+      w &= op.operand_a;
+      return true;
+    case OpKind::kCas2: {
+      std::uint64_t& hi = memory.word(op.addr + 1);
+      out[0] = w;
+      out[1] = hi;
+      if (w != op.operand_a || hi != op.operand_b) return false;
+      w = op.operand_c;
+      hi = op.operand_d;
+      return true;
+    }
+    case OpKind::kWork:
+      break;
+  }
+  return false;
+}
+
+/// Every process of `e` done or crashed: nothing can step any more.
+[[maybe_unused]] bool settled(const Engine& e) {
+  for (std::uint32_t i = 0; i < e.process_count(); ++i) {
+    if (!e.done(i) && !e.is_crashed(i)) return false;
+  }
+  return true;
+}
+
 MemOrder to_mem_order(std::memory_order o) noexcept {
   switch (o) {
     // relaxed: a translation of the access's declared order, not an access
@@ -242,8 +296,10 @@ void probe(const char* site) noexcept {
 }
 
 bool mutant(const char* name) noexcept {
-  if (t_running == nullptr) return false;
-  const char* armed = t_running->engine().config().mutant;
+  const Engine* engine =
+      t_running != nullptr ? &t_running->engine() : t_newest;
+  if (engine == nullptr) return false;
+  const char* armed = engine->config().mutant;
   return armed != nullptr && std::strcmp(armed, name) == 0;
 }
 
@@ -258,7 +314,16 @@ Addr alloc(std::span<const std::uint64_t> initial) {
 }
 
 std::uint64_t access(PendingOp op, const Site& site, std::uint64_t* high) {
-  assert(t_running != nullptr && "a model word accessed off a fiber");
+  if (t_running == nullptr) {
+    // The test's own code: a world's setup or its end-state check.
+    assert(t_newest != nullptr && "a model word needs a live sim::Engine");
+    assert((t_newest->total_steps() == 0 || settled(*t_newest)) &&
+           "a model word accessed off a fiber mid-run");
+    std::array<std::uint64_t, 2> result{};
+    (void)apply(t_newest->memory(), op, result.data());
+    if (high != nullptr) *high = result[1];
+    return result[0];
+  }
   Proc& p = *t_running;
   op.order = to_mem_order(site.order);
   if (*site.name != '\0') {
@@ -304,9 +369,6 @@ void Engine::submit(std::uint32_t id, const PendingOp& op,
 void Engine::execute(std::uint32_t id, const PendingOp& op,
                      std::uint64_t* out) {
   Process& p = process(id);
-  double cost = 0;
-  std::uint64_t result = 0;
-  bool wrote = false;  // did the op mutate the word (failed CAS does not)
   const std::uint32_t processor = p.processor;
 
   if (config_.weak_memory) {
@@ -342,73 +404,29 @@ void Engine::execute(std::uint32_t id, const PendingOp& op,
     assert(!needs_drain(op) || p.store_buffer.empty());
   }
 
+  const bool wrote = apply(memory_, op, out);
+  double cost = 0;
   switch (op.kind) {
     case OpKind::kRead:
       cost = cost_model_.on_read(processor, op.addr);
-      result = memory_.word(op.addr);
       break;
     case OpKind::kWrite:
       cost = cost_model_.on_write(processor, op.addr, /*rmw=*/false);
-      memory_.word(op.addr) = op.operand_a;
-      wrote = true;
       break;
-    case OpKind::kCas: {
-      cost = cost_model_.on_write(processor, op.addr, /*rmw=*/true);
-      std::uint64_t& w = memory_.word(op.addr);
-      result = w;  // old value; success iff old == expected
+    case OpKind::kWork:
+      cost = cost_model_.on_work(op.work_cost);
+      break;
+    case OpKind::kCas:
+    case OpKind::kCas2:
       // Every simulated CAS funnels through here, so this one site gives
       // deterministic attempt/failure counts for the whole sim sweep.
       MSQ_COUNT(kCasAttempt);
-      if (w == op.operand_a) {
-        w = op.operand_b;
-        wrote = true;
-      } else {
-        MSQ_COUNT(kCasFail);
-      }
-      break;
-    }
-    case OpKind::kFaa: {
+      if (!wrote) MSQ_COUNT(kCasFail);
+      [[fallthrough]];
+    case OpKind::kFaa:
+    case OpKind::kSwap:
+    case OpKind::kAnd:
       cost = cost_model_.on_write(processor, op.addr, /*rmw=*/true);
-      std::uint64_t& w = memory_.word(op.addr);
-      result = w;
-      w += op.operand_a;
-      wrote = true;
-      break;
-    }
-    case OpKind::kSwap: {
-      cost = cost_model_.on_write(processor, op.addr, /*rmw=*/true);
-      std::uint64_t& w = memory_.word(op.addr);
-      result = w;
-      w = op.operand_a;
-      wrote = true;
-      break;
-    }
-    case OpKind::kAnd: {
-      cost = cost_model_.on_write(processor, op.addr, /*rmw=*/true);
-      std::uint64_t& w = memory_.word(op.addr);
-      result = w;
-      w &= op.operand_a;
-      wrote = true;
-      break;
-    }
-    case OpKind::kCas2: {
-      cost = cost_model_.on_write(processor, op.addr, /*rmw=*/true);
-      std::uint64_t& lo = memory_.word(op.addr);
-      std::uint64_t& hi = memory_.word(op.addr + 1);
-      result = lo;
-      out[1] = hi;
-      MSQ_COUNT(kCasAttempt);
-      if (lo == op.operand_a && hi == op.operand_b) {
-        lo = op.operand_c;
-        hi = op.operand_d;
-        wrote = true;
-      } else {
-        MSQ_COUNT(kCasFail);
-      }
-      break;
-    }
-    case OpKind::kWork:
-      cost = cost_model_.on_work(op.work_cost);
       break;
   }
   if (op.kind != OpKind::kWork) {
@@ -427,7 +445,6 @@ void Engine::execute(std::uint32_t id, const PendingOp& op,
   }
   p.last_step_cost = cost;
   ++steps_;
-  out[0] = result;
 }
 
 void Engine::flush_oldest(std::uint32_t id) {

@@ -127,7 +127,8 @@ inline constexpr MoSite kMoSites[] = {
                 "push CAS, and head readers revalidate at D5, so the sweep "
                 "proves no single weakening here observable"),
 
-    // --- Treiber free list (sim/sim_freelist.hpp; real: mem/freelist.hpp)
+    // --- Treiber free list (sim/sim_freelist.hpp; mem/freelist.hpp labels
+    // its pop and push with these rows, which tests/sim_aba_test.cpp runs)
     MSQ_MO_SITE("fl.pop_top", MoKind::kLoad, check::MemOrder::kAcquire,
                 false, false, true, false,
                 "acquire is belt-and-braces: pop_cas's acquire side covers "

@@ -8,14 +8,22 @@
 // the coroutine models' constructors).  Each operation on it is one step
 // of the fiber process that runs it (Engine::spawn_fiber):
 //
-//   load -> kRead   store -> kWrite   fetch_add/fetch_sub -> kFaa
-//   fetch_and -> kAnd   compare_exchange_weak -> kCas
+//   load -> kRead   store -> kWrite   exchange -> kSwap
+//   fetch_add/fetch_sub -> kFaa   fetch_and -> kAnd
+//   compare_exchange_weak/strong -> kCas
 //
 // and AtomicDoubleWord's 16-byte CAS is one kCas2 over its two words.  The
 // order is the call's own, or the engine's MoTable override of its site;
 // the site name becomes the process label, so a race report names it.  A
 // weak compare-exchange never fails spuriously: that would only add
 // schedules that repeat an existing one.
+//
+// An operation made off every fiber -- the test's own code calling the
+// header -- applies raw to the newest engine's memory and takes no step
+// (and its MSQ_MUTANT hooks read that engine's mutant).  It may run only before that engine's first step or once every process
+// is done or crashed (it asserts otherwise), so a world is set up, and its
+// end state checked, by the header's own calls rather than by writing its
+// words by hand.
 //
 // The runtime below is compiled into every build (sim/engine.cpp); only
 // the MSQ_MODEL=1 build points port::Atomic at it.
@@ -48,11 +56,13 @@ struct Site {
 // The runtime (sim/engine.cpp).
 std::uint32_t fiber_ordinal() noexcept;
 void probe(const char* site) noexcept;
-/// Is `name` the mutant the running fiber's engine was configured with?
+/// Is `name` the mutant the running fiber's engine (off every fiber: the
+/// newest engine) was configured with?
 bool mutant(const char* name) noexcept;
 /// Fresh words of the newest engine's memory, holding `initial`.
 Addr alloc(std::span<const std::uint64_t> initial);
-/// `op` as the running fiber's next step, its order taken from `site`.
+/// `op` as the running fiber's next step, its order taken from `site`; off
+/// every fiber, `op` applied raw to the newest engine's memory.
 std::uint64_t access(PendingOp op, const Site& site,
                      std::uint64_t* high = nullptr);
 
@@ -79,13 +89,19 @@ class AtomicRef {
   T fetch_and(T mask, Site s) const {
     return from(access({OpKind::kAnd, addr_, to(mask)}, s));
   }
-  bool compare_exchange_weak(T& expected, T desired, Site s,
-                             std::memory_order /*failure*/) const {
+  T exchange(T v, Site s) const {
+    return from(access({OpKind::kSwap, addr_, to(v)}, s));
+  }
+  bool compare_exchange_strong(T& expected, T desired, Site s) const {
     const std::uint64_t old =
         access({OpKind::kCas, addr_, to(expected), to(desired)}, s);
     if (old == to(expected)) return true;
     expected = from(old);
     return false;
+  }
+  bool compare_exchange_weak(T& expected, T desired, Site s,
+                             std::memory_order /*failure*/) const {
+    return compare_exchange_strong(expected, desired, s);
   }
 
   [[nodiscard]] Addr addr() const noexcept { return addr_; }

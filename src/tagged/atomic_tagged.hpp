@@ -1,4 +1,5 @@
-// Atomic cell holding a TaggedIndex, wrapping std::atomic<uint64_t>.
+// Atomic cell holding a TaggedIndex: one 64-bit word, std::atomic<uint64_t>
+// in normal builds.
 //
 // The read/CAS discipline mirrors the paper's pseudo-code: loads return the
 // (index, count) pair read atomically in one word ("Read Tail.ptr and
@@ -7,27 +8,18 @@
 // No defaulted memory orders: every call site spells out the ordering it
 // relies on, so the compiler enforces the same discipline that
 // tools/atomics_lint.py checks textually.
+//
+// The word is a port::Atomic (port/atomic.hpp): in the model build
+// (MSQ_MODEL=1) it is one simulated word, and each call is one
+// sim::Engine step.
 #pragma once
 
-#include <atomic>
+#include <cstdint>
 
+#include "port/atomic.hpp"
 #include "tagged/tagged_index.hpp"
 
 namespace msq::tagged {
-
-/// The failure ordering a CAS is entitled to, given its success ordering
-/// (C++17 dropped the "failure no stronger than success" rule, but keeping
-/// the derivation explicit documents what the failed path may assume).
-[[nodiscard]] constexpr std::memory_order cas_failure_order(
-    std::memory_order success) noexcept {
-  switch (success) {
-    case std::memory_order_seq_cst: return std::memory_order_seq_cst;
-    case std::memory_order_acq_rel:
-    case std::memory_order_acquire: return std::memory_order_acquire;
-    // relaxed: a relaxed/release-success CAS promises nothing on failure
-    default:                        return std::memory_order_relaxed;
-  }
-}
 
 class AtomicTagged {
  public:
@@ -38,38 +30,39 @@ class AtomicTagged {
   AtomicTagged(const AtomicTagged&) = delete;
   AtomicTagged& operator=(const AtomicTagged&) = delete;
 
-  [[nodiscard]] TaggedIndex load(std::memory_order order) const noexcept {
+  [[nodiscard]] TaggedIndex load(port::MemoryOrder order) const noexcept {
     return TaggedIndex::from_bits(bits_.load(order));
   }
 
-  void store(TaggedIndex value, std::memory_order order) noexcept {
+  void store(TaggedIndex value, port::MemoryOrder order) noexcept {
     bits_.store(value.bits(), order);
   }
 
   /// Unconditional swap (fetch_and_store); returns the previous value.
   /// Used by the Mellor-Crummey queue's tail claim, which by construction
   /// needs no counter discipline (the swap cannot spuriously succeed).
-  TaggedIndex exchange(TaggedIndex desired, std::memory_order order) noexcept {
+  TaggedIndex exchange(TaggedIndex desired, port::MemoryOrder order) noexcept {
     return TaggedIndex::from_bits(bits_.exchange(desired.bits(), order));
   }
 
   /// Single-word CAS over the packed (index, count) pair.  `order` is the
-  /// success ordering; the failure ordering is derived (acquire for
-  /// acquire-class successes, so a failed linearizing CAS still observes
-  /// the winner's published state before retrying).
+  /// success ordering; the failure ordering is the standard's derivation
+  /// (acquire for acq_rel, so a failed linearizing CAS still observes the
+  /// winner's published state before retrying).
   bool compare_and_swap(TaggedIndex expected, TaggedIndex desired,
-                        std::memory_order order) noexcept {
+                        port::MemoryOrder order) noexcept {
     std::uint64_t exp = expected.bits();
-    return bits_.compare_exchange_strong(exp, desired.bits(), order,
-                                         cas_failure_order(order));
+    return bits_.compare_exchange_strong(exp, desired.bits(), order);
   }
 
  private:
   // share-ok: single-word cell; callers place it (CacheAligned for queue
   // ends, packed inside Node where count+link must share one CAS word).
-  std::atomic<std::uint64_t> bits_{TaggedIndex{}.bits()};
+  port::Atomic<std::uint64_t> bits_{TaggedIndex{}.bits()};
 };
 
+#if !MSQ_MODEL
 static_assert(sizeof(AtomicTagged) == 8);
+#endif
 
 }  // namespace msq::tagged

@@ -1,11 +1,12 @@
 // Proof that the atomics seam (port/atomic.hpp) costs nothing in a normal
 // build: every name it adds compiles to the plain C++ one, so a header
-// written against it -- queues/scq_queue.hpp -- has the code and the layout
-// it had before.  The proofs are static_asserts, checked by the compiler;
-// the model build (MSQ_MODEL=1) is the only one where they would fail.
-// The instruction-level check is manual: `objdump -d` of bench/micro_ops'
-// ScqQueue<std::uint64_t> functions (docs/ALGORITHMS.md, "Checking a real
-// header").
+// written against it -- queues/scq_queue.hpp, tagged/atomic_tagged.hpp and
+// so mem/freelist.hpp -- has the code and the layout it had before.  The
+// proofs are static_asserts, checked by the compiler; the model build
+// (MSQ_MODEL=1) is the only one where they would fail.  The
+// instruction-level check is manual: `objdump -d` of bench/micro_ops'
+// MsQueue, SegmentQueue, ScqQueue, FreeList and MagazineAllocator
+// functions (docs/ALGORITHMS.md, "Checking a real header").
 #include <atomic>
 #include <cstdint>
 #include <type_traits>
@@ -14,6 +15,7 @@
 
 #include "port/atomic.hpp"
 #include "queues/scq_queue.hpp"
+#include "tagged/atomic_tagged.hpp"
 
 static_assert(MSQ_MODEL == 0, "this test checks the normal build");
 
@@ -50,6 +52,15 @@ static_assert(sizeof(msq::queues::ScqQueue<std::uint64_t>) == 1344);
 static_assert(alignof(msq::queues::ScqQueue<std::uint64_t>) == 64);
 static_assert(sizeof(msq::tagged::AtomicDoubleWord<
                      msq::tagged::CountedPtr<int>>) == 16);
+
+// AtomicTagged -- every counted index link: MsQueue's Head, Tail and node
+// links, FreeList's top -- is one std::atomic<std::uint64_t>, as before.
+struct OneAtomicWord {
+  std::atomic<std::uint64_t> bits;  // share-ok: a layout probe, never shared
+};
+static_assert(sizeof(msq::tagged::AtomicTagged) == 8);
+static_assert(std::is_layout_compatible_v<msq::tagged::AtomicTagged,
+                                          OneAtomicWord>);
 
 namespace msq {
 namespace {

@@ -11,7 +11,8 @@
 //  2. Simulator crash-step sweep (src/fault/crash_sweep.hpp): a victim is
 //     crash-stopped after EVERY reachable shared-memory step of one
 //     enqueue and one dequeue; survivors must keep completing operations
-//     (MS, PLJ, Valois, Treiber) with all structural invariants intact,
+//     (MS, PLJ, Valois; the free list's sweep is tests/sim_aba_test.cpp)
+//     with all structural invariants intact,
 //     while the lock-based algorithms (single-lock, two-lock, MC) wedge in
 //     exactly -- and only -- the lock-held / mid-link band of crash steps.
 //  3. Real threads: FaultPlan halts a victim thread at the matching
@@ -25,7 +26,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -39,7 +39,6 @@
 #include "sim/engine.hpp"
 #include "sim/queue_iface.hpp"
 #include "sim/workload.hpp"
-#include "tiny_stack_sim.hpp"
 
 namespace msq {
 namespace {
@@ -331,75 +330,6 @@ TEST(LockBasedCrashDirected, McVictimDeadMidLinkWedgesDequeuersWithoutEmpty) {
   EXPECT_EQ(deq.empty, 0u)
       << "a crashed mid-link enqueuer must read as 'wait', never as 'empty'";
   queue->check_invariants();
-}
-
-// --- Treiber stack: crash-swept directly against the engine ---------------
-
-sim::Task<void> stack_preload(sim::Proc& p,
-                              sim::testing::TinyStack<true>& stack) {
-  co_await stack.push(p, 1);
-  co_await stack.push(p, 2);
-  co_await stack.push(p, 3);
-}
-
-/// Pop a node, push it back, forever: each survivor only ever republishes
-/// nodes it owns (just popped), so no node is ever in the stack twice.
-sim::Task<void> stack_churn(sim::Proc& p, sim::testing::TinyStack<true>& stack,
-                            std::uint64_t& ops) {
-  for (;;) {
-    const std::uint64_t got = co_await stack.pop(p);
-    if (got == sim::testing::kNullNode) continue;
-    ++ops;
-    co_await stack.push(p, got);
-    ++ops;
-  }
-}
-
-TEST(TreiberCrashSweep, SurvivorsCompleteAtEveryCrashStepOfAPush) {
-  // Measure an uncrashed push first.
-  std::uint64_t push_steps = 0;
-  {
-    sim::Engine engine;
-    sim::testing::TinyStack<true> stack(engine, 8);
-    const auto victim =
-        engine.spawn(0, [&](sim::Proc& p) { return stack.push(p, 0); });
-    while (engine.step(victim)) ++push_steps;
-    ASSERT_GT(push_steps, 0u);
-  }
-
-  for (std::uint64_t k = 0; k < push_steps; ++k) {
-    std::uint64_t survivor_ops = 0;  // before the engine: outlives coroutines
-    sim::Engine engine;
-    sim::testing::TinyStack<true> stack(engine, 8);
-    // Preload nodes 1..3 so survivors always have something to pop.
-    {
-      const auto id =
-          engine.spawn(0, [&](sim::Proc& p) { return stack_preload(p, stack); });
-      while (engine.step(id)) {
-      }
-    }
-    const auto victim =
-        engine.spawn(0, [&](sim::Proc& p) { return stack.push(p, 0); });
-    for (std::uint64_t s = 0; s < k; ++s) engine.step(victim);
-    ASSERT_FALSE(engine.done(victim));
-    engine.crash(victim);
-
-    for (int s = 0; s < 2; ++s) {
-      engine.spawn(
-          0, [&](sim::Proc& p) { return stack_churn(p, stack, survivor_ops); });
-    }
-    for (std::uint64_t i = 0; i < 6'000; ++i) {
-      if (!engine.step_random()) break;
-    }
-    EXPECT_GT(survivor_ops, 50u)
-        << "survivors wedged after victim crashed at push step " << k;
-
-    // Structural sanity: the stack is acyclic and holds no duplicates.
-    const auto snapshot = stack.snapshot(engine);
-    EXPECT_LT(snapshot.size(), 8u) << "cycle reachable from Top";
-    const std::set<std::uint64_t> unique(snapshot.begin(), snapshot.end());
-    EXPECT_EQ(unique.size(), snapshot.size()) << "duplicate node in stack";
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 // What the model-build SCQ tests share (MSQ_MODEL=1): ScqInspector, the
-// raw reads of an ScqQueue's simulated words for assertions and the
-// construction-time writes that set up a DPOR world, none of which takes a
-// step or costs simulated time (ScqQueue names it as its one friend, so the
-// header's public API stays what the library's users see); and a few
-// helpers for driving fiber worlds.
+// raw reads of an ScqQueue's simulated words for assertions and the two
+// setup writes no call can make before a world's first step (a credit
+// parked in another thread's slot, a budget already spent), none of which
+// takes a step or costs simulated time (ScqQueue names it as its one
+// friend, so the header's public API stays what the library's users see);
+// and a few helpers for driving fiber worlds.  A world's items go in
+// through try_enqueue itself, called off every fiber before the first
+// step (sim/model.hpp).
 #pragma once
 
 #include <cstdint>
@@ -49,7 +52,7 @@ struct ScqInspector {
   }
 
   /// Slot overflows moved to the depot so far: the depot's version, which
-  /// only a spill bumps (prefill and park_credit take from its count).
+  /// only a spill bumps (takes and park_credit change only its count).
   template <typename T>
   static std::uint32_t peek_spills(const sim::Engine& e,
                                    const ScqQueue<T>& q) {
@@ -95,20 +98,6 @@ struct ScqInspector {
                             std::int64_t misses = 0) {
     e.memory().word(q.threshold_.addr()) =
         static_cast<std::uint64_t>(q.threshold_init_ - misses);
-  }
-
-  /// Deposit `v` at the next tail ticket as a completed enqueue would,
-  /// spending a depot credit and re-arming the budget.
-  template <typename T>
-  static void prefill(sim::Engine& e, const ScqQueue<T>& q, T v) {
-    sim::SimMemory& mem = e.memory();
-    const std::uint64_t t = mem.word(q.tail_.addr());
-    const auto& cell = q.entries_[q.remap(t)];
-    mem.word(cell.word(0).addr()) = q.make_meta(q.ticket_cycle(t), true, true);
-    mem.word(cell.word(1).addr()) = q.to_word(v);
-    mem.word(q.tail_.addr()) = t + 1;
-    mem.word(q.depot_.addr()) -= 1;
-    arm_threshold(e, q);
   }
 
   /// Move one depot credit into slot `slot`, as a dequeue on a thread that

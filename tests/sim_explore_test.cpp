@@ -2,17 +2,14 @@
 // races and properties checked over EVERY schedule with at most two forced
 // context switches, not just random ones.
 //
-// Headline assertions:
-//  * the bare-pointer Treiber stack's ABA corruption IS found by systematic
-//    search (some schedule produces a corrupt final state);
-//  * with modification counters, NO schedule in the same space corrupts it;
-//  * the simulated MS queue keeps its structural invariants and exact
-//    linearizability on every explored schedule.
+// Headline assertion: the simulated MS queue keeps its structural
+// invariants and exact linearizability on every explored schedule.  (The
+// free list's ABA search runs on the shipped header under DPOR:
+// tests/sim_aba_test.cpp.)
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "check/history.hpp"
@@ -23,116 +20,9 @@
 #include "sim/ms_queue_sim.hpp"
 #include "sim/queue_iface.hpp"
 #include "sim/workload.hpp"
-#include "tests/tiny_stack_sim.hpp"
 
 namespace msq::sim {
 namespace {
-
-using testing::kNullNode;
-using testing::TinyStack;
-
-// --- ABA search over the stack ----------------------------------------------
-
-template <bool Counted>
-Task<void> single_pop(Proc& p, TinyStack<Counted>& stack, std::uint64_t& out) {
-  out = co_await stack.pop(p);
-}
-
-template <bool Counted>
-Task<void> aba_mutator(Proc& p, TinyStack<Counted>& stack,
-                       std::uint64_t& first, std::uint64_t& second,
-                       bool& pushed_back) {
-  first = co_await stack.pop(p);
-  second = co_await stack.pop(p);
-  if (first != kNullNode) {
-    co_await stack.push(p, first);  // the second "A" of A-B-A
-    pushed_back = true;
-  }
-}
-
-/// World rebuilt for every schedule: Top -> A(0) -> B(1); P0 pops once, P1
-/// pops twice and re-pushes its first pop.
-template <bool Counted>
-struct StackWorld {
-  Engine engine;
-  TinyStack<Counted> stack{engine, 4};
-  std::uint64_t p0_pop = kNullNode;
-  std::uint64_t p1_first = kNullNode;
-  std::uint64_t p1_second = kNullNode;
-  bool pushed_back = false;
-
-  StackWorld() {
-    SimMemory& mem = engine.memory();
-    mem.word(stack.next_addr(1)) = TinyStack<Counted>::encode(kNullNode, 0);
-    mem.word(stack.next_addr(0)) = TinyStack<Counted>::encode(1, 0);
-    mem.word(top_addr()) = TinyStack<Counted>::encode(0, 7);
-    engine.spawn(0, [this](Proc& p) {
-      return single_pop<Counted>(p, stack, p0_pop);
-    });
-    engine.spawn(0, [this](Proc& p) {
-      return aba_mutator<Counted>(p, stack, p1_first, p1_second, pushed_back);
-    });
-  }
-
-  [[nodiscard]] Addr top_addr() const {
-    // TinyStack lays out capacity node words then the top word.
-    return stack.next_addr(4);
-  }
-
-  /// Corruption oracle via ownership accounting: the final stack must not
-  /// contain duplicates, nor any node a process ended up owning (a pop
-  /// result that was never pushed back).
-  [[nodiscard]] bool corrupt() const {
-    const auto nodes = stack.snapshot(engine);
-    std::multiset<std::uint64_t> occurrences(nodes.begin(), nodes.end());
-    for (const std::uint64_t n : nodes) {
-      if (occurrences.count(n) > 1) return true;
-    }
-    std::set<std::uint64_t> owned;
-    if (p0_pop != kNullNode) owned.insert(p0_pop);
-    if (p1_second != kNullNode) owned.insert(p1_second);
-    if (p1_first != kNullNode && !pushed_back) owned.insert(p1_first);
-    for (const std::uint64_t n : nodes) {
-      if (owned.contains(n)) return true;
-    }
-    return false;
-  }
-};
-
-template <bool Counted>
-std::uint64_t count_corrupt_schedules() {
-  std::uint64_t corrupt = 0;
-  std::unique_ptr<StackWorld<Counted>> world;
-  ExploreConfig config;
-  config.max_preemptions = 2;
-  config.max_steps_per_run = 5'000;
-  const ExploreResult result = explore_schedules(
-      config, /*process_count=*/2,
-      [&]() -> Engine& {
-        world = std::make_unique<StackWorld<Counted>>();
-        return world->engine;
-      },
-      /*on_step=*/nullptr,
-      [&](Engine&) { corrupt += world->corrupt() ? 1 : 0; });
-  EXPECT_FALSE(result.budget_exhausted);
-  // Degenerate preemption placements (those matching the round-robin
-  // choice) are skipped, not run; the covered space is run + skipped.
-  EXPECT_GT(result.schedules_run + result.schedules_skipped, 100u)
-      << "schedule space suspiciously small";
-  EXPECT_GT(result.schedules_skipped, 0u)
-      << "skip optimization should prune some degenerate placements";
-  return corrupt;
-}
-
-TEST(ExploreAba, SystematicSearchFindsBarePointerCorruption) {
-  EXPECT_GT(count_corrupt_schedules<false>(), 0u)
-      << "<=2-preemption search failed to find the classic ABA race";
-}
-
-TEST(ExploreAba, CountedPointersSurviveTheWholeScheduleSpace) {
-  EXPECT_EQ(count_corrupt_schedules<true>(), 0u)
-      << "a schedule corrupted the counted-pointer stack";
-}
 
 // --- MS queue over the schedule space ----------------------------------------
 

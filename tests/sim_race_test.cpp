@@ -11,33 +11,25 @@
 //  * the simulated MS and two-lock queues report ZERO races across a full
 //    DPOR sweep under their declared edges (SyncModel::kFull, modelling the
 //    seq_cst pseudo-code), while the naive no-edges model (SyncModel::kNone)
-//    flags the Valois and single-lock queues immediately;
-//  * DPOR reaches exactly the brute-force set of distinct terminal states
-//    with strictly fewer schedules (the reduction ratio is asserted > 1 and
-//    logged).
+//    flags the Valois and single-lock queues immediately.
+// (DPOR against brute force, on the shipped free list: tests/sim_aba_test.cpp.)
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <iostream>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "check/race.hpp"
 #include "sim/engine.hpp"
 #include "sim/explore.hpp"
 #include "sim/queue_iface.hpp"
 #include "sim/workload.hpp"
-#include "tests/tiny_stack_sim.hpp"
 
 namespace msq::sim {
 namespace {
 
 using check::SyncModel;
-using testing::kNullNode;
-using testing::TinyStack;
 
 [[nodiscard]] EngineConfig race_config(SyncModel model) {
   EngineConfig config;
@@ -221,106 +213,6 @@ TEST(RaceDetect, NaiveModeFlagsValoisAndSingleLockQueues) {
     EXPECT_GT(world.engine.races().observed(), 0u)
         << algo_name(algo) << ": naive mode flagged nothing";
   }
-}
-
-// --- DPOR vs brute force ----------------------------------------------------
-
-/// Two poppers racing on a counted Treiber stack holding [A=0, B=1]: small
-/// enough to enumerate EVERY interleaving, contended enough that schedules
-/// genuinely differ (who gets A, who gets B, who retries).
-struct PopRaceWorld {
-  Engine engine;
-  TinyStack<true> stack{engine, 4};
-  std::uint64_t p0 = kNullNode;
-  std::uint64_t p1 = kNullNode;
-
-  PopRaceWorld() {
-    SimMemory& mem = engine.memory();
-    mem.word(stack.next_addr(1)) = TinyStack<true>::encode(kNullNode, 0);
-    mem.word(stack.next_addr(0)) = TinyStack<true>::encode(1, 0);
-    mem.word(stack.next_addr(4)) = TinyStack<true>::encode(0, 7);  // top
-    engine.spawn(0, [this](Proc& p) { return pop_into(p, p0); });
-    engine.spawn(0, [this](Proc& p) { return pop_into(p, p1); });
-  }
-
-  Task<void> pop_into(Proc& p, std::uint64_t& out) {
-    out = co_await stack.pop(p);
-  }
-
-  [[nodiscard]] std::string terminal() const {
-    std::string s = std::to_string(p0) + "/" + std::to_string(p1) + ":";
-    for (const std::uint64_t n : stack.snapshot(engine)) {
-      s += std::to_string(n) + ",";
-    }
-    return s;
-  }
-};
-
-/// Exhaustive DFS over every scheduling choice, by replay.  Complete
-/// schedule count lands in `schedules`, terminal states in `states`.
-void brute_force_terminals(std::set<std::string>& states,
-                           std::uint64_t& schedules) {
-  std::vector<std::vector<std::uint32_t>> options;  // enabled procs per depth
-  std::vector<std::size_t> pick;                    // chosen index per depth
-  schedules = 0;
-  for (;;) {
-    PopRaceWorld world;
-    Engine& engine = world.engine;
-    for (std::size_t d = 0; d < pick.size(); ++d) {
-      engine.step(options[d][pick[d]]);
-    }
-    for (;;) {  // extend with first-enabled until everything finishes
-      std::vector<std::uint32_t> enabled;
-      for (std::uint32_t q = 0; q < engine.process_count(); ++q) {
-        if (!engine.done(q)) enabled.push_back(q);
-      }
-      if (enabled.empty()) break;
-      ASSERT_LT(options.size(), 64u) << "brute-force runaway";  // safety net
-      options.push_back(enabled);
-      pick.push_back(0);
-      engine.step(enabled[0]);
-    }
-    ++schedules;
-    states.insert(world.terminal());
-    while (!pick.empty()) {  // backtrack to the deepest untried choice
-      if (++pick.back() < options.back().size()) break;
-      pick.pop_back();
-      options.pop_back();
-    }
-    if (pick.empty()) break;
-  }
-}
-
-TEST(Dpor, CoversEveryBruteForceTerminalStateWithFewerSchedules) {
-  std::set<std::string> brute_states;
-  std::uint64_t brute_schedules = 0;
-  brute_force_terminals(brute_states, brute_schedules);
-  ASSERT_GT(brute_schedules, 0u);
-  ASSERT_FALSE(brute_states.empty());
-
-  std::set<std::string> dpor_states;
-  std::unique_ptr<PopRaceWorld> world;
-  const DporResult result = explore_dpor(
-      DporConfig{}, /*process_count=*/2,
-      [&]() -> Engine& {
-        world = std::make_unique<PopRaceWorld>();
-        return world->engine;
-      },
-      /*on_step=*/nullptr,
-      [&](Engine&) { dpor_states.insert(world->terminal()); });
-
-  EXPECT_FALSE(result.budget_exhausted);
-  EXPECT_EQ(dpor_states, brute_states)
-      << "DPOR missed (or invented) a reachable terminal state";
-  ASSERT_LT(result.schedules_run, brute_schedules)
-      << "DPOR must beat brute-force enumeration";
-  std::cout << "[ DPOR     ] brute-force " << brute_schedules
-            << " schedules, DPOR " << result.schedules_run << " run + "
-            << result.sleep_blocked << " sleep-blocked, "
-            << brute_states.size() << " distinct terminal states, reduction "
-            << static_cast<double>(brute_schedules) /
-                   static_cast<double>(result.schedules_run)
-            << "x\n";
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ struct RefusalWorld {
   /// `parked`: the slot holding the spare credit.
   RefusalWorld(const char* mutant, std::uint32_t parked)
       : engine(with_mutant(mutant)) {
-    Scq::prefill(engine, ring, kQueued);
+    EXPECT_TRUE(ring.try_enqueue(kQueued));
     Scq::park_credit(engine, ring, parked);
     for (std::uint32_t t = 0; t < 4; ++t) logs.emplace_back(t);
     logs[3].record(check::OpKind::kEnqueue, kQueued, -2, -1);
@@ -249,7 +249,7 @@ struct TwoMigrationWorld {
 
   explicit TwoMigrationWorld(const char* mutant)
       : engine(with_mutant(mutant)) {
-    for (std::uint64_t v = 1; v <= 3; ++v) Scq::prefill(engine, ring, v);
+    for (std::uint64_t v = 1; v <= 3; ++v) EXPECT_TRUE(ring.try_enqueue(v));
     Scq::park_credit(engine, ring, kEnqueuer);
     engine.spawn_fiber(0, [this](Proc&) { refuser_ok = ring.try_enqueue(7); });
     engine.spawn_fiber(0, [this](Proc&) {

@@ -308,7 +308,7 @@ struct EmptyCheckWorld {
   std::uint32_t refused = 0;
 
   explicit EmptyCheckWorld(const char* mutant) : engine(with_mutant(mutant)) {
-    Scq::prefill(engine, ring, kPrefill);
+    EXPECT_TRUE(ring.try_enqueue(kPrefill));
     Scq::arm_threshold(engine, ring, /*misses=*/1);
     for (std::uint32_t t = 0; t < 4; ++t) logs.emplace_back(t);
     // The prefill as a completed enqueue preceding every call.
