@@ -12,6 +12,9 @@
 // Consequence: the lock-free queues require trivially-copyable values of at
 // most 8 bytes (store pointers or indices for anything larger).  The
 // lock-based queues have no such restriction.
+//
+// The word is a port::Atomic (port/atomic.hpp): in the model build
+// (MSQ_MODEL=1) each put/get is one sim::Engine step.
 #pragma once
 
 #include <atomic>
@@ -19,6 +22,8 @@
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
+
+#include "port/atomic.hpp"
 
 namespace msq::mem {
 
@@ -53,7 +58,7 @@ class ValueCell {
  private:
   // share-ok: lives inside pool nodes, packed next to the link on purpose
   // (one node, one line; the queue ends are the contended words, not this)
-  std::atomic<std::uint64_t> bits_{0};
+  port::Atomic<std::uint64_t> bits_{0};
 };
 
 }  // namespace msq::mem

@@ -47,10 +47,15 @@
 //
 // Allocation: segments come from a NodePool through a MagazineAllocator by
 // default -- one shared free-list CAS per kCap/2 segment turnovers.
+//
+// The shared words are port::Atomic (port/atomic.hpp).  In the model build
+// (MSQ_MODEL=1) the DPOR explorer runs THIS header: each access is one
+// step, each MSQ_PROBE a label, and two MSQ_MUTANT hooks switch in the
+// negative controls -- "segq.faa_claim" claims every ticket by fetch_add,
+// "segq.no_hazard" publishes no hazard (tests/sim_segment_test.cpp).
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -59,6 +64,7 @@
 #include "mem/node_pool.hpp"
 #include "mem/value_cell.hpp"
 #include "obs/probe.hpp"
+#include "port/atomic.hpp"
 #include "port/cpu.hpp"
 #include "queues/queue_concept.hpp"
 #include "tagged/atomic_tagged.hpp"
@@ -87,8 +93,9 @@ class SegmentQueue {
   };
 
   /// Items per segment: the FAA fast path amortises one segment append
-  /// (CAS + allocation) over this many enqueues.
-  static constexpr std::uint32_t kSlots = 64;
+  /// (CAS + allocation) over this many enqueues.  The model build's two
+  /// slots make a DPOR world fill, append and retire segments.
+  static constexpr std::uint32_t kSlots = MSQ_MODEL ? 2 : 64;
 
   explicit SegmentQueue(std::uint32_t capacity)
       : pool_(segments_for(capacity)), alloc_(pool_) {
@@ -241,7 +248,7 @@ class SegmentQueue {
       }
       MSQ_PROBE("segq.faa_deq");
       std::uint64_t t = d;
-      if (limit - d == 1) {
+      if (limit - d == 1 && !MSQ_MUTANT("segq.faa_claim")) {
         // The one-ticket claim (header comment): a loser re-reads to an
         // empty verdict instead of killing the producer's next slot.
         MSQ_COUNT(kCasAttempt);
@@ -312,14 +319,14 @@ class SegmentQueue {
   struct Slot {
     // share-ok: state+value of ONE slot share a line on purpose (one
     // transfer per op); adjacent slots sharing is the ring-array cost
-    std::atomic<std::uint32_t> state{kEmpty};
+    port::Atomic<std::uint32_t> state{kEmpty};
     mem::ValueCell<T> value;
   };
 
   struct Segment {
     // Enqueuers and dequeuers each contend on their own ticket line.
-    alignas(port::kCacheLine) std::atomic<std::uint64_t> enq{0};
-    alignas(port::kCacheLine) std::atomic<std::uint64_t> deq{0};
+    alignas(port::kCacheLine) port::Atomic<std::uint64_t> enq{0};
+    alignas(port::kCacheLine) port::Atomic<std::uint64_t> deq{0};
     // MS-style link, also the free-list chain field (mem/freelist.hpp).
     alignas(port::kCacheLine) tagged::AtomicTagged next;
     std::array<Slot, kSlots> slots{};
@@ -337,14 +344,15 @@ class SegmentQueue {
   // kCells bounds the number of concurrently *protected* segments; an op
   // protects exactly one at a time, so this is a concurrency bound, not a
   // correctness bound -- thread 65+ spins for a free cell (documented
-  // deviation from strict lock-freedom at >64 threads on one queue).
+  // deviation from strict lock-freedom at >64 threads on one queue).  The
+  // model build's worlds run at most four processes.
 
-  static constexpr std::uint32_t kCells = 64;
+  static constexpr std::uint32_t kCells = MSQ_MODEL ? 4 : 64;
   static constexpr std::uint32_t kLimbo = 2 * kCells;
 
   struct HazardCell {
     // share-ok: one cell per cache line (struct is cache-line aligned)
-    alignas(port::kCacheLine) std::atomic<std::uint32_t> v{tagged::kNullIndex};
+    alignas(port::kCacheLine) port::Atomic<std::uint32_t> v{tagged::kNullIndex};
   };
 
   /// RAII claim of one hazard cell for the duration of an operation.
@@ -362,6 +370,7 @@ class SegmentQueue {
     [[nodiscard]] tagged::TaggedIndex protect(
         const tagged::AtomicTagged& word) noexcept {
       tagged::TaggedIndex cur = word.load(std::memory_order_acquire);
+      if (MSQ_MUTANT("segq.no_hazard")) return cur;
       if (cell_ == nullptr) {
         // The claim-CAS stores `cur.index()` itself, so it doubles as the
         // first seq_cst publication -- no separate store needed.
@@ -422,7 +431,7 @@ class SegmentQueue {
       return;
     }
     for (;;) {
-      for (std::atomic<std::uint32_t>& slot : limbo_) {
+      for (port::Atomic<std::uint32_t>& slot : limbo_) {
         std::uint32_t expected = tagged::kNullIndex;
         if (slot.compare_exchange_strong(expected, idx,
                                          std::memory_order_acq_rel,
@@ -440,7 +449,7 @@ class SegmentQueue {
   }
 
   void sweep_limbo() noexcept {
-    for (std::atomic<std::uint32_t>& slot : limbo_) {
+    for (port::Atomic<std::uint32_t>& slot : limbo_) {
       std::uint32_t idx = slot.load(std::memory_order_acquire);
       if (idx == tagged::kNullIndex || hazarded(idx)) continue;
       if (slot.compare_exchange_strong(idx, tagged::kNullIndex,
@@ -482,9 +491,9 @@ class SegmentQueue {
   std::array<HazardCell, kCells> cells_{};
   // share-ok: limbo slots are rarely touched (one park per lost retire
   // race); packing them is kinder than 128 dedicated lines
-  std::array<std::atomic<std::uint32_t>, kLimbo> limbo_{};
+  std::array<port::Atomic<std::uint32_t>, kLimbo> limbo_{};
   // share-ok: adjacent to limbo_ by design, same rare-touch argument
-  std::atomic<std::uint32_t> limbo_count_{0};
+  port::Atomic<std::uint32_t> limbo_count_{0};
 };
 
 // The false-sharing audit in one line: a CacheAligned word occupies a full

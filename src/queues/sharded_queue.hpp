@@ -18,7 +18,7 @@
 //   * per-producer order decomposes into at most N FIFO subsequences (a
 //     producer's items live in at most N shards);
 //   * conservation -- nothing lost, duplicated, or fabricated;
-//   * emptiness is a coherent snapshot (below), not a single-shard peek.
+//   * emptiness is a ticket-checked sweep (below), not a single-shard peek.
 //
 // Shard selection: a producer enqueues to its HOME shard, a per-thread
 // hint seeded round-robin by thread ordinal (port::thread_ordinal), so
@@ -34,9 +34,9 @@
 // shard (sticky stealing), which is what lets one consumer drain shards
 // whose own consumers stopped.
 //
-// The empty snapshot: "queue empty" must mean ALL shards were empty at one
-// coherent instant, not merely "each shard looked empty at some point
-// during my sweep" -- the naive sweep admits the classic lost-item race
+// The empty sweep: "queue empty" should mean ALL shards were empty at one
+// instant, not merely "each shard looked empty at some point during my
+// sweep" -- the naive sweep admits the classic lost-item race
 // (scan shard A empty; a producer enqueues to A; an item leaves shard B;
 // scan B empty; report empty while an item sat in A the whole time --
 // demonstrated schedule-exhaustively in tests/sim_sharded_test.cpp).
@@ -44,15 +44,19 @@
 // producer BEFORE it touches the inner queue.  A dequeuer that found every
 // shard empty re-reads all tickets: if none moved across the whole sweep
 // (a double collect, same shape as the PLJ snapshot), no enqueue even
-// *began* during the sweep, so each shard's individually-observed
-// emptiness held simultaneously and returning false is sound.  If any
-// ticket moved, the sweep re-runs (obs: empty_rescan) -- the bump proves
-// another thread made progress, so this is the same lock-free retry
-// argument as a failed CAS.  Residual window, documented honestly: an
-// enqueue that bumped its ticket before the sweep began but has not yet
-// inserted is CONCURRENT with the dequeue, and a false-empty against only
-// such in-flight enqueues is linearizable (order the dequeue first);
-// sequential/quiescent emptiness is always exact.
+// *began* during the sweep.  If any ticket moved, the sweep re-runs (obs:
+// empty_rescan) -- the bump proves another thread made progress, so this
+// is the same lock-free retry argument as a failed CAS.  When no enqueue
+// is between its bump and its insert as the sweep starts (sequential and
+// quiescent use included), no shard gains an item during the sweep, so
+// each shard's observed emptiness lasts to the last scan, where all shards
+// are empty at once.  An enqueue that bumped before the sweep and inserts
+// during it breaks that.  With shards A and B, B holding 7: P bumps A's
+// ticket; C finds home A empty and pre-collects; C scans A empty; P
+// inserts 5 into A and returns; H, homed on B, starts after that and takes
+// 7; C scans B empty, finds the tickets unchanged and returns empty.  No
+// instant of C's call had both shards empty, and no linearization of the
+// history exists: the empty verdict is not linearizable.
 //
 // Cost accounting: the ticket adds one uncontended-in-the-common-case
 // fetch_add per enqueue on a line owned by the producer's home shard.
@@ -163,8 +167,8 @@ class ShardedQueue {
     return false;
   }
 
-  /// Returns false only after a coherent all-shards-empty snapshot (ticket
-  /// double collect, header comment).
+  /// Returns false only after a sweep that found every shard empty with no
+  /// enqueue announced across it (ticket double collect, header comment).
   bool try_dequeue(value_type& out) noexcept {
     HintSlot& hint = hint_slot();
     // relaxed: routing only (see enq_home in try_enqueue) (proof: test:tests/sim_sharded_test.cpp)

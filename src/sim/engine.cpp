@@ -59,7 +59,7 @@ bool apply(SimMemory& memory, const PendingOp& op, std::uint64_t* out) {
       return true;
     case OpKind::kFaa:
       out[0] = w;
-      w += op.operand_a;
+      w = (w + op.operand_a) & op.wrap;
       return true;
     case OpKind::kSwap:
       out[0] = w;

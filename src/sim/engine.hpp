@@ -93,6 +93,7 @@ struct PendingOp {
   MemOrder order = MemOrder::kSeqCst;
   std::uint64_t operand_c = 0;  // CAS2 desired low
   std::uint64_t operand_d = 0;  // CAS2 desired high
+  std::uint64_t wrap = ~std::uint64_t{0};  // kFaa: the word's width mask
 };
 
 /// Per-process facade passed into algorithm coroutines; its methods return

@@ -127,8 +127,9 @@ inline constexpr MoSite kMoSites[] = {
                 "push CAS, and head readers revalidate at D5, so the sweep "
                 "proves no single weakening here observable"),
 
-    // --- Treiber free list (sim/sim_freelist.hpp; mem/freelist.hpp labels
-    // its pop and push with these rows, which tests/sim_aba_test.cpp runs)
+    // --- Treiber free list (mem/freelist.hpp labels its pop and push with
+    // these rows; the sweep's world D and tests/sim_aba_test.cpp run it,
+    // and sim/sim_freelist.hpp's copy resolves them for the MS models)
     MSQ_MO_SITE("fl.pop_top", MoKind::kLoad, check::MemOrder::kAcquire,
                 false, false, true, false,
                 "acquire is belt-and-braces: pop_cas's acquire side covers "

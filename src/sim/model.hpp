@@ -16,7 +16,15 @@
 // order is the call's own, or the engine's MoTable override of its site;
 // the site name becomes the process label, so a race report names it.  A
 // weak compare-exchange never fails spuriously: that would only add
-// schedules that repeat an existing one.
+// schedules that repeat an existing one.  A compare-exchange's failure
+// order, when the call gives one, is accepted and ignored: a failed CAS
+// runs with the success order, which is never weaker, so under the
+// happens-before and weak-memory checks the model may be stronger than
+// the shipped code at a CAS whose failure order is relaxed.
+//
+// A 4-byte integer is held zero-extended in its 8-byte word, and its
+// fetch_add/fetch_sub wrap at 2^32, so every value a CAS compares is the
+// one a std::atomic of that width would hold.
 //
 // An operation made off every fiber -- the test's own code calling the
 // header -- applies raw to the newest engine's memory and takes no step
@@ -66,12 +74,16 @@ Addr alloc(std::span<const std::uint64_t> initial);
 std::uint64_t access(PendingOp op, const Site& site,
                      std::uint64_t* high = nullptr);
 
-/// An atomic view of one simulated 8-byte word: the std::atomic operations
-/// the seamed headers use.
+/// An atomic view of one simulated word, holding a 4- or 8-byte integer:
+/// the std::atomic operations the seamed headers use.
 template <typename T>
 class AtomicRef {
-  static_assert(std::is_integral_v<T> && sizeof(T) == sizeof(std::uint64_t),
-                "model words are 8-byte integers");
+  static_assert(std::is_integral_v<T> &&
+                    (sizeof(T) == 4 || sizeof(T) == 8),
+                "model words hold 4- or 8-byte integers");
+  using Bits = std::make_unsigned_t<T>;
+  /// kFaa's wrap: the word keeps T's width.
+  static constexpr std::uint64_t kMask = Bits(~Bits{0});
 
  public:
   explicit AtomicRef(Addr addr) noexcept : addr_(addr) {}
@@ -80,19 +92,17 @@ class AtomicRef {
   void store(T v, Site s) const {
     (void)access({OpKind::kWrite, addr_, to(v)}, s);
   }
-  T fetch_add(T d, Site s) const {
-    return from(access({OpKind::kFaa, addr_, to(d)}, s));
-  }
-  T fetch_sub(T d, Site s) const {
-    return from(access({OpKind::kFaa, addr_, 0 - to(d)}, s));
-  }
+  T fetch_add(T d, Site s) const { return faa(to(d), s); }
+  T fetch_sub(T d, Site s) const { return faa(0 - to(d), s); }
   T fetch_and(T mask, Site s) const {
     return from(access({OpKind::kAnd, addr_, to(mask)}, s));
   }
   T exchange(T v, Site s) const {
     return from(access({OpKind::kSwap, addr_, to(v)}, s));
   }
-  bool compare_exchange_strong(T& expected, T desired, Site s) const {
+  bool compare_exchange_strong(
+      T& expected, T desired, Site s,
+      Site /*failure*/ = std::memory_order_seq_cst) const {
     const std::uint64_t old =
         access({OpKind::kCas, addr_, to(expected), to(desired)}, s);
     if (old == to(expected)) return true;
@@ -100,15 +110,27 @@ class AtomicRef {
     return false;
   }
   bool compare_exchange_weak(T& expected, T desired, Site s,
-                             std::memory_order /*failure*/) const {
+                             Site /*failure*/) const {
     return compare_exchange_strong(expected, desired, s);
   }
 
   [[nodiscard]] Addr addr() const noexcept { return addr_; }
 
+ protected:
+  /// `v` as its word holds it: zero-extended.
+  static std::uint64_t to(T v) noexcept {
+    return static_cast<std::uint64_t>(static_cast<Bits>(v));
+  }
+
  private:
-  static std::uint64_t to(T v) noexcept { return static_cast<std::uint64_t>(v); }
-  static T from(std::uint64_t w) noexcept { return static_cast<T>(w); }
+  static T from(std::uint64_t w) noexcept {
+    return static_cast<T>(static_cast<Bits>(w));
+  }
+  T faa(std::uint64_t delta, Site s) const {
+    PendingOp op{OpKind::kFaa, addr_, delta};
+    op.wrap = kMask;
+    return from(access(op, s));
+  }
 
   Addr addr_;
 };
@@ -120,7 +142,7 @@ class Atomic : public AtomicRef<T> {
   Atomic() : Atomic(T{}) {}
   // NOLINTNEXTLINE(google-explicit-constructor): std::atomic<T>(T) is too
   Atomic(T initial)
-      : AtomicRef<T>(alloc(std::array{static_cast<std::uint64_t>(initial)})) {}
+      : AtomicRef<T>(alloc(std::array{AtomicRef<T>::to(initial)})) {}
   Atomic(const Atomic&) = delete;
   Atomic& operator=(const Atomic&) = delete;
 };

@@ -1,7 +1,8 @@
 // Proof that the atomics seam (port/atomic.hpp) costs nothing in a normal
 // build: every name it adds compiles to the plain C++ one, so a header
-// written against it -- queues/scq_queue.hpp, tagged/atomic_tagged.hpp and
-// so mem/freelist.hpp -- has the code and the layout it had before.  The
+// written against it -- queues/scq_queue.hpp, queues/segment_queue.hpp,
+// mem/value_cell.hpp, tagged/atomic_tagged.hpp and so mem/freelist.hpp --
+// has the code and the layout it had before.  The
 // proofs are static_asserts, checked by the compiler; the model build
 // (MSQ_MODEL=1) is the only one where they would fail.  The
 // instruction-level check is manual: `objdump -d` of bench/micro_ops'
@@ -13,8 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include "mem/value_cell.hpp"
 #include "port/atomic.hpp"
 #include "queues/scq_queue.hpp"
+#include "queues/segment_queue.hpp"
 #include "tagged/atomic_tagged.hpp"
 
 static_assert(MSQ_MODEL == 0, "this test checks the normal build");
@@ -24,6 +27,8 @@ static_assert(std::is_same_v<msq::port::Atomic<std::uint64_t>,
                              std::atomic<std::uint64_t>>);
 static_assert(std::is_same_v<msq::port::Atomic<std::int64_t>,
                              std::atomic<std::int64_t>>);
+static_assert(std::is_same_v<msq::port::Atomic<std::uint32_t>,
+                             std::atomic<std::uint32_t>>);
 static_assert(std::is_same_v<msq::port::AtomicRef<std::uint64_t>,
                              std::atomic_ref<std::uint64_t>>);
 static_assert(std::is_same_v<msq::port::MemoryOrder, std::memory_order>);
@@ -61,6 +66,16 @@ struct OneAtomicWord {
 static_assert(sizeof(msq::tagged::AtomicTagged) == 8);
 static_assert(std::is_layout_compatible_v<msq::tagged::AtomicTagged,
                                           OneAtomicWord>);
+
+// So is ValueCell, every lock-free queue's payload word.
+static_assert(sizeof(msq::mem::ValueCell<std::uint64_t>) == 8);
+static_assert(std::is_layout_compatible_v<msq::mem::ValueCell<std::uint64_t>,
+                                          OneAtomicWord>);
+
+// A SegmentQueue segment keeps its size (ticket, ticket and link lines,
+// then 64 {state, value} slots), so neither RSS nor the pool gauge's
+// bytes per item can drift through the seam.
+static_assert(msq::queues::SegmentQueue<std::uint64_t>::node_bytes() == 1216);
 
 namespace msq {
 namespace {

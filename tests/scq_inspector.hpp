@@ -3,14 +3,13 @@
 // setup writes no call can make before a world's first step (a credit
 // parked in another thread's slot, a budget already spent), none of which
 // takes a step or costs simulated time (ScqQueue names it as its one
-// friend, so the header's public API stays what the library's users see);
-// and a few helpers for driving fiber worlds.  A world's items go in
-// through try_enqueue itself, called off every fiber before the first
-// step (sim/model.hpp).
+// friend, so the header's public API stays what the library's users see).
+// A world's items go in through try_enqueue itself, called off every fiber
+// before the first step (sim/model.hpp); model_world.hpp holds the helpers
+// for driving fiber worlds.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "queues/scq_queue.hpp"
@@ -112,36 +111,3 @@ struct ScqInspector {
 };
 
 }  // namespace msq::queues
-
-namespace msq::sim {
-
-[[nodiscard]] inline EngineConfig with_mutant(const char* mutant) {
-  EngineConfig config;
-  config.mutant = mutant;
-  return config;
-}
-
-// History clock in half-steps.  A call's first step runs in the same
-// resume that invokes it, but its response is recorded on a LATER resume,
-// possibly right before a peer's invocation with no step in between.
-// After k steps a response reads 2k and an invocation 2k + 1, so such a
-// pair is strictly ordered; k = clock / 2 either way.
-inline std::int64_t invoked_at(Proc& p) {
-  return 2 * static_cast<std::int64_t>(p.engine().total_steps()) + 1;
-}
-inline std::int64_t returned_at(Proc& p) {
-  return 2 * static_cast<std::int64_t>(p.engine().total_steps());
-}
-
-/// Step `id` until it has made `n` more accesses at mo_table site `site`;
-/// false if it finished (or halted) first.
-[[nodiscard]] inline bool run_past(Engine& e, std::uint32_t id,
-                                   const char* site, int n = 1) {
-  while (n > 0) {
-    if (!e.step(id)) return false;
-    if (e.last_access().valid && std::strcmp(e.label(id), site) == 0) --n;
-  }
-  return true;
-}
-
-}  // namespace msq::sim

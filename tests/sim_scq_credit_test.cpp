@@ -38,6 +38,7 @@
 
 #include "check/history.hpp"
 #include "check/lin_check.hpp"
+#include "model_world.hpp"
 #include "queues/scq_queue.hpp"
 #include "scq_inspector.hpp"
 #include "sim/engine.hpp"

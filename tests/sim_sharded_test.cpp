@@ -12,11 +12,11 @@
 // enqueue is a single faa that bumps the count AND deposits the item
 // atomically.  Making announce+insert one step deliberately carves away
 // the orthogonal stalled-enqueuer window (announced before the scan,
-// inserted mid-scan), which the real queue documents as linearizable-
-// false-empty territory (docs/ALGORITHMS.md); what remains is exactly the
-// scan-ordering race the double collect exists to fix, so the guarded
-// consumer must show ZERO violations across the full DPOR sweep while the
-// naive consumer must show at least one.
+// inserted mid-scan), where the real queue's empty verdict can have no
+// linearization at all (docs/ALGORITHMS.md, property 4); what remains is
+// exactly the scan-ordering race the double collect exists to fix, so the
+// guarded consumer must show ZERO violations across the full DPOR sweep
+// while the naive consumer must show at least one.
 #include <gtest/gtest.h>
 
 #include <cstdint>

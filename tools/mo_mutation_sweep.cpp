@@ -35,6 +35,8 @@
 #include <string>
 #include <vector>
 
+#include "mem/freelist.hpp"
+#include "mem/node_pool.hpp"
 #include "queues/scq_queue.hpp"
 #include "sim/engine.hpp"
 #include "sim/explore.hpp"
@@ -42,10 +44,9 @@
 #include "sim/mo_table.hpp"
 #include "sim/ms_queue_sim.hpp"
 #include "sim/queue_iface.hpp"
-#include "sim/sim_freelist.hpp"
 #include "sim/sim_lock.hpp"
 #include "sim/valois_queue_sim.hpp"
-#include "tagged/tagged_index.hpp"
+#include "tagged/atomic_tagged.hpp"
 
 namespace msq::sim {
 namespace {
@@ -55,6 +56,14 @@ namespace {
   config.race_detect = true;
   config.sync_model = model;
   config.weak_memory = weak;
+  return config;
+}
+
+/// A world over a shipped header on fibers: its seam resolves each
+/// labelled access's order through `mo`.
+[[nodiscard]] EngineConfig model_config(const MoTable* mo) {
+  EngineConfig config = sweep_config(/*weak=*/false, check::SyncModel::kOrders);
+  config.mo = mo;
   return config;
 }
 
@@ -154,14 +163,17 @@ class MsWorld final : public WorldBase {
 //
 // Two workers repeatedly pop a node, scribble a plain scratch word on it,
 // verify, and push it back.  Pop confers exclusive ownership, so the plain
-// accesses are ordered exactly when the push/pop CAS mesh is intact.
+// accesses are ordered exactly when the push/pop CAS mesh is intact.  Like
+// worlds S, s and P it runs a shipped header on fibers: mem/freelist.hpp
+// over a two-node pool, each node's scratch word in a sidecar.
 class PoolWorld final : public WorldBase {
  public:
-  PoolWorld(const MoTable* mo, bool weak)
-      : engine_(sweep_config(weak, check::SyncModel::kOrders)),
-        pool_(engine_, /*capacity=*/2, /*words_per_node=*/3, mo) {
-    for (int w = 0; w < 2; ++w) {
-      engine_.spawn(0, [this, w](Proc& p) { return worker(p, w); });
+  explicit PoolWorld(const MoTable* mo)
+      : engine_(model_config(mo)),
+        list_(pool_),
+        scratch_(engine_.memory().alloc(2)) {
+    for (std::uint64_t w = 0; w < 2; ++w) {
+      engine_.spawn_fiber(0, [this, w](Proc& p) { work(p, 10 + w); });
     }
   }
 
@@ -176,26 +188,29 @@ class PoolWorld final : public WorldBase {
   }
 
  private:
-  Task<void> worker(Proc& p, int id) {
+  struct Node {
+    tagged::AtomicTagged next;
+  };
+
+  void work(Proc& p, std::uint64_t mark) {
     for (int round = 0; round < 2; ++round) {
-      std::uint32_t node = tagged::kNullIndex;
-      for (int attempt = 0; attempt < 4; ++attempt) {
-        node = co_await pool_.allocate(p);
-        if (node != tagged::kNullIndex) break;
-      }
-      if (node == tagged::kNullIndex) continue;
-      const Addr scratch = pool_.extra_addr(node, 0);
-      co_await p.write(scratch, 10 + static_cast<std::uint64_t>(id),
-                       check::MemOrder::kPlain);
+      // Two nodes, two workers: a pop is never refused.
+      const Addr scratch = scratch_ + list_.try_allocate();
+      p.annotate("scratch write");  // the list's accesses label themselves
+      (void)p.perform(
+          {OpKind::kWrite, scratch, mark, 0, 0, check::MemOrder::kPlain});
+      p.annotate("scratch read");
       const std::uint64_t seen =
-          co_await p.read(scratch, check::MemOrder::kPlain);
-      if (seen != 10 + static_cast<std::uint64_t>(id)) bad_scratch_ = true;
-      co_await pool_.free(p, node);
+          p.perform({OpKind::kRead, scratch, 0, 0, 0, check::MemOrder::kPlain});
+      if (seen != mark) bad_scratch_ = true;
+      list_.free(static_cast<std::uint32_t>(scratch - scratch_));
     }
   }
 
   Engine engine_;
-  SimNodePool pool_;
+  mem::NodePool<Node> pool_{2};
+  mem::FreeList<Node> list_;
+  Addr scratch_;
   bool bad_scratch_ = false;
 };
 
@@ -349,7 +364,7 @@ class ScqWorld final : public WorldBase {
  public:
   ScqWorld(const MoTable* mo, std::uint64_t values,
            std::vector<int> consumer_attempts, std::uint32_t capacity = 1)
-      : engine_(scq_config(mo)),
+      : engine_(model_config(mo)),
         ring_(capacity),
         payload_(engine_.memory().alloc(8)) {
     const std::uint32_t producer = engine_.spawn_fiber(
@@ -378,12 +393,6 @@ class ScqWorld final : public WorldBase {
   }
 
  private:
-  static EngineConfig scq_config(const MoTable* mo) {
-    EngineConfig config = sweep_config(/*weak=*/false, check::SyncModel::kOrders);
-    config.mo = mo;
-    return config;
-  }
-
   void produce(Proc& p, std::uint64_t n) {
     for (std::uint64_t v = 0; v < n; ++v) {
       p.annotate("payload write");  // the ring's accesses label themselves
@@ -422,7 +431,7 @@ class ScqWorld final : public WorldBase {
 //  A  MS 1 producer (2 values) + 1 consumer            -- default MS world
 //  B  MS 1 producer (3 values) + 2 consumers, pool 3   -- node recycling
 //  C  MS 2 producers + 1 consumer                      -- enqueue/enqueue
-//  D  Treiber pool ownership hand-off
+//  D  Treiber pool ownership hand-off (the shipped mem/freelist.hpp)
 //  E  TATAS lock + plain counter
 //  F  Valois 1p1c                   V  Valois 1p2c (SafeRead revalidation)
 //  G  SB litmus (weak memory)    g  SB litmus (SC)
@@ -465,7 +474,7 @@ struct WorldSpec {
     case 'A': return std::make_unique<MsWorld>(mo, false, 1, 2, std::vector<int>{3});
     case 'B': return std::make_unique<MsWorld>(mo, false, 1, 3, std::vector<int>{1, 2});
     case 'C': return std::make_unique<MsWorld>(mo, false, 2, 1, std::vector<int>{3});
-    case 'D': return std::make_unique<PoolWorld>(mo, false);
+    case 'D': return std::make_unique<PoolWorld>(mo);
     case 'E': return std::make_unique<LockWorld>(mo, false);
     case 'F': return std::make_unique<ValoisWorld>(mo, false, std::vector<int>{2});
     case 'V': return std::make_unique<ValoisWorld>(mo, false, std::vector<int>{1, 1});
