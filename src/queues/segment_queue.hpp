@@ -32,6 +32,16 @@
 // ticket, which is what keeps both sides non-blocking (no waiting on a
 // stalled peer, exactly the paper's progress argument for dequeue D5-D15).
 //
+// Slot layout: ticket t lives in slot slot_of(t), a bit rotation (scq's
+// remap) that puts consecutive tickets on distinct cache lines, so a
+// neighbour ticket's op never takes the line between an op's two slot
+// steps.  The slot array is line-aligned: no slot straddles two lines and
+// `next` has a line of its own.  An enqueue takes its ticket with the
+// fetch_add alone, with no load of the ticket line first.  Line fetches
+// (a miss or an upgrade) per enqueue/dequeue pair under contention: 7,
+// where packed slots and a ticket pre-check cost 8-10 (docs/ALGORITHMS.md,
+// "The FAA-segment queue", counts them per line).
+//
 // Memory reclamation: counted pointers defend every CAS here exactly as in
 // ms_queue.hpp, but they CANNOT defend the unconditional fetch-and-add: a
 // stale thread FAA-ing the ticket of a recycled segment would consume a
@@ -55,6 +65,7 @@
 // "segq.no_hazard" publishes no hazard (tests/sim_segment_test.cpp).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -125,33 +136,36 @@ class SegmentQueue {
   SegmentQueue(const SegmentQueue&) = delete;
   SegmentQueue& operator=(const SegmentQueue&) = delete;
 
+  friend struct SegmentInspector;  // tests check the slot layout
+
   /// Returns false iff the segment pool is exhausted.
   bool try_enqueue(T value) noexcept {
     Protector hp(*this);
     for (;;) {
       const tagged::TaggedIndex tail = hp.protect(tail_.value);
       Segment& seg = pool_[tail.index()];
-      // Ticket pre-check: once a segment has overflowed, retries must not
-      // keep FAA-ing its counter into the sky (and dirtying its line).
-      if (seg.enq.load(std::memory_order_acquire) < kSlots) {
-        MSQ_PROBE("segq.faa_enq");
-        const std::uint64_t t = seg.enq.fetch_add(1, std::memory_order_acq_rel);
-        if (t < kSlots) {
-          seg.slots[t].value.put(value);
-          MSQ_PROBE_COUNT("segq.fill", kCasAttempt);
-          std::uint32_t expected = kEmpty;
-          if (seg.slots[t].state.compare_exchange_strong(
-                  expected, kFilled, std::memory_order_release,
-                  // relaxed: on failure the slot was killed; the observed (proof: test:tests/sim_segment_test.cpp)
-                  // value is not reused, we just take a fresh ticket
-                  std::memory_order_relaxed)) {
-            MSQ_COUNT(kEnqueue);
-            return true;
-          }
-          // An impatient dequeuer killed our slot: lost the race, retry.
-          MSQ_COUNT(kCasFail);
-          continue;
+      // No load first: the fetch_add alone fetches the ticket line, once
+      // and exclusive.  A ticket past the segment falls through to `next`
+      // below, so a full segment's counter grows by at most about two per
+      // enqueuer (one FAA before it sees `next`, one after a lost append).
+      MSQ_PROBE("segq.faa_enq");
+      const std::uint64_t t = seg.enq.fetch_add(1, std::memory_order_acq_rel);
+      if (t < kSlots) {
+        Slot& slot = seg.slots[slot_of(t)];
+        slot.value.put(value);
+        MSQ_PROBE_COUNT("segq.fill", kCasAttempt);
+        std::uint32_t expected = kEmpty;
+        if (slot.state.compare_exchange_strong(
+                expected, kFilled, std::memory_order_release,
+                // relaxed: on failure the slot was killed; the observed (proof: test:tests/sim_segment_test.cpp)
+                // value is not reused, we just take a fresh ticket
+                std::memory_order_relaxed)) {
+          MSQ_COUNT(kEnqueue);
+          return true;
         }
+        // An impatient dequeuer killed our slot: lost the race, retry.
+        MSQ_COUNT(kCasFail);
+        continue;
       }
       // Segment full.  If it already has a successor, help swing Tail
       // (the paper's E12) and retry there.
@@ -161,8 +175,8 @@ class SegmentQueue {
                                      std::memory_order_acq_rel);
         continue;
       }
-      // Append a fresh segment, pre-seeded with our value in slot 0 (saves
-      // the new segment's first FAA + slot CAS).
+      // Append a fresh segment, pre-seeded with our value as ticket 0
+      // (saves the new segment's first FAA + slot CAS).
       std::uint32_t fresh = alloc_.try_allocate();
       if (fresh == tagged::kNullIndex) {
         // Exhaustion sweep, mirroring the magazine's sweep-before-refusing
@@ -179,9 +193,10 @@ class SegmentQueue {
       }
       reset_segment(fresh);
       Segment& nseg = pool_[fresh];
-      nseg.slots[0].value.put(value);
+      Slot& first = nseg.slots[slot_of(0)];
+      first.value.put(value);
       // relaxed: `fresh` is private until the link-CAS below publishes it (proof: test:tests/sim_segment_test.cpp)
-      nseg.slots[0].state.store(kFilled, std::memory_order_relaxed);
+      first.state.store(kFilled, std::memory_order_relaxed);
       // relaxed: same pre-publication exclusivity
       nseg.enq.store(1, std::memory_order_relaxed);
       MSQ_PROBE_COUNT("segq.close", kCasAttempt);
@@ -268,16 +283,17 @@ class SegmentQueue {
       // single enqueuer is done with the slot, so the consume transition
       // needs no RMW -- a plain store suffices.  Only the kill race (an
       // enqueuer's fill-CAS still in flight) needs the atomic exchange.
-      if (seg.slots[t].state.load(std::memory_order_acquire) == kFilled) {
-        out = seg.slots[t].value.get();
-        seg.slots[t].state.store(kTaken, std::memory_order_release);
+      Slot& slot = seg.slots[slot_of(t)];
+      if (slot.state.load(std::memory_order_acquire) == kFilled) {
+        out = slot.value.get();
+        slot.state.store(kTaken, std::memory_order_release);
         MSQ_COUNT(kDequeue);
         return true;
       }
       const std::uint32_t prev =
-          seg.slots[t].state.exchange(kTaken, std::memory_order_acq_rel);
+          slot.state.exchange(kTaken, std::memory_order_acq_rel);
       if (prev == kFilled) {
-        out = seg.slots[t].value.get();
+        out = slot.value.get();
         MSQ_COUNT(kDequeue);
         return true;
       }
@@ -317,8 +333,8 @@ class SegmentQueue {
   static constexpr std::uint32_t kTaken = 2;   // consumed OR killed
 
   struct Slot {
-    // share-ok: state+value of ONE slot share a line on purpose (one
-    // transfer per op); adjacent slots sharing is the ring-array cost
+    // share-ok: one slot's state+value share a line (one transfer per
+    // op); slot_of puts consecutive tickets on distinct lines
     port::Atomic<std::uint32_t> state{kEmpty};
     mem::ValueCell<T> value;
   };
@@ -328,9 +344,25 @@ class SegmentQueue {
     alignas(port::kCacheLine) port::Atomic<std::uint64_t> enq{0};
     alignas(port::kCacheLine) port::Atomic<std::uint64_t> deq{0};
     // MS-style link, also the free-list chain field (mem/freelist.hpp).
+    // Read by every dequeue, written once per segment: its own line.
     alignas(port::kCacheLine) tagged::AtomicTagged next;
-    std::array<Slot, kSlots> slots{};
+    // Line-aligned, so no slot straddles two lines.
+    alignas(port::kCacheLine) std::array<Slot, kSlots> slots{};
   };
+
+  /// Slots that share one cache line (all of them in the model build).
+  static constexpr std::uint32_t kSlotsPerLine =
+      std::min<std::uint32_t>(kSlots, port::kCacheLine / sizeof(Slot));
+
+  /// The slot of ticket t < kSlots.  Tickets t and t + 1 differ in
+  /// t mod kSlotsPerLine, which picks a block of kSlots / kSlotsPerLine
+  /// slots, so they never share a line.  For 64 slots of 16 bytes this is
+  /// ((t << 4) | (t >> 2)) & 63, scq's remap rotation; in the model build
+  /// it is the identity.
+  static constexpr std::uint32_t slot_of(std::uint64_t t) noexcept {
+    const auto i = static_cast<std::uint32_t>(t);
+    return (i % kSlotsPerLine) * (kSlots / kSlotsPerLine) + i / kSlotsPerLine;
+  }
 
   static constexpr std::uint32_t segments_for(std::uint32_t capacity) noexcept {
     // Enough segments for `capacity` items plus the one drained segment

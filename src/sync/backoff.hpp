@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "obs/counters.hpp"
 #include "port/cpu.hpp"
@@ -24,9 +25,10 @@ namespace msq::sync {
 /// random number of cpu_relax() iterations within the current window
 /// (randomisation desynchronises competitors, per Anderson [1]).
 ///
-/// The default constructor draws its jitter from a per-thread stream (the
-/// thread's ordinal mixed into kSeed), so competing threads do not pause in
-/// lockstep; the explicit-seed constructor is deterministic.
+/// The default constructor draws its jitter from the thread's one live
+/// stream (the thread's ordinal mixed into kSeed), so competing threads do
+/// not pause in lockstep and consecutive backoffs on one thread do not
+/// replay the same pauses; the explicit-seed constructor is deterministic.
 class Backoff {
  public:
   struct Params {
@@ -36,15 +38,15 @@ class Backoff {
 
   static constexpr std::uint64_t kSeed = 0xb0ff5eed;
 
-  Backoff() noexcept
-      : params_(), window_(params_.min_spins), rng_(thread_stream()) {}
+  Backoff() noexcept : params_(), window_(params_.min_spins) {}
   explicit Backoff(Params p, std::uint64_t seed = kSeed) noexcept
-      : params_(p), window_(p.min_spins), rng_(seed) {}
+      : params_(p), window_(p.min_spins), seeded_(seed) {}
 
   /// Wait one backoff episode and widen the window.  Returns the number of
   /// cpu_relax() spins waited (callers ignore it; tests read the jitter).
   std::uint64_t pause() noexcept {
-    const std::uint64_t spins = 1 + rng_.below(window_);
+    port::Xoshiro256& rng = seeded_ ? *seeded_ : thread_stream();
+    const std::uint64_t spins = 1 + rng.below(window_);
     for (std::uint64_t i = 0; i < spins; ++i) port::cpu_relax();
     // One bump per episode, after the wait: the probe never sits inside
     // the spin loop itself (obs probe-naming convention: backoff_wait
@@ -64,16 +66,17 @@ class Backoff {
   [[nodiscard]] const Params& params() const noexcept { return params_; }
 
  private:
-  /// This thread's generator, seeded on the thread's first Backoff.  Each
-  /// Backoff copies it: 32 bytes, not a seed expansion per queue call.
-  static const port::Xoshiro256& thread_stream() noexcept {
-    thread_local const port::Xoshiro256 rng(kSeed ^ port::thread_ordinal());
+  /// This thread's generator, seeded on the thread's first pause.  Every
+  /// default Backoff on the thread advances it, so constructing one per
+  /// queue call costs no seed expansion and no copy.
+  static port::Xoshiro256& thread_stream() noexcept {
+    thread_local port::Xoshiro256 rng(kSeed ^ port::thread_ordinal());
     return rng;
   }
 
   Params params_;
   std::uint32_t window_;
-  port::Xoshiro256 rng_;
+  std::optional<port::Xoshiro256> seeded_;  // explicit-seed backoffs only
 };
 
 /// Drop-in no-op used by the backoff ablation and by tests that need

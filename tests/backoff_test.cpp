@@ -92,6 +92,19 @@ TEST(Backoff, DefaultJitterDiffersAcrossThreads) {
   EXPECT_NE(a, b);
 }
 
+TEST(Backoff, ConsecutiveBackoffsOnOneThreadDrawFreshJitter) {
+  // A queue makes a new default Backoff per call, so each must continue
+  // the thread's stream rather than replay it from the start.
+  std::vector<std::uint64_t> a, b;
+  std::thread([&] {
+    sync::Backoff first;
+    a = spin_sequence(first, 12);
+    sync::Backoff second;
+    b = spin_sequence(second, 12);
+  }).join();
+  EXPECT_NE(a, b);
+}
+
 TEST(Backoff, ExplicitSeedIsDeterministic) {
   std::vector<std::uint64_t> a, b;
   std::thread([&] {

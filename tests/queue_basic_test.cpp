@@ -4,6 +4,8 @@
 // cases the paper says earlier algorithms got wrong or omitted).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 
@@ -12,6 +14,30 @@
 #include "queues/queues.hpp"
 
 namespace msq::queues {
+
+/// Reads SegmentQueue's private slot layout (the queue names it a friend):
+/// which cache line of a segment holds ticket t's slot.
+struct SegmentInspector {
+  using Queue = SegmentQueue<std::uint64_t>;
+  static constexpr std::uint32_t kSlots = Queue::kSlots;
+
+  static constexpr std::uint32_t slot_of(std::uint32_t t) {
+    return Queue::slot_of(t);
+  }
+  /// Line of the first and of the last byte of ticket t's slot.
+  static constexpr std::size_t first_line(std::uint32_t t) {
+    return slot_offset(t) / port::kCacheLine;
+  }
+  static constexpr std::size_t last_line(std::uint32_t t) {
+    return (slot_offset(t) + sizeof(Queue::Slot) - 1) / port::kCacheLine;
+  }
+
+ private:
+  static constexpr std::size_t slot_offset(std::uint32_t t) {
+    return offsetof(Queue::Segment, slots) + slot_of(t) * sizeof(Queue::Slot);
+  }
+};
+
 namespace {
 
 constexpr std::uint32_t kCapacity = 64;
@@ -132,6 +158,43 @@ TYPED_TEST(QueueBasicTest, DrainAfterPartialConsumption) {
     EXPECT_EQ(out, expect);
   }
   EXPECT_FALSE(this->queue_.try_dequeue(out));
+}
+
+/// Every slot of a segment is some ticket's, exactly once.
+constexpr bool segq_slot_map_is_a_bijection() {
+  using I = SegmentInspector;
+  std::array<bool, I::kSlots> hit{};
+  for (std::uint32_t t = 0; t < I::kSlots; ++t) {
+    const std::uint32_t s = I::slot_of(t);
+    if (s >= I::kSlots || hit[s]) return false;
+    hit[s] = true;
+  }
+  return true;
+}
+
+/// Each slot sits on one line, and tickets t and t + 1 on different ones.
+constexpr bool segq_neighbour_tickets_on_distinct_lines() {
+  using I = SegmentInspector;
+  for (std::uint32_t t = 0; t < I::kSlots; ++t) {
+    if (I::first_line(t) != I::last_line(t)) return false;
+    if (t + 1 < I::kSlots && I::first_line(t) == I::first_line(t + 1)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SegmentLayout, ConsecutiveTicketsFillDistinctLinesAtNoExtraBytes) {
+  static_assert(SegmentInspector::kSlots == 64);
+  static_assert(segq_slot_map_is_a_bijection());
+  static_assert(segq_neighbour_tickets_on_distinct_lines());
+  // The line-aligned slot array fits the padding the segment already had:
+  // 19 lines, as before the alignment (bytes_per_item.segq reads 19.01).
+  static_assert(SegmentQueue<std::uint64_t>::node_bytes() == 1216);
+  // The map is the bit rotation ((t << 4) | (t >> 2)) & 63.
+  for (std::uint32_t t = 0; t < SegmentInspector::kSlots; ++t) {
+    EXPECT_EQ(SegmentInspector::slot_of(t), ((t << 4) | (t >> 2)) & 63) << t;
+  }
 }
 
 TEST(QueueTraits, ProgressClassificationMatchesPaper) {

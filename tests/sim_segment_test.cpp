@@ -22,7 +22,13 @@
 //     response always shares a step with the producer's next ticket, so no
 //     history there can show that bug.
 //
-//  3. The stale-FAA hazard: a modification counter defends a CAS (the
+//  3. The overshooting ticket: an enqueue takes its ticket by fetch_add
+//     with no load first, so two enqueuers racing for a segment's last
+//     ticket send the loser past the segment before it reads `next`.  DPOR
+//     over that race beside a polling dequeuer proves the history a
+//     linearizable FIFO with no loss or duplicate.
+//
+//  4. The stale-FAA hazard: a modification counter defends a CAS (the
 //     sim_aba_test scenario) but CANNOT defend an unconditional
 //     fetch-and-add.  A dequeuer that read a segment's tickets and stalls
 //     may wake to find that segment drained, retired and appended again as
@@ -463,7 +469,146 @@ TEST(SegmentClaimDpor, FetchAddLosersKillTheProducersNextSlot) {
   EXPECT_GT(schedules_killing_a_slot("segq.faa_claim"), 0u);
 }
 
-// ---- 3: stale FAA vs. the hazard cell -----------------------------------
+// ---- 3: the overshooting enqueue ticket ---------------------------------
+
+/// Item 1 went in and out as ticket 0 of the tail segment, so the segment
+/// has one ticket left.  Enqueuers 0 and 1 (items 2 and 3) race for it
+/// with the bare fetch_add: the loser draws ticket 2, past the segment,
+/// and only then reads `next` -- null, so it appends, or set by a peer, so
+/// it helps Tail on.  Thread 2 polls `calls` times; a poll that kills the
+/// winner's slot sends the winner past the segment too.  Thread 3's log
+/// holds the setup calls and, timed after every call, the drain off every
+/// fiber, so the linearizability check covers what the queue still holds.
+struct OvershootWorld {
+  static constexpr std::uint32_t kEnqueuers = 2;
+  static constexpr std::uint32_t kPoller = kEnqueuers;
+  Engine engine;
+  Queue q{kCapacity};
+  std::vector<check::ThreadLog> logs;
+
+  explicit OvershootWorld(std::uint32_t calls) {
+    for (std::uint32_t t = 0; t <= kPoller + 1; ++t) logs.emplace_back(t);
+    std::uint64_t v = 0;
+    if (q.try_enqueue(1)) {
+      logs.back().record(check::OpKind::kEnqueue, 1, -4, -3);
+    }
+    if (q.try_dequeue(v)) {
+      logs.back().record(check::OpKind::kDequeue, v, -2, -1);
+    }
+    for (std::uint32_t t = 0; t < kEnqueuers; ++t) {
+      engine.spawn_fiber(0, [this, t](Proc& p) {
+        const std::uint64_t v = 2 + t;
+        const std::int64_t inv = invoked_at(p);
+        if (q.try_enqueue(v)) {
+          logs[t].record(check::OpKind::kEnqueue, v, inv, returned_at(p));
+        }
+      });
+    }
+    engine.spawn_fiber(0, [this, calls](Proc& p) {
+      for (std::uint32_t c = 0; c < calls; ++c) {
+        const std::int64_t inv = invoked_at(p);
+        std::uint64_t v = 0;
+        const bool ok = q.try_dequeue(v);
+        logs[kPoller].record(
+            ok ? check::OpKind::kDequeue : check::OpKind::kDequeueEmpty,
+            ok ? v : 0, inv, returned_at(p));
+      }
+    });
+  }
+
+  /// Enqueue fetch_adds that drew a ticket past their segment: every other
+  /// one is followed by its fill probe.
+  [[nodiscard]] std::uint64_t overshoots() const {
+    std::uint64_t n = 0;
+    for (std::uint32_t t = 0; t < kEnqueuers; ++t) {
+      n += engine.label_hits(t, "segq.faa_enq") -
+           engine.label_hits(t, "segq.fill");
+    }
+    return n;
+  }
+
+  /// Append attempts (link CASes) by the enqueuers.  An overshoot that
+  /// makes none found the successor already linked and helped Tail on.
+  [[nodiscard]] std::uint64_t appends() const {
+    std::uint64_t n = 0;
+    for (std::uint32_t t = 0; t < kEnqueuers; ++t) {
+      n += engine.label_hits(t, "segq.close");
+    }
+    return n;
+  }
+
+  /// Dequeues what is left, logged after every call has returned.
+  void drain() {
+    std::int64_t at = 2 * static_cast<std::int64_t>(engine.total_steps()) + 2;
+    std::uint64_t v = 0;
+    for (std::uint32_t n = 0; n <= kCapacity && q.try_dequeue(v); ++n) {
+      logs.back().record(check::OpKind::kDequeue, v, at, at + 1);
+      at += 2;
+    }
+  }
+};
+
+// The enqueue takes its ticket by fetch_add with no load first, so a
+// segment's counter runs past kSlots.  In every schedule of the race for
+// the last ticket beside a polling dequeuer the whole history -- prefill,
+// calls, and the drain -- is a linearizable FIFO in which each item is
+// dequeued exactly once; schedules where the loser overshoots and then
+// appends, and where an overshooter finds the successor already linked,
+// both occur.  (A poller calling twice makes 898,642 schedules, which pass
+// but take 109 s natively: too many for a sanitizer build's timeout.)
+TEST(SegmentOvershootDpor, ARaceForTheLastTicketOvershootsAndLosesNothing) {
+  constexpr std::uint32_t kCalls = 1;
+  std::unique_ptr<OvershootWorld> world;
+  std::uint64_t checked = 0;
+  std::uint64_t with_empty = 0;
+  std::uint64_t with_overshoot = 0;
+  std::uint64_t with_help = 0;  // an overshooter found `next` set
+  DporConfig config;
+  config.max_schedules = 2'000'000;
+  const DporResult result = explore_dpor(
+      config, /*process_count=*/OvershootWorld::kPoller + 1,
+      [&]() -> Engine& {
+        world = std::make_unique<OvershootWorld>(kCalls);
+        return world->engine;
+      },
+      /*on_step=*/nullptr,
+      [&](Engine& engine) {
+        ASSERT_TRUE(engine.all_done()) << "a schedule wedged a segq op";
+        world->drain();
+        const auto history = check::merge_logs(world->logs);
+        const auto lin = check::check_linearizable_exact(history);
+        ASSERT_TRUE(lin.ok) << lin.diagnosis;
+        std::vector<std::uint64_t> landed;
+        std::vector<std::uint64_t> taken;
+        bool empty = false;
+        for (const check::Event& e : history) {
+          if (e.kind == check::OpKind::kEnqueue) landed.push_back(e.value);
+          if (e.kind == check::OpKind::kDequeue) taken.push_back(e.value);
+          empty |= e.kind == check::OpKind::kDequeueEmpty;
+        }
+        std::sort(landed.begin(), landed.end());
+        std::sort(taken.begin(), taken.end());
+        ASSERT_EQ(landed, (std::vector<std::uint64_t>{1, 2, 3}));
+        ASSERT_EQ(taken, landed);
+        if (empty) ++with_empty;
+        if (world->overshoots() > 0) ++with_overshoot;
+        if (world->overshoots() > world->appends()) ++with_help;
+        ++checked;
+      });
+  EXPECT_FALSE(result.budget_exhausted);
+  EXPECT_EQ(checked, result.schedules_run);
+  EXPECT_GT(checked, 100u) << "DPOR covered suspiciously few schedules";
+  EXPECT_GT(with_overshoot, 0u) << "no fetch_add ran past the segment";
+  EXPECT_GT(with_help, 0u);
+  EXPECT_GT(with_empty, 0u);
+  std::cout << "[ DPOR     ] overshoot world, poller x " << kCalls
+            << " call(s): " << checked << " schedules, " << with_overshoot
+            << " overshooting, " << with_help
+            << " with an overshooter helping, " << with_empty
+            << " answering empty\n";
+}
+
+// ---- 4: stale FAA vs. the hazard cell -----------------------------------
 
 struct StaleFaa {
   std::uint64_t victim_got = 0;       // what the stalled call returned
