@@ -1,15 +1,15 @@
 // Sharded queue-of-queues front end: N independent sub-queues behind one
 // try_enqueue/try_dequeue surface, with work-stealing dequeue.
 //
-// Motivation (ROADMAP item 1, and *No Cords Attached: Coordination-Free
-// Concurrent Lock-Free Queues*, PAPERS.md): every queue in this library --
-// including the FAA segment queue -- ultimately serialises all operations
-// through one or two contended cache lines (Head/Tail or the ticket
-// words).  Beyond a handful of cores the coherence traffic on those lines,
-// not the instruction count, caps throughput.  The coordination-free fix
-// is to stop sharing: N inner queues ("shards"), producers and consumers
-// spread over them by a per-thread hint, so in the common case each thread
-// operates on a line no other thread is touching.
+// Motivation (*No Cords Attached: Coordination-Free Concurrent Lock-Free
+// Queues*, PAPERS.md): every queue in this library -- including the FAA
+// segment queue -- ultimately serialises all operations through one or two
+// contended cache lines (Head/Tail or the ticket words).  Beyond a handful
+// of cores the coherence traffic on those lines, not the instruction
+// count, caps throughput.  The coordination-free fix is to stop sharing: N
+// inner queues ("shards"), producers and consumers spread over them by a
+// per-thread hint, so in the common case each thread operates on a line no
+// other thread is touching.
 //
 // What is deliberately given up: GLOBAL FIFO ORDER.  The contract
 // (docs/ALGORITHMS.md, "The sharded queue-of-queues") is:
@@ -36,32 +36,27 @@
 //
 // The empty sweep: "queue empty" should mean ALL shards were empty at one
 // instant, not merely "each shard looked empty at some point during my
-// sweep" -- the naive sweep admits the classic lost-item race
-// (scan shard A empty; a producer enqueues to A; an item leaves shard B;
-// scan B empty; report empty while an item sat in A the whole time --
-// demonstrated schedule-exhaustively in tests/sim_sharded_test.cpp).
-// Every shard therefore carries a monotone enqueue TICKET, bumped by a
-// producer BEFORE it touches the inner queue.  A dequeuer that found every
-// shard empty re-reads all tickets: if none moved across the whole sweep
-// (a double collect, same shape as the PLJ snapshot), no enqueue even
-// *began* during the sweep.  If any ticket moved, the sweep re-runs (obs:
-// empty_rescan) -- the bump proves another thread made progress, so this
-// is the same lock-free retry argument as a failed CAS.  When no enqueue
-// is between its bump and its insert as the sweep starts (sequential and
-// quiescent use included), no shard gains an item during the sweep, so
-// each shard's observed emptiness lasts to the last scan, where all shards
-// are empty at once.  An enqueue that bumped before the sweep and inserts
-// during it breaks that.  With shards A and B, B holding 7: P bumps A's
-// ticket; C finds home A empty and pre-collects; C scans A empty; P
-// inserts 5 into A and returns; H, homed on B, starts after that and takes
-// 7; C scans B empty, finds the tickets unchanged and returns empty.  No
-// instant of C's call had both shards empty, and no linearization of the
-// history exists: the empty verdict is not linearizable.
+// sweep" -- the naive sweep admits the classic lost-item race (scan shard
+// A empty; a producer enqueues to A; an item leaves shard B; scan B empty;
+// report empty while an item sat in A the whole time).  Every shard
+// therefore carries a monotone enqueue TICKET, bumped by a producer AFTER
+// its inner insert succeeded.  A dequeuer that found every shard empty
+// re-reads all tickets: if none moved across the whole sweep (a double
+// collect, same shape as the PLJ snapshot), the verdict stands; otherwise
+// the sweep re-runs (obs: empty_rescan) -- the bump proves another thread
+// made progress, the same lock-free retry argument as a failed CAS.  An
+// enqueue linearizes at the earlier of its bump and the dequeue of its
+// item, so an item the sweep missed belongs to an enqueue still pending
+// at the verify (docs/ALGORITHMS.md, property 4).  Bumping BEFORE the
+// insert instead admits an empty verdict with no linearization.
+// tests/sim_sharded_test.cpp runs THIS header under DPOR (the ticket is a
+// port::Atomic; the routing hints stay std::atomic and take no step), with
+// that order and the naive sweep as MSQ_MUTANT negative controls.
 //
 // Cost accounting: the ticket adds one uncontended-in-the-common-case
-// fetch_add per enqueue on a line owned by the producer's home shard.
-// That is the price of a sound empty report; everything else the front
-// end adds is thread-local (hint reads) or cold (re-home stores).
+// fetch_add per accepted enqueue, on a line owned by the shard that took
+// the item.  That is the price of a sound empty report; everything else the
+// front end adds is thread-local (hint reads) or cold (re-home stores).
 #pragma once
 
 #include <array>
@@ -72,6 +67,7 @@
 #include <optional>
 
 #include "obs/probe.hpp"
+#include "port/atomic.hpp"
 #include "port/cpu.hpp"
 #include "queues/queue_concept.hpp"
 
@@ -130,11 +126,15 @@ class ShardedQueue {
     for (std::uint32_t i = 0; i < N; ++i) {
       const std::uint32_t s = (home + i) % N;
       Shard& shard = *shards_[s];
-      // Announce-then-insert: the ticket bump is what makes a concurrent
-      // empty sweep rescan instead of missing this item (header comment).
-      shard.ticket.value.fetch_add(1, std::memory_order_release);
-      MSQ_PROBE("shardq.insert");
+      // Insert, then announce (header comment); the mutant bumps first.
+      if (MSQ_MUTANT("shardq.bump_first")) {
+        shard.ticket.value.fetch_add(1, std::memory_order_release);
+      }
       if (shard.queue.try_enqueue(value)) {
+        MSQ_PROBE("shardq.announce");
+        if (!MSQ_MUTANT("shardq.bump_first")) {
+          shard.ticket.value.fetch_add(1, std::memory_order_release);
+        }
         if (i == 0) {
           // relaxed: routing-only heuristic state (see enq_home above) (proof: test:tests/sim_sharded_test.cpp)
           if (hint.enq_fail_streak.load(std::memory_order_relaxed) != 0) {
@@ -161,8 +161,6 @@ class ShardedQueue {
         }
         return true;
       }
-      // Home (or current) shard full: sweep onwards.  The wasted ticket
-      // bump is harmless -- it can only cause a spurious empty rescan.
     }
     return false;
   }
@@ -201,10 +199,11 @@ class ShardedQueue {
         }
       }
       // Every shard individually empty; coherent only if no enqueue was
-      // announced anywhere across the sweep.
+      // announced across the sweep (the "shardq.no_verify" mutant skips it).
       MSQ_PROBE("shardq.verify");
       bool stable = true;
-      for (std::uint32_t s = 0; s < N; ++s) {
+      for (std::uint32_t s = 0; s < N && !MSQ_MUTANT("shardq.no_verify");
+           ++s) {
         if (shards_[s]->ticket.value.load(std::memory_order_acquire) !=
             pre[s]) {
           stable = false;
@@ -240,12 +239,13 @@ class ShardedQueue {
   }
 
  private:
+  friend struct ShardedInspector;  // the model build's tests read tickets
   struct Shard {
     explicit Shard(std::uint32_t capacity) : queue(capacity) {}
-    // Monotone count of enqueue attempts ANNOUNCED against this shard; the
-    // empty sweep's double collect keys off it.  Own line: producers homed
-    // here bump it on every enqueue.
-    port::CacheAligned<std::atomic<std::uint64_t>> ticket;
+    // Monotone count of enqueues that landed in this shard, each bumped
+    // after its insert; the empty sweep's double collect keys off it.  Own
+    // line: producers homed here bump it on every enqueue.
+    port::CacheAligned<port::Atomic<std::uint64_t>> ticket;
     Inner queue;
   };
 
@@ -274,7 +274,7 @@ class ShardedQueue {
   std::array<HintSlot, kHintSlots> hints_;
 };
 
-static_assert(sizeof(port::CacheAligned<std::atomic<std::uint64_t>>) >=
+static_assert(sizeof(port::CacheAligned<port::Atomic<std::uint64_t>>) >=
                   port::kCacheLine,
               "shard tickets must not share a cache line with inner queues");
 

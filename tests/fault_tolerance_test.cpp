@@ -659,35 +659,38 @@ TEST(RealThreadFaults, DelayRuleWidensTheRaceWindowWithoutChangingResults) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedQueue fault sites: the announce-then-insert window, the steal
+// ShardedQueue fault sites: the insert-then-announce window, the steal
 // sweep, the empty-verify double collect, and producer re-homing.
 // ---------------------------------------------------------------------------
 
-TEST(RealThreadFaults, ShardedVictimHaltedInAnnounceInsertWindowStaysCoherent) {
-  // The victim parks AFTER bumping its shard's ticket but BEFORE inserting
-  // the item -- the exact window the double-collect empty check exists
-  // for.  A concurrent empty sweep that straddles the bump must rescan
-  // (not miss the announcement), but later sweeps see a stable ticket and
-  // report empty cleanly: the orphaned announcement can cost at most one
-  // rescan, never a livelock.
-  fault::Watchdog watchdog(60s, "sharded halted announce-insert window");
+TEST(RealThreadFaults, ShardedVictimHaltedInInsertAnnounceWindowStaysCoherent) {
+  // The victim parks AFTER inserting its item but BEFORE bumping its
+  // shard's ticket.  Its item is already a queued item: survivors may take
+  // it, every empty sweep still ends (the Watchdog is the livelock detector
+  // here), and the bump that lands after the release makes no item appear.
+  fault::Watchdog watchdog(60s, "sharded halted insert-announce window");
   queues::ShardedQueue<queues::MsQueue<std::uint64_t>, 2> queue(64);
+  constexpr std::uint64_t kVictimItem = 7777;
 
   fault::FaultPlan plan;
-  plan.halt_at("shardq.insert");
+  plan.halt_at("shardq.announce");
   plan.arm();
 
   std::atomic<bool> victim_returned{false};
   std::thread victim([&] {
-    EXPECT_TRUE(queue.try_enqueue(7777));
+    EXPECT_TRUE(queue.try_enqueue(kVictimItem));
     victim_returned.store(true);
   });
   plan.wait_for_halted(1);
   ASSERT_FALSE(victim_returned.load());
 
-  // Survivors run full workloads across both shards; every empty sweep
-  // must terminate (the Watchdog is the livelock detector here).
-  std::atomic<std::uint64_t> enqueued{0}, dequeued{0};
+  // Survivors run full workloads across both shards, empty sweeps included.
+  std::atomic<std::uint64_t> enqueued{0}, dequeued{0}, victim_item_seen{0};
+  const auto take = [&](std::uint64_t& out) {
+    const bool ok = queue.try_dequeue(out);
+    if (ok && out == kVictimItem) victim_item_seen.fetch_add(1);
+    return ok;
+  };
   {
     std::vector<std::jthread> survivors;
     for (int t = 0; t < 2; ++t) {
@@ -696,9 +699,7 @@ TEST(RealThreadFaults, ShardedVictimHaltedInAnnounceInsertWindowStaysCoherent) {
           while (!queue.try_enqueue(1)) std::this_thread::yield();
           enqueued.fetch_add(1, std::memory_order_relaxed);
           std::uint64_t out = 0;
-          if (queue.try_dequeue(out)) {
-            dequeued.fetch_add(1, std::memory_order_relaxed);
-          }
+          if (take(out)) dequeued.fetch_add(1, std::memory_order_relaxed);
         }
       });
     }
@@ -707,25 +708,21 @@ TEST(RealThreadFaults, ShardedVictimHaltedInAnnounceInsertWindowStaysCoherent) {
   EXPECT_FALSE(victim_returned.load());
 
   // Drain to empty while the victim is still parked: the final dequeue
-  // runs the full coherent-empty sweep (the ticket it orphaned was bumped
-  // before any pre[] collection here, so the sweep must report empty
-  // rather than rescan forever -- the Watchdog polices that).
+  // runs the full coherent-empty sweep and must report empty.
   std::uint64_t out = 0, drained = 0;
-  while (queue.try_dequeue(out)) ++drained;
-  EXPECT_FALSE(queue.try_dequeue(out));
+  while (take(out)) ++drained;
   EXPECT_GT(plan.hits("shardq.verify"), 0u)
       << "the coherent-empty check never ran";
-  EXPECT_EQ(dequeued.load() + drained, enqueued.load())
-      << "victim's item surfaced before its insert resumed";
+  EXPECT_EQ(victim_item_seen.load(), 1u)
+      << "the victim's inserted item was not dequeuable while it was halted";
+  EXPECT_EQ(dequeued.load() + drained, enqueued.load() + 1);
 
-  // Resurrect: the victim's insert completes and ONLY then is its item
-  // dequeuable.
+  // Resurrect: the late bump announces an item that already left, so the
+  // enqueue returns and the queue stays empty.
   plan.release_halted();
   victim.join();
-  std::uint64_t late = 0, late_drained = 0;
-  while (queue.try_dequeue(late)) ++late_drained;
-  EXPECT_EQ(late_drained, 1u);
-  EXPECT_EQ(late, 7777u);
+  EXPECT_TRUE(victim_returned.load());
+  EXPECT_FALSE(queue.try_dequeue(out)) << "the late bump made an item appear";
   plan.disarm();
 }
 
@@ -795,7 +792,7 @@ TEST(RealThreadFaults, ShardedProducerRehomesOffAPersistentlyFullShard) {
   std::uint64_t accepted = 0;
   while (queue.try_enqueue(accepted)) ++accepted;
   EXPECT_GE(accepted, 14u) << "aggregate capacity refused far too early";
-  EXPECT_GT(plan.hits("shardq.insert"), 0u);
+  EXPECT_GT(plan.hits("shardq.announce"), 0u);
   EXPECT_GT(plan.hits("shardq.rehome"), 0u)
       << "home shard stayed full but the producer never re-homed";
   plan.disarm();
